@@ -199,7 +199,6 @@ def _cmd_explain(args):
 def _cmd_prototype(args):
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
-    seed = _resolve_seed(args.seed)
 
     data_mean = None
     images = None
@@ -233,7 +232,7 @@ def _cmd_prototype(args):
 
     objective = prototype.AmObjective(args.class_index, regularizer, localization)
     options = prototype.AmOptions(step_size=args.step_size, max_iterations=args.steps,
-                                  gradient_tolerance=args.tol, init=data_mean, seed=seed)
+                                  gradient_tolerance=args.tol, init=data_mean)
     result = prototype.activation_maximize(network, objective, options)
     print(f"class {args.class_index}: probability {result.final_probability:.6f} "
           f"after {result.iterations} accepted steps")

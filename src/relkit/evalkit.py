@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import as_tensor, forward, log_softmax
+from .explain import _explained_value
+from .netcore import as_tensor, forward
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,6 @@ def _patch_regions(shape, patch):
     return regions
 
 
-def _model_value(network, x, class_index, explained_output):
-    logits = forward(network, x).logits
-    if explained_output == "log_probability":
-        return float(log_softmax(logits)[class_index])
-    return float(logits[class_index])
-
-
 def pixel_flip(network, x, heatmap, config=FlipConfig()):
     """Greedy removal by descending relevance of the original heatmap.
 
@@ -104,10 +98,10 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     steps = len(regions) if config.max_steps is None else min(config.max_steps, len(regions))
 
     work = x.copy()
-    values = [_model_value(network, work, class_index, mode)]
+    values = [_explained_value(forward(network, work).logits, class_index, mode)]
     for region_id in order[:steps]:
         work[regions[region_id]] = config.fill
-        values.append(_model_value(network, work, class_index, mode))
+        values.append(_explained_value(forward(network, work).logits, class_index, mode))
     meta = {"auc_normalization": "step-averaged trapezoid over unit-spaced removals",
             "patch": config.patch,
             "fill": config.fill,

@@ -5,11 +5,14 @@ split, epsilon-stabilized, squared-weight and bounded-input first-layer
 rules, pooling policies), plus the gradient-based sensitivity and simple
 Taylor explainers. All explainers emit input-shaped Heatmaps.
 
-Dense and convolutional layers share the same four-step redistribution
-scheme: z <- restricted-forward(a); s <- R / z; c <- restricted-backward(s);
-R <- a * c. Denominators smaller in magnitude than the stabilizer absorb
-their unit's relevance instead of being inflated; when the inhibitory branch
-of the alpha/beta rule is empty the unit falls back to purely excitatory
+Each weighted-layer rule is written once, against the layer's bias-free
+linear operator pair (apply, apply_T) from netcore.linear_pair, as the
+four-step scheme z <- apply(rho(w), a); s <- R / z; c <- apply_T(rho(w), s);
+R <- a * c, where rho is the rule's weight transform (W+, W-, W^2 or W
+itself). Dense and Conv2D layers differ only in their operator pair.
+Denominators smaller in magnitude than the stabilizer absorb their unit's
+relevance instead of being inflated; when the inhibitory branch of the
+alpha/beta rule is empty the unit falls back to purely excitatory
 redistribution so that layer conservation survives.
 """
 
@@ -19,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import (POOL_KINDS, WEIGHTED_KINDS, as_tensor, conv_apply,
-                      conv_transpose_apply, forward, log_softmax,
-                      scatter_to_winners, seeded_gradient, softmax,
-                      window_columns, window_scatter, _window_geometry)
+from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
+                      forward, linear_pair, log_softmax, scatter_to_winners,
+                      seeded_gradient, softmax, window_columns, window_scatter,
+                      _window_geometry)
 
 _EXPLAINED_OUTPUTS = ("logit", "log_probability")
 
@@ -157,70 +160,69 @@ def safe_divide(numerator, denominator, stabilizer):
     return np.where(ok, numerator / np.where(ok, denominator, 1.0), 0.0)
 
 
-def _two_branch_redistribute(a, r_upper, z_pos, z_neg, back_pos, back_neg,
-                             alpha, beta, stabilizer):
-    # Four-step pass over the positive part, mirrored over the negative part.
-    # Units whose positive denominator vanishes absorb their relevance; units
-    # with an empty negative branch redistribute with alpha_eff = 1 so the
-    # layer total is conserved.
-    pos_ok = np.abs(z_pos) >= stabilizer
-    if beta == 0.0:
-        s = np.where(pos_ok, r_upper / np.where(pos_ok, z_pos, 1.0), 0.0)
-        return a * back_pos(s)
-    neg_ok = np.abs(z_neg) >= stabilizer
-    alpha_eff = np.where(neg_ok, alpha, 1.0)
-    s_pos = np.where(pos_ok, alpha_eff * r_upper / np.where(pos_ok, z_pos, 1.0), 0.0)
-    s_neg = np.where(pos_ok & neg_ok, beta * r_upper / np.where(neg_ok, z_neg, 1.0), 0.0)
-    return a * back_pos(s_pos) - a * back_neg(s_neg)
+def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer):
+    """Four-step pass z = apply(rho(w), a); s = R / z; c = apply_T(rho(w), s);
+    R = a * c of one weighted-layer rule over the layer's operator pair."""
+    apply, apply_T = pair
+    if isinstance(rule, Epsilon):
+        z = add_bias(apply(w, a), bias)
+        # sign(0) is taken as +1 so a zero denominator stays finite
+        denom = np.where(z >= 0, z + rule.epsilon, z - rule.epsilon)
+        return a * apply_T(w, r_upper / denom)
+    if isinstance(rule, WSquare):
+        w2 = w ** 2
+        z = apply(w2, np.ones_like(a))
+        ok = z > 0.0  # all-zero weight columns drop their unit's relevance
+        return apply_T(w2, np.where(ok, r_upper / np.where(ok, z, 1.0), 0.0))
+    w_pos = np.maximum(w, 0.0)
+    if isinstance(rule, ZBounds):
+        w_neg = np.minimum(w, 0.0)
+        low = np.broadcast_to(rule.low, a.shape)
+        high = np.broadcast_to(rule.high, a.shape)
+        z = apply(w, a) - apply(w_pos, low) - apply(w_neg, high)
+        s = safe_divide(r_upper, z, stabilizer)
+        return a * apply_T(w, s) - low * apply_T(w_pos, s) - high * apply_T(w_neg, s)
+    # AlphaBeta: the positive part, mirrored over the negative part. Units
+    # whose positive denominator vanishes absorb their relevance; units with
+    # an empty negative branch redistribute with alpha_eff = 1 so the layer
+    # total is conserved.
+    z_pos = apply(w_pos, a)
+    if rule.beta == 0.0:
+        return a * apply_T(w_pos, safe_divide(r_upper, z_pos, stabilizer))
+    w_neg = np.minimum(w, 0.0)
+    z_neg = apply(w_neg, a)
+    alpha_eff = np.where(np.abs(z_neg) >= stabilizer, rule.alpha, 1.0)
+    s_pos = safe_divide(alpha_eff * r_upper, z_pos, stabilizer)
+    s_neg = np.where(np.abs(z_pos) >= stabilizer,
+                     safe_divide(rule.beta * r_upper, z_neg, stabilizer), 0.0)
+    return a * apply_T(w_pos, s_pos) - a * apply_T(w_neg, s_neg)
+
+
+def _dense_rule(a, weights, bias, r_upper, rule, stabilizer=1e-9):
+    return _redistribute(DENSE_PAIR, np.asarray(a, dtype=np.float64),
+                         np.asarray(weights, dtype=np.float64), bias,
+                         np.asarray(r_upper, dtype=np.float64), rule, stabilizer)
 
 
 def lrp_dense_alphabeta(a, weights, r_upper, alpha, beta, stabilizer=1e-9):
     """Alpha/beta redistribution through one dense layer (bias excluded)."""
-    AlphaBeta(alpha, beta)  # validates the parameter constraints
-    a = np.asarray(a, dtype=np.float64)
-    w_pos = np.maximum(weights, 0.0)
-    w_neg = np.minimum(weights, 0.0)
-    return _two_branch_redistribute(
-        a, np.asarray(r_upper, dtype=np.float64),
-        a @ w_pos, a @ w_neg,
-        lambda s: w_pos @ s, lambda s: w_neg @ s,
-        alpha, beta, stabilizer)
+    return _dense_rule(a, weights, None, r_upper, AlphaBeta(alpha, beta), stabilizer)
 
 
 def lrp_dense_epsilon(a, weights, bias, r_upper, epsilon):
     """Epsilon-stabilized redistribution; z includes the bias term."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    a = np.asarray(a, dtype=np.float64)
-    z = a @ weights + bias
-    # sign(0) is taken as +1 so a zero denominator stays finite
-    denom = np.where(z >= 0, z + epsilon, z - epsilon)
-    s = np.asarray(r_upper, dtype=np.float64) / denom
-    return a * (weights @ s)
+    return _dense_rule(a, weights, np.asarray(bias, dtype=np.float64), r_upper,
+                       Epsilon(epsilon))
 
 
 def lrp_input_wsquare(weights, r_upper):
     """Input-independent first-layer shares proportional to squared weights."""
-    w2 = np.asarray(weights, dtype=np.float64) ** 2
-    z = w2.sum(axis=0)
-    ok = z > 0.0  # all-zero weight columns drop their unit's relevance
-    s = np.where(ok, np.asarray(r_upper, dtype=np.float64) / np.where(ok, z, 1.0), 0.0)
-    return w2 @ s
+    return _dense_rule(np.ones(np.shape(weights)[0]), weights, None, r_upper, WSquare())
 
 
 def lrp_input_zb(x, weights, r_upper, low, high, stabilizer=1e-9):
     """First-layer rule for inputs confined to [low, high] boxes."""
-    x = np.asarray(x, dtype=np.float64)
-    low = np.broadcast_to(np.asarray(low, dtype=np.float64), x.shape)
-    high = np.broadcast_to(np.asarray(high, dtype=np.float64), x.shape)
-    if np.any(low > 0) or np.any(high < 0):
-        raise ValueError("bounds must satisfy low <= 0 <= high elementwise")
-    w = np.asarray(weights, dtype=np.float64)
-    w_pos = np.maximum(w, 0.0)
-    w_neg = np.minimum(w, 0.0)
-    z = x @ w - low @ w_pos - high @ w_neg
-    s = safe_divide(np.asarray(r_upper, dtype=np.float64), z, stabilizer)
-    return x * (w @ s) - low * (w_pos @ s) - high * (w_neg @ s)
+    return _dense_rule(x, weights, None, r_upper, ZBounds(low, high), stabilizer)
 
 
 def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
@@ -238,50 +240,6 @@ def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
     r_flat = np.asarray(r_upper, dtype=np.float64).reshape(geom.channels, -1)
     s = safe_divide(r_flat, cols.sum(axis=1), stabilizer)
     return window_scatter(cols * s[:, None, :], geom)
-
-
-def _conv_alphabeta(layer, x, r_upper, alpha, beta, stabilizer):
-    w_pos = np.maximum(layer.weights, 0.0)
-    w_neg = np.minimum(layer.weights, 0.0)
-    stride, padding = layer.stride, layer.padding
-    return _two_branch_redistribute(
-        x, r_upper,
-        conv_apply(w_pos, x, stride, padding), conv_apply(w_neg, x, stride, padding),
-        lambda s: conv_transpose_apply(w_pos, s, stride, padding, x.shape),
-        lambda s: conv_transpose_apply(w_neg, s, stride, padding, x.shape),
-        alpha, beta, stabilizer)
-
-
-def _conv_epsilon(layer, x, r_upper, epsilon):
-    z = conv_apply(layer.weights, x, layer.stride, layer.padding) + layer.bias[:, None, None]
-    denom = np.where(z >= 0, z + epsilon, z - epsilon)
-    s = r_upper / denom
-    return x * conv_transpose_apply(layer.weights, s, layer.stride, layer.padding, x.shape)
-
-
-def _conv_wsquare(layer, x, r_upper):
-    w2 = layer.weights ** 2
-    z = conv_apply(w2, np.ones_like(x), layer.stride, layer.padding)
-    ok = z > 0.0
-    s = np.where(ok, r_upper / np.where(ok, z, 1.0), 0.0)
-    return conv_transpose_apply(w2, s, layer.stride, layer.padding, x.shape)
-
-
-def _conv_zbounds(layer, x, r_upper, low, high, stabilizer):
-    low = np.broadcast_to(np.asarray(low, dtype=np.float64), x.shape)
-    high = np.broadcast_to(np.asarray(high, dtype=np.float64), x.shape)
-    if np.any(low > 0) or np.any(high < 0):
-        raise ValueError("bounds must satisfy low <= 0 <= high elementwise")
-    w = layer.weights
-    w_pos = np.maximum(w, 0.0)
-    w_neg = np.minimum(w, 0.0)
-    stride, padding = layer.stride, layer.padding
-    z = (conv_apply(w, x, stride, padding)
-         - conv_apply(w_pos, low, stride, padding)
-         - conv_apply(w_neg, high, stride, padding))
-    s = safe_divide(r_upper, z, stabilizer)
-    back = lambda wk: conv_transpose_apply(wk, s, stride, padding, x.shape)
-    return x * back(w) - low * back(w_pos) - high * back(w_neg)
 
 
 def _first_weighted_index(network):
@@ -319,35 +277,18 @@ def _check_rules(network, config):
 
 
 def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
-    kind = layer.kind
-    if kind == "ReLU":
-        return r_upper
-    if kind == "Flatten":
-        return r_upper.reshape(x.shape)
-    if kind == "Dense":
-        if isinstance(rule, AlphaBeta):
-            return lrp_dense_alphabeta(x, layer.weights, r_upper,
-                                       rule.alpha, rule.beta, stabilizer)
-        if isinstance(rule, Epsilon):
-            return lrp_dense_epsilon(x, layer.weights, layer.bias, r_upper, rule.epsilon)
-        if isinstance(rule, WSquare):
-            return lrp_input_wsquare(layer.weights, r_upper)
-        return lrp_input_zb(x, layer.weights, r_upper, rule.low, rule.high, stabilizer)
-    if kind == "Conv2D":
-        if isinstance(rule, AlphaBeta):
-            return _conv_alphabeta(layer, x, r_upper, rule.alpha, rule.beta, stabilizer)
-        if isinstance(rule, Epsilon):
-            return _conv_epsilon(layer, x, r_upper, rule.epsilon)
-        if isinstance(rule, WSquare):
-            return _conv_wsquare(layer, x, r_upper)
-        return _conv_zbounds(layer, x, r_upper, rule.low, rule.high, stabilizer)
-    return lrp_pool(layer, x, extra, r_upper, rule, stabilizer)
+    if layer.kind in WEIGHTED_KINDS:
+        return _redistribute(linear_pair(layer, x.shape), x, layer.weights, layer.bias,
+                             r_upper, rule, stabilizer)
+    if layer.kind in POOL_KINDS:
+        return lrp_pool(layer, x, extra, r_upper, rule, stabilizer)
+    return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through
 
 
 def _explained_value(logits, class_index, explained_output):
-    if explained_output == "logit":
-        return float(logits[class_index])
-    return float(log_softmax(logits)[class_index])
+    if explained_output == "log_probability":
+        return float(log_softmax(logits)[class_index])
+    return float(logits[class_index])
 
 
 def _backward_sweep(network, trace, class_index, config, mask_at=None, mask=None):
@@ -477,6 +418,24 @@ def _rules_for(network, hidden_rule, input_rule, pool_rule):
     return tuple(rules)
 
 
+def _first_layer_bound(network, bound, name):
+    # A scalar bound applies as is; one that broadcasts to the input shape is
+    # carried through the shape-only layers to the first weighted layer.
+    bound = np.asarray(bound, dtype=np.float64)
+    idx = _first_weighted_index(network)
+    if bound.ndim == 0 or idx is None:
+        return bound
+    target = network.activation_shapes[idx]
+    if np.prod(target) == np.prod(network.input_shape):
+        try:
+            return np.broadcast_to(bound, network.input_shape).reshape(target)
+        except ValueError:
+            pass
+    raise ValueError(f"pixel bound {name} has shape {bound.shape}, which does not carry "
+                     f"to the first weighted layer's input {target}; expected a scalar "
+                     f"or the input shape {network.input_shape}")
+
+
 def deep_taylor_config(network, input_domain="relu", low=None, high=None,
                        stabilizer=1e-9, explained_output="logit"):
     """Default rule stack: excitatory-only hidden layers, proportional pools,
@@ -491,7 +450,8 @@ def deep_taylor_config(network, input_domain="relu", low=None, high=None,
     elif input_domain == "pixel":
         if low is None or high is None:
             raise ValueError("pixel input domain requires low/high bounds")
-        input_rule = ZBounds(low, high)
+        input_rule = ZBounds(_first_layer_bound(network, low, "low"),
+                             _first_layer_bound(network, high, "high"))
     elif input_domain == "real":
         input_rule = WSquare()
     else:

@@ -10,6 +10,7 @@ unsigned bytes rescaled to [0, 1]).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,9 +139,26 @@ def load_model_file(path):
     low = high = None
     if "input_bounds" in doc:
         b = doc["input_bounds"]
-        low = as_tensor(_require(b, "low", "input_bounds"), "input low bound")
-        high = as_tensor(_require(b, "high", "input_bounds"), "input high bound")
+        low = _input_bound(b, "low", network.input_shape)
+        high = _input_bound(b, "high", network.input_shape)
     return ModelFile(network, expert, low, high)
+
+
+def _input_bound(doc, key, input_shape):
+    where = f"input_bounds.{key}"
+    values = _require(doc, key, "input_bounds")
+    try:
+        bound = as_tensor(values, "bound")
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
+    try:
+        fits = np.broadcast_shapes(bound.shape, input_shape) == input_shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ModelFormatError(f"{where}: shape {bound.shape} does not broadcast to the "
+                               f"input shape {input_shape}")
+    return bound
 
 
 def load_model(path):
@@ -226,7 +244,8 @@ def load_tensor_csv(path):
     shape = None
     meta = {}
     values = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -237,7 +256,13 @@ def load_tensor_csv(path):
             elif body.startswith("meta:"):
                 meta = json.loads(body[len("meta:"):])
             continue
-        values.append(float(line))
+        try:
+            value = float(line)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {number}: {line!r} is not a finite number")
+        values.append(value)
     if shape is None:
         raise ValueError(f"{path}: missing shape header")
     arr = np.array(values, dtype=np.float64)

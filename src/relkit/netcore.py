@@ -300,6 +300,29 @@ def conv_transpose_apply(weights, s, stride, padding, in_shape):
     return window_scatter(cols.reshape(c, kh * kw, -1), geom)
 
 
+# (apply, apply_T) of a Dense layer: weights are (in, out)
+DENSE_PAIR = (lambda w, a: a @ w, lambda w, s: w @ s)
+
+
+def linear_pair(layer, in_shape):
+    """Bias-free linear operator pair (apply, apply_T) of a weighted layer.
+
+    apply(w, a) maps an `in_shape` tensor through weights `w` shaped like
+    layer.weights (or any elementwise transform of them); apply_T(w, s) is its
+    adjoint, pushing an output-shaped tensor back to `in_shape`.
+    """
+    if layer.kind == "Dense":
+        return DENSE_PAIR
+    stride, padding = layer.stride, layer.padding
+    return (lambda w, a: conv_apply(w, a, stride, padding),
+            lambda w, s: conv_transpose_apply(w, s, stride, padding, in_shape))
+
+
+def add_bias(z, bias):
+    """Add one bias per output unit (Dense) or per output channel (Conv2D)."""
+    return z + bias.reshape((-1,) + (1,) * (z.ndim - 1))
+
+
 def _conv_param_grads(x, g, layer):
     f, c, kh, kw = layer.weights.shape
     cols, _ = window_columns(x, (kh, kw), layer.stride, layer.padding)
@@ -309,15 +332,13 @@ def _conv_param_grads(x, g, layer):
 
 def _layer_forward(layer, x):
     kind = layer.kind
-    if kind == "Dense":
-        return x @ layer.weights + layer.bias, None
+    if kind in WEIGHTED_KINDS:
+        apply, _ = linear_pair(layer, x.shape)
+        return add_bias(apply(layer.weights, x), layer.bias), None
     if kind == "ReLU":
         return np.maximum(x, 0.0), None
     if kind == "Flatten":
         return x.reshape(-1), None
-    if kind == "Conv2D":
-        y = conv_apply(layer.weights, x, layer.stride, layer.padding)
-        return y + layer.bias[:, None, None], None
     cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
     if kind == "SumPool":
         pooled, extra = cols.sum(axis=1), None
@@ -332,15 +353,14 @@ def _layer_forward(layer, x):
 
 def _layer_backward(layer, x, extra, g):
     kind = layer.kind
-    if kind == "Dense":
-        return layer.weights @ g
+    if kind in WEIGHTED_KINDS:
+        _, apply_T = linear_pair(layer, x.shape)
+        return apply_T(layer.weights, g)
     if kind == "ReLU":
         # derivative at 0 is taken as 0
         return g * (x > 0.0)
     if kind == "Flatten":
         return g.reshape(x.shape)
-    if kind == "Conv2D":
-        return conv_transpose_apply(layer.weights, g, layer.stride, layer.padding, x.shape)
     geom = _window_geometry(x.shape, layer.window, layer.stride, layer.padding)
     if kind == "MaxPool":
         return scatter_to_winners(g, extra, geom)

@@ -170,7 +170,6 @@ class AmOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
     init: np.ndarray | None = None
-    seed: int = 0  # accepted for interface symmetry; the ascent is deterministic
 
 
 @dataclass(frozen=True, eq=False)

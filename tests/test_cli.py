@@ -236,3 +236,12 @@ def test_rk_seed_env_fallback(dataset, tmp_path, monkeypatch):
                      "--epochs", "1"]) == 0
         outputs.append(model.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_render_rejects_non_finite_heatmap(tmp_path, capsys):
+    heat = tmp_path / "heat.csv"
+    relkit.save_tensor_csv(heat, np.array([[0.5, np.nan]]), {"class_index": 0})
+    ppm = tmp_path / "render.ppm"
+    assert main(["render", "--heatmap", str(heat), "--out", str(ppm)]) == 1
+    assert "line 5" in capsys.readouterr().err
+    assert not ppm.exists()

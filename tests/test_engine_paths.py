@@ -41,8 +41,10 @@ def test_conv_wsquare_first_layer_conserves_and_ignores_input(conv_net):
     rel2 = relkit.lrp(conv_net, other_trace, c, config)
     conv_in_relevance = rel.relevances[1]  # relevance entering the ReLU = conv output
     np.testing.assert_allclose(
-        relkit.explain._conv_wsquare(conv_net.layers[0], x, conv_in_relevance),
-        relkit.explain._conv_wsquare(conv_net.layers[0], other, conv_in_relevance),
+        relkit.explain._propagate_layer(conv_net.layers[0], x, None, conv_in_relevance,
+                                        relkit.WSquare(), 1e-9),
+        relkit.explain._propagate_layer(conv_net.layers[0], other, None, conv_in_relevance,
+                                        relkit.WSquare(), 1e-9),
         rtol=0, atol=0)
 
 

@@ -209,3 +209,47 @@ def test_heatmap_total_matches_scores_sum():
     scores = rng.standard_normal((3, 5))
     hm = relkit.Heatmap.from_scores(scores, 1.0, "test")
     assert abs(hm.total - scores.sum()) <= 1e-9
+
+
+@pytest.mark.parametrize("input_shape, plan", [
+    ((10,), [("dense", 8), ("relu",), ("dense", 6), ("relu",), ("dense", 3)]),
+    ((2, 8, 8), [("conv", 4, 3, 3, 2, 1), ("relu",), ("sumpool", 2, 2, 2, 0),
+                 ("flatten",), ("dense", 3)]),
+    ((1, 8, 8), [("conv", 3, 3, 3, 1, 0), ("relu",), ("avgpool", 2, 2, 2, 0),
+                 ("flatten",), ("dense", 4), ("relu",), ("dense", 3)]),
+], ids=["dense", "conv-stride2-pad1-sumpool", "conv-avgpool"])
+def test_epsilon_lrp_equals_gradient_times_input(input_shape, plan):
+    # on zero-bias ReLU nets epsilon-LRP with epsilon -> 0 is gradient x input;
+    # max pool is left out because proportional pooling does not follow the
+    # gradient's winner routing
+    rng = np.random.default_rng(89)
+    for seed in range(20):
+        net = relkit.random_network(input_shape, plan, seed=seed)
+        x = rng.standard_normal(input_shape)
+        c = int(np.argmax(relkit.forward(net, x).logits))
+        eps = relkit.lrp_heatmap(net, x, c, relkit.epsilon_config(net, 1e-12)).scores
+        taylor = relkit.simple_taylor(net, x, c).scores
+        assert np.abs(eps - taylor).max() <= 1e-6 * np.abs(taylor).max()
+
+
+def test_pixel_bounds_of_input_shape_reach_a_flattened_first_layer():
+    net = relkit.random_network((1, 28, 28), [("flatten",), ("dense", 4), ("relu",),
+                                              ("dense", 2)], seed=97)
+    x = np.random.default_rng(101).random((1, 28, 28))
+    trace = relkit.forward(net, x)
+    shaped = relkit.deep_taylor_config(net, "pixel", low=np.zeros((1, 28, 28)),
+                                       high=np.ones((1, 28, 28)))
+    scalar = relkit.deep_taylor_config(net, "pixel", low=0.0, high=1.0)
+    got = relkit.lrp(net, trace, 0, shaped).relevances[0]
+    want = relkit.lrp(net, trace, 0, scalar).relevances[0]
+    assert got.shape == (1, 28, 28)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_pixel_bounds_of_another_shape_are_rejected():
+    net = relkit.random_network((1, 6, 6), [("conv", 2, 3, 3, 1, 0), ("relu",),
+                                            ("flatten",), ("dense", 2)], seed=103)
+    with pytest.raises(ValueError, match=r"low has shape \(5,\).*\(1, 6, 6\)"):
+        relkit.deep_taylor_config(net, "pixel", low=np.zeros(5), high=1.0)
+    with pytest.raises(ValueError, match="high"):
+        relkit.deep_taylor_config(net, "pixel", low=0.0, high=np.ones((6, 5)))

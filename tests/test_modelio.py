@@ -162,3 +162,29 @@ def test_curve_csv_contains_steps_and_auc(tmp_path):
     assert "step,value" in text
     assert "0,3.0" in text and "2,0.0" in text
     assert "# auc: 1.25" in text
+
+
+def test_input_bounds_must_broadcast_to_the_input_shape(tmp_path):
+    net = relkit.random_network((1, 6, 6), [("conv", 2, 3, 3, 1, 0), ("relu",),
+                                            ("flatten",), ("dense", 2)], seed=107)
+    path = tmp_path / "model.json"
+    relkit.save_model(net, path, input_bounds=(np.zeros(5), 1.0))
+    with pytest.raises(ModelFormatError, match=r"input_bounds\.low"):
+        relkit.load_model_file(path)
+    relkit.save_model(net, path, input_bounds=(0.0, np.ones((2, 6, 6))))
+    with pytest.raises(ModelFormatError, match=r"input_bounds\.high"):
+        relkit.load_model_file(path)
+    relkit.save_model(net, path, input_bounds=(np.zeros((1, 6, 6)), np.ones(6)))
+    loaded = relkit.load_model_file(path)
+    assert loaded.input_low.shape == (1, 6, 6) and loaded.input_high.shape == (6,)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc"])
+def test_tensor_csv_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "heat.csv"
+    relkit.save_tensor_csv(path, np.arange(4.0).reshape(2, 2), {})
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[5] = bad
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"heat\.csv: line 6: '{bad}'"):
+        relkit.load_tensor_csv(path)

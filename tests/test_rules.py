@@ -249,3 +249,33 @@ def test_engine_matches_per_edge_enumeration(alpha, beta):
         engine = relkit.lrp(net, trace, 0, config).heatmap().scores
         oracle = brute_force_lrp(net, trace, 0, alpha, beta)
         assert np.abs(engine - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("rule_name", ["alpha1beta0", "alpha2beta1", "epsilon",
+                                       "wsquare", "zbounds"])
+def test_conv_spanning_its_input_equals_dense(rule_name):
+    # a Conv2D whose kernel covers the whole input (stride 1, no padding) is
+    # the Dense layer with the same weights on the flattened input, so every
+    # weighted rule must redistribute identically through both
+    rng = np.random.default_rng(79)
+    shape = (2, 4, 3)
+    x = rng.random(shape)
+    w = rng.standard_normal((5,) + shape)
+    b = -rng.random(5)
+    low, high = -rng.random(shape), 1.0 + rng.random(shape)
+    r_upper = rng.standard_normal(5)
+    cases = {"conv": (relkit.conv2d(w, b), x, r_upper.reshape(5, 1, 1), low, high),
+             "dense": (relkit.dense(w.reshape(5, -1).T, b), x.ravel(), r_upper,
+                       low.ravel(), high.ravel())}
+    out = {}
+    for kind, (layer, a, r, lo, hi) in cases.items():
+        rule = {"alpha1beta0": relkit.AlphaBeta(1.0, 0.0),
+                "alpha2beta1": relkit.AlphaBeta(2.0, 1.0),
+                "epsilon": relkit.Epsilon(1e-9),
+                "wsquare": relkit.WSquare(),
+                "zbounds": relkit.ZBounds(lo, hi)}[rule_name]
+        out[kind] = relkit.explain._propagate_layer(layer, a, None, r, rule, 1e-9)
+    assert out["conv"].shape == shape
+    scale = np.abs(out["dense"]).max()
+    assert scale > 0.0
+    assert np.abs(out["conv"].ravel() - out["dense"]).max() <= 1e-12 * scale
