@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import _explained_value
+from .explain import _explained_value, _check_explained_output
 from .netcore import as_tensor, forward
 
 
@@ -91,6 +91,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         raise ValueError("heatmap metadata lacks class_index")
     class_index = int(heatmap.meta["class_index"])
     mode = heatmap.meta.get("explained_output", "logit")
+    _check_explained_output(mode)
 
     regions = _patch_regions(x.shape, config.patch)
     pooled = np.array([scores[region].sum() for region in regions])

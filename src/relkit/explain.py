@@ -23,11 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
-                      forward, linear_pair, log_softmax, scatter_to_winners,
-                      seeded_gradient, softmax, window_columns, window_scatter,
-                      _window_geometry)
+                      broadcasts_to, forward, linear_pair, log_softmax, seeded_gradient,
+                      softmax, window_columns, window_scatter, _layer_backward)
 
 _EXPLAINED_OUTPUTS = ("logit", "log_probability")
+
+
+def _check_explained_output(name):
+    if name not in _EXPLAINED_OUTPUTS:
+        raise ValueError(f"explained_output must be one of {_EXPLAINED_OUTPUTS}, "
+                         f"got {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +133,7 @@ class RuleConfig:
         object.__setattr__(self, "layer_rules", tuple(self.layer_rules))
         if self.stabilizer <= 0:
             raise ValueError("stabilizer must be positive")
-        if self.explained_output not in _EXPLAINED_OUTPUTS:
-            raise ValueError(f"explained_output must be one of {_EXPLAINED_OUTPUTS}")
+        _check_explained_output(self.explained_output)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +236,8 @@ def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
     if isinstance(policy, PoolWinnerTakeAll):
         if layer.kind != "MaxPool" or winner is None:
             raise ValueError("winner-take-all needs a MaxPool winner map")
-        geom = _window_geometry(x.shape, layer.window, layer.stride, layer.padding)
-        return scatter_to_winners(np.asarray(r_upper, dtype=np.float64), winner, geom)
+        # the max-pool gradient is exactly the scatter onto the recorded winners
+        return _layer_backward(layer, x, winner, np.asarray(r_upper, dtype=np.float64))
     if not isinstance(policy, PoolProportional):
         raise ValueError(f"unknown pool policy {policy!r}")
     cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
@@ -264,6 +268,12 @@ def _check_rules(network, config):
                 raise ValueError(f"layer {idx} ({layer.kind}): "
                                  f"{type(rule).__name__} applies only to the first "
                                  "weighted layer")
+            for name in ("low", "high") if isinstance(rule, ZBounds) else ():
+                shape, target = getattr(rule, name).shape, network.activation_shapes[idx]
+                if not broadcasts_to(shape, target):
+                    raise ValueError(f"layer {idx} ({layer.kind}): ZBounds {name} has shape "
+                                     f"{shape}, which does not broadcast to the layer's "
+                                     f"input shape {target}")
         elif layer.kind in POOL_KINDS:
             ok = isinstance(rule, _POOL_RULES)
             if isinstance(rule, PoolWinnerTakeAll) and layer.kind != "MaxPool":
@@ -373,13 +383,19 @@ def _output_seed(logits, class_index, explained_output):
     return seed
 
 
-def sensitivity(network, x, class_index, explained_output="logit"):
-    """Squared partial derivatives; decomposes the squared gradient norm."""
+def _input_gradient(network, x, class_index, explained_output):
+    # forward pass plus the gradient of the explained output at the input
+    _check_explained_output(explained_output)
     if not 0 <= class_index < network.class_count:
         raise ValueError(f"class_index {class_index} out of range [0, {network.class_count})")
     trace = forward(network, x)
     seed = _output_seed(trace.logits, class_index, explained_output)
-    g = seeded_gradient(network, trace, seed)
+    return trace, seeded_gradient(network, trace, seed)
+
+
+def sensitivity(network, x, class_index, explained_output="logit"):
+    """Squared partial derivatives; decomposes the squared gradient norm."""
+    _, g = _input_gradient(network, x, class_index, explained_output)
     scores = g * g
     meta = {"class_index": class_index, "explained_output": explained_output}
     return Heatmap.from_scores(scores, float(np.sum(scores)), "sensitivity", meta)
@@ -391,11 +407,7 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     The unexplained part explained_value - total is reported under the
     "residual" metadata key (zero only in the homogeneous case).
     """
-    if not 0 <= class_index < network.class_count:
-        raise ValueError(f"class_index {class_index} out of range [0, {network.class_count})")
-    trace = forward(network, x)
-    seed = _output_seed(trace.logits, class_index, explained_output)
-    g = seeded_gradient(network, trace, seed)
+    trace, g = _input_gradient(network, x, class_index, explained_output)
     scores = g * trace.input
     value = _explained_value(trace.logits, class_index, explained_output)
     hm = Heatmap.from_scores(scores, value, "simple_taylor",
@@ -426,11 +438,9 @@ def _first_layer_bound(network, bound, name):
     if bound.ndim == 0 or idx is None:
         return bound
     target = network.activation_shapes[idx]
-    if np.prod(target) == np.prod(network.input_shape):
-        try:
-            return np.broadcast_to(bound, network.input_shape).reshape(target)
-        except ValueError:
-            pass
+    if (np.prod(target) == np.prod(network.input_shape)
+            and broadcasts_to(bound.shape, network.input_shape)):
+        return np.broadcast_to(bound, network.input_shape).reshape(target)
     raise ValueError(f"pixel bound {name} has shape {bound.shape}, which does not carry "
                      f"to the first weighted layer's input {target}; expected a scalar "
                      f"or the input shape {network.input_shape}")

@@ -60,7 +60,7 @@ def shift_image(image, shift):
     return out
 
 
-def translation_average(explainer, network, image, shifts, require_identity=True):
+def translation_average(explainer, network, image, shifts):
     """Average inverse-shifted explanations of shifted copies of the image.
 
     Content moved outside the frame is zero-filled and contributes nothing on
@@ -70,9 +70,8 @@ def translation_average(explainer, network, image, shifts, require_identity=True
     shifts = [tuple(int(v) for v in s) for s in shifts]
     if not shifts:
         raise ValueError("shift set is empty")
-    if require_identity and (0, 0) not in shifts:
-        raise ValueError("shift set lacks the identity shift "
-                         "(pass require_identity=False to allow this)")
+    if (0, 0) not in shifts:
+        raise ValueError("shift set lacks the identity shift")
     acc = None
     value_sum = 0.0
     first_meta = {}
@@ -105,16 +104,11 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     if big.ndim != len(window):
         raise ValueError(f"image rank {big.ndim} does not match network input "
                          f"rank {len(window)}")
-    if big.ndim == 2:
-        wh, ww = window
-        big_c, (h, w) = None, big.shape
-    elif big.ndim == 3:
-        if big.shape[0] != window[0]:
-            raise ValueError(f"image has {big.shape[0]} channels, network expects {window[0]}")
-        big_c, wh, ww = window
-        h, w = big.shape[1], big.shape[2]
-    else:
+    if big.ndim not in (2, 3):
         raise ValueError("sliding window expects a 2-D or (channels, h, w) image")
+    if big.ndim == 3 and big.shape[0] != window[0]:
+        raise ValueError(f"image has {big.shape[0]} channels, network expects {window[0]}")
+    (wh, ww), (h, w) = window[-2:], big.shape[-2:]
     if stride < 1:
         raise ValueError("stride must be positive")
     if h < wh or w < ww:

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .explain import Heatmap
-from .netcore import LayerSpec, Network, as_tensor
+from .netcore import (LAYER_KINDS, POOL_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, LayerSpec,
+                      Network, as_tensor, broadcasts_to)
 from .prototype import RbmExpert
 
 FORMAT_VERSION = 1
@@ -43,16 +44,12 @@ class ModelFile:
 
 def _layer_doc(layer):
     doc = {"kind": layer.kind}
-    if layer.kind == "Dense":
+    if layer.kind in WEIGHTED_KINDS:
         doc["weights"] = layer.weights.tolist()
         doc["bias"] = layer.bias.tolist()
-    elif layer.kind == "Conv2D":
-        doc["weights"] = layer.weights.tolist()
-        doc["bias"] = layer.bias.tolist()
-        doc["stride"] = layer.stride
-        doc["padding"] = layer.padding
-    elif layer.window is not None:
+    if layer.kind in POOL_KINDS:
         doc["window"] = list(layer.window)
+    if layer.kind in WINDOWED_KINDS:
         doc["stride"] = layer.stride
         doc["padding"] = layer.padding
     return doc
@@ -85,25 +82,21 @@ def _require(doc, key, where):
 def _parse_layer(doc, index):
     where = f"layer {index}"
     kind = _require(doc, "kind", where)
+    if kind not in LAYER_KINDS:
+        raise ModelFormatError(f"{where}: unsupported layer kind {kind!r}")
+    fields = {}
+    if kind in WEIGHTED_KINDS:
+        fields["weights"] = _require(doc, "weights", where)
+        fields["bias"] = _require(doc, "bias", where)
+    if kind in POOL_KINDS:
+        fields["window"] = _require(doc, "window", where)
     try:
-        if kind == "Dense":
-            return LayerSpec("Dense", weights=_require(doc, "weights", where),
-                             bias=_require(doc, "bias", where))
-        if kind == "Conv2D":
-            return LayerSpec("Conv2D", weights=_require(doc, "weights", where),
-                             bias=_require(doc, "bias", where),
-                             stride=int(doc.get("stride", 1)),
-                             padding=int(doc.get("padding", 0)))
-        if kind in ("SumPool", "AvgPool", "MaxPool"):
-            window = _require(doc, "window", where)
-            return LayerSpec(kind, window=tuple(window),
-                             stride=int(doc.get("stride", 1)),
-                             padding=int(doc.get("padding", 0)))
-        if kind in ("ReLU", "Flatten"):
-            return LayerSpec(kind)
+        if kind in WINDOWED_KINDS:
+            fields["stride"] = int(doc.get("stride", 1))
+            fields["padding"] = int(doc.get("padding", 0))
+        return LayerSpec(kind, **fields)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
-    raise ModelFormatError(f"{where}: unsupported layer kind {kind!r}")
 
 
 def load_model_file(path):
@@ -151,11 +144,7 @@ def _input_bound(doc, key, input_shape):
         bound = as_tensor(values, "bound")
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
-    try:
-        fits = np.broadcast_shapes(bound.shape, input_shape) == input_shape
-    except ValueError:
-        fits = False
-    if not fits:
+    if not broadcasts_to(bound.shape, input_shape):
         raise ModelFormatError(f"{where}: shape {bound.shape} does not broadcast to the "
                                f"input shape {input_shape}")
     return bound

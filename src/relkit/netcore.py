@@ -5,11 +5,15 @@ passes that record every intermediate activation, reverse-mode gradients,
 and a small deterministic minibatch-SGD trainer. Networks and tensors are
 immutable after construction; every operation here is a pure function of
 its inputs, so independent calls are safe to run concurrently.
+
+Only this module tells Dense from Conv2D; the others work by layer family
+(WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). Input gradients and
+training share one reverse sweep, `_reverse_sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +21,9 @@ import numpy as np
 LAYER_KINDS = ("Dense", "Conv2D", "ReLU", "SumPool", "AvgPool", "MaxPool", "Flatten")
 WEIGHTED_KINDS = ("Dense", "Conv2D")
 POOL_KINDS = ("SumPool", "AvgPool", "MaxPool")
+WINDOWED_KINDS = ("Conv2D",) + POOL_KINDS  # the kinds with a stride and a padding
+# weight rank and bias axis of each weighted kind
+_WEIGHT_LAYOUT = {"Dense": (2, 1), "Conv2D": (4, 0)}
 
 
 def as_tensor(values, name="tensor"):
@@ -31,6 +38,12 @@ def _frozen_tensor(values, name):
     arr = as_tensor(values, name)
     arr.setflags(write=False)
     return arr
+
+
+def broadcasts_to(shape, target):
+    """Whether an array of `shape` broadcasts to exactly the shape `target`."""
+    return len(shape) <= len(target) and all(
+        s in (1, t) for s, t in zip(reversed(shape), reversed(target)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,24 +70,17 @@ class LayerSpec:
             raise ValueError("stride must be a positive integer")
         if self.padding < 0:
             raise ValueError("padding must be non-negative")
-        if self.kind == "Dense":
-            w = _frozen_tensor(self.weights, "Dense weights")
-            if w.ndim != 2:
-                raise ValueError("Dense weights must be a 2-D (in, out) matrix")
-            b = np.zeros(w.shape[1]) if self.bias is None else as_tensor(self.bias, "Dense bias")
-            if b.shape != (w.shape[1],):
-                raise ValueError("Dense bias must have one entry per output unit")
-            b.setflags(write=False)
-            object.__setattr__(self, "weights", w)
-            object.__setattr__(self, "bias", b)
-        elif self.kind == "Conv2D":
-            w = _frozen_tensor(self.weights, "Conv2D weights")
-            if w.ndim != 4:
-                raise ValueError("Conv2D weights must be 4-D (out_ch, in_ch, kh, kw)")
-            b = np.zeros(w.shape[0]) if self.bias is None else as_tensor(self.bias, "Conv2D bias")
-            if b.shape != (w.shape[0],):
-                raise ValueError("Conv2D bias must have one entry per output channel")
-            b.setflags(write=False)
+        if self.kind in WEIGHTED_KINDS:
+            rank, bias_axis = _WEIGHT_LAYOUT[self.kind]
+            w = _frozen_tensor(self.weights, f"{self.kind} weights")
+            if w.ndim != rank:
+                raise ValueError(f"{self.kind} weights must be {rank}-D, got shape {w.shape}")
+            units = w.shape[bias_axis]
+            b = _frozen_tensor(np.zeros(units) if self.bias is None else self.bias,
+                               f"{self.kind} bias")
+            if b.shape != (units,):
+                raise ValueError(f"{self.kind} bias must have one entry per output unit "
+                                 f"({units}), got shape {b.shape}")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "bias", b)
         elif self.kind in POOL_KINDS:
@@ -148,16 +154,14 @@ def layer_output_shape(layer, in_shape):
         return (int(np.prod(in_shape)),)
     if len(in_shape) != 3:
         raise ValueError(f"{kind} expects a (channels, height, width) input, got {in_shape}")
-    c, h, w = in_shape
     if kind == "Conv2D":
-        f, cw, kh, kw = layer.weights.shape
-        if cw != c:
-            raise ValueError(f"Conv2D expects {cw} input channels, got {c}")
-        return (f, _out_extent(h, kh, layer.stride, layer.padding),
-                _out_extent(w, kw, layer.stride, layer.padding))
-    kh, kw = layer.window
-    return (c, _out_extent(h, kh, layer.stride, layer.padding),
-            _out_extent(w, kw, layer.stride, layer.padding))
+        channels, expected, *window = layer.weights.shape
+        if expected != in_shape[0]:
+            raise ValueError(f"Conv2D expects {expected} input channels, got {in_shape[0]}")
+    else:
+        channels, window = in_shape[0], layer.window
+    geom = _window_geometry(in_shape, window, layer.stride, layer.padding)
+    return (channels, geom.out_h, geom.out_w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +216,6 @@ class ActivationTrace:
 
 class WindowGeom(NamedTuple):
     channels: int
-    in_h: int
-    in_w: int
     pad_h: int
     pad_w: int
     kh: int
@@ -229,8 +231,7 @@ def _window_geometry(in_shape, window, stride, padding):
     kh, kw = window
     oh = _out_extent(h, kh, stride, padding)
     ow = _out_extent(w, kw, stride, padding)
-    return WindowGeom(c, h, w, h + 2 * padding, w + 2 * padding,
-                      kh, kw, stride, padding, oh, ow)
+    return WindowGeom(c, h + 2 * padding, w + 2 * padding, kh, kw, stride, padding, oh, ow)
 
 
 def window_columns(x, window, stride, padding):
@@ -323,13 +324,6 @@ def add_bias(z, bias):
     return z + bias.reshape((-1,) + (1,) * (z.ndim - 1))
 
 
-def _conv_param_grads(x, g, layer):
-    f, c, kh, kw = layer.weights.shape
-    cols, _ = window_columns(x, (kh, kw), layer.stride, layer.padding)
-    gw = g.reshape(f, -1) @ cols.reshape(c * kh * kw, -1).T
-    return gw.reshape(layer.weights.shape), g.sum(axis=(1, 2))
-
-
 def _layer_forward(layer, x):
     kind = layer.kind
     if kind in WEIGHTED_KINDS:
@@ -389,14 +383,24 @@ def forward(network, x):
     return ActivationTrace(tuple(inputs), tuple(outputs), tuple(aux))
 
 
+def _reverse_sweep(network, trace, g):
+    """Yield the gradient of `g . logits` at the output of every layer, last
+    layer first, then at the network input. Lazy: a layer's backward step runs
+    only when the next gradient is asked for, so training uses each gradient
+    before that step and stops at the first weighted layer."""
+    for idx in reversed(range(len(network.layers))):
+        yield g
+        g = _layer_backward(network.layers[idx], trace.inputs[idx], trace.aux[idx], g)
+    yield g
+
+
 def seeded_gradient(network, trace, output_seed):
     """Gradient of `output_seed . logits` with respect to the network input."""
     g = as_tensor(output_seed, "output seed")
     if g.shape != (network.class_count,):
         raise ValueError(f"output seed must have shape ({network.class_count},)")
-    for idx in reversed(range(len(network.layers))):
-        g = _layer_backward(network.layers[idx], trace.inputs[idx], trace.aux[idx], g)
-    return g
+    *_, input_grad = _reverse_sweep(network, trace, g)
+    return input_grad
 
 
 def gradient(network, x=None, class_index=0, trace=None):
@@ -437,30 +441,28 @@ class TrainConfig:
     nonpositive_bias: bool = False
 
 
+def _weight_grad(layer, x, g):
+    """Gradient of `g . output` with respect to the weights of a weighted layer."""
+    if layer.kind == "Dense":
+        return np.outer(x, g)
+    f, c, kh, kw = layer.weights.shape
+    cols, _ = window_columns(x, (kh, kw), layer.stride, layer.padding)
+    gw = g.reshape(f, -1) @ cols.reshape(c * kh * kw, -1).T
+    return gw.reshape(layer.weights.shape)
+
+
 def _backprop_param_grads(network, trace, seed, grads):
-    g = seed
-    for idx in reversed(range(len(network.layers))):
-        layer = network.layers[idx]
-        x = trace.inputs[idx]
-        if layer.kind == "Dense":
-            grads[idx][0] += np.outer(x, g)
-            grads[idx][1] += g
-        elif layer.kind == "Conv2D":
-            gw, gb = _conv_param_grads(x, g, layer)
-            grads[idx][0] += gw
-            grads[idx][1] += gb
-        g = _layer_backward(layer, x, trace.aux[idx], g)
+    down_to_first_weighted = range(len(network.layers) - 1, min(grads, default=0) - 1, -1)
+    for idx, g in zip(down_to_first_weighted, _reverse_sweep(network, trace, seed)):
+        if idx in grads:
+            gw, gb = grads[idx]
+            gw += _weight_grad(network.layers[idx], trace.inputs[idx], g)
+            gb += g.reshape(len(gb), -1).sum(axis=1)
 
 
 def _with_params(network, params):
-    layers = []
-    for idx, layer in enumerate(network.layers):
-        if idx in params:
-            w, b = params[idx]
-            layers.append(LayerSpec(layer.kind, weights=w, bias=b,
-                                    stride=layer.stride, padding=layer.padding))
-        else:
-            layers.append(layer)
+    layers = [replace(layer, weights=params[idx][0], bias=params[idx][1])
+              if idx in params else layer for idx, layer in enumerate(network.layers)]
     return Network(tuple(layers), network.input_shape, network.class_count)
 
 

@@ -128,6 +128,11 @@ class AmObjective:
     localization: Localization | None = None
 
 
+def _penalize(value, grad, weight, d):
+    """Subtract the penalty weight * ||d||^2 (d = x - anchor) and its gradient."""
+    return value - weight * float(np.sum(d * d)), grad - 2.0 * weight * d
+
+
 def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
     x = np.asarray(x, dtype=np.float64)
@@ -143,12 +148,9 @@ def am_objective(network, objective, x):
 
     reg = objective.regularizer
     if isinstance(reg, L2Penalty):
-        value -= reg.weight * float(np.sum(x * x))
-        grad = grad - 2.0 * reg.weight * x
+        value, grad = _penalize(value, grad, reg.weight, x)
     elif isinstance(reg, MeanAnchoredL2):
-        d = x - reg.mean
-        value -= reg.weight * float(np.sum(d * d))
-        grad = grad - 2.0 * reg.weight * d
+        value, grad = _penalize(value, grad, reg.weight, x - reg.mean)
     elif isinstance(reg, ExpertPrior):
         density, dgrad = rbm_log_density(reg.expert, x.reshape(-1))
         value += density
@@ -156,11 +158,9 @@ def am_objective(network, objective, x):
     elif reg is not None:
         raise ValueError(f"unknown regularizer {reg!r}")
 
-    if objective.localization is not None:
-        loc = objective.localization
-        d = x - loc.reference
-        value -= loc.weight * float(np.sum(d * d))
-        grad = grad - 2.0 * loc.weight * d
+    loc = objective.localization
+    if loc is not None:
+        value, grad = _penalize(value, grad, loc.weight, x - loc.reference)
     return value, grad
 
 

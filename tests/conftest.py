@@ -1,6 +1,7 @@
 """Shared fixtures: the max(x1,x2) reference network, random-network builders,
 finite-difference oracles, and the two-class digit corpus used end to end."""
 
+import dataclasses
 import os
 
 # the suite works on tiny matrices where BLAS thread pools only add overhead
@@ -41,6 +42,13 @@ def random_dense_network(rng, sizes, zero_bias=True, nonpositive_bias=False):
         if i < len(sizes) - 2:
             layers.append(relkit.relu())
     return relkit.Network(tuple(layers), (sizes[0],), sizes[-1])
+
+
+def with_random_biases(network, rng, scale=0.1):
+    """The same network with Gaussian biases on every weighted layer."""
+    layers = [dataclasses.replace(layer, bias=scale * rng.standard_normal(layer.bias.shape))
+              if layer.weights is not None else layer for layer in network.layers]
+    return relkit.Network(layers, network.input_shape, network.class_count)
 
 
 def central_difference(f, x, h=1e-5):

@@ -179,3 +179,11 @@ def test_continuity_rejects_bad_arguments():
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], 0.0, 1, 0)
     with pytest.raises(ValueError, match="trials"):
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], 0.1, 0, 0)
+
+
+def test_unknown_explained_output_in_heatmap_meta_is_rejected():
+    net = linear_net([1.0, 2.0])
+    heatmap = relkit.Heatmap.from_scores([1.0, 2.0], 3.0, "t",
+                                         {"class_index": 0, "explained_output": "probability"})
+    with pytest.raises(ValueError, match="explained_output.*'probability'"):
+        relkit.pixel_flip(net, [1.0, 1.0], heatmap)

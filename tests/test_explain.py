@@ -253,3 +253,20 @@ def test_pixel_bounds_of_another_shape_are_rejected():
         relkit.deep_taylor_config(net, "pixel", low=np.zeros(5), high=1.0)
     with pytest.raises(ValueError, match="high"):
         relkit.deep_taylor_config(net, "pixel", low=0.0, high=np.ones((6, 5)))
+
+
+def test_hand_built_zbounds_of_the_wrong_shape_are_rejected_by_name():
+    net = relkit.random_network((1, 28, 28), [("flatten",), ("dense", 4), ("relu",),
+                                              ("dense", 2)], seed=97)
+    rules = (relkit.PassThrough(), relkit.ZBounds(np.zeros((1, 28, 28)), 1.0),
+             relkit.PassThrough(), relkit.AlphaBeta(1.0, 0.0))
+    trace = relkit.forward(net, np.zeros((1, 28, 28)))
+    with pytest.raises(ValueError,
+                       match=r"layer 1 \(Dense\).*low .*\(1, 28, 28\).*\(784,\)"):
+        relkit.lrp(net, trace, 0, relkit.RuleConfig(rules))
+
+
+@pytest.mark.parametrize("explainer", [relkit.sensitivity, relkit.simple_taylor])
+def test_gradient_explainers_reject_unknown_explained_output(max_network, explainer):
+    with pytest.raises(ValueError, match="explained_output.*'probability'"):
+        explainer(max_network, [1.0, 0.5], 0, explained_output="probability")

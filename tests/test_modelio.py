@@ -188,3 +188,127 @@ def test_tensor_csv_rejects_non_finite_values(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"heat\.csv: line 6: '{bad}'"):
         relkit.load_tensor_csv(path)
+
+
+# save_model's exact output for one layer of every kind
+HAND_MODEL = """\
+{
+ "class_count": 2,
+ "format_version": 1,
+ "input_shape": [
+  1,
+  4,
+  4
+ ],
+ "layers": [
+  {
+   "bias": [
+    0.0,
+    -0.5
+   ],
+   "kind": "Conv2D",
+   "padding": 1,
+   "stride": 1,
+   "weights": [
+    [
+     [
+      [
+       0.5,
+       -0.25
+      ],
+      [
+       1.0,
+       0.0
+      ]
+     ]
+    ],
+    [
+     [
+      [
+       -1.5,
+       0.75
+      ],
+      [
+       0.125,
+       2.0
+      ]
+     ]
+    ]
+   ]
+  },
+  {
+   "kind": "ReLU"
+  },
+  {
+   "kind": "MaxPool",
+   "padding": 0,
+   "stride": 1,
+   "window": [
+    2,
+    2
+   ]
+  },
+  {
+   "kind": "SumPool",
+   "padding": 0,
+   "stride": 2,
+   "window": [
+    2,
+    2
+   ]
+  },
+  {
+   "kind": "AvgPool",
+   "padding": 0,
+   "stride": 1,
+   "window": [
+    2,
+    2
+   ]
+  },
+  {
+   "kind": "Flatten"
+  },
+  {
+   "bias": [
+    0.25,
+    -0.125
+   ],
+   "kind": "Dense",
+   "weights": [
+    [
+     1.0,
+     -1.0
+    ],
+    [
+     0.5,
+     0.25
+    ]
+   ]
+  }
+ ]
+}
+"""
+HAND_KINDS = ["Conv2D", "ReLU", "MaxPool", "SumPool", "AvgPool", "Flatten", "Dense"]
+
+
+def test_hand_written_model_with_every_kind_is_saved_back_byte_for_byte(tmp_path):
+    source, copy = tmp_path / "hand.json", tmp_path / "copy.json"
+    source.write_text(HAND_MODEL, encoding="utf-8")
+    network = relkit.load_model(source)
+    assert [layer.kind for layer in network.layers] == HAND_KINDS
+    assert (network.layers[0].padding, network.layers[3].stride) == (1, 2)
+    relkit.save_model(network, copy)
+    assert copy.read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("index,key", [(0, "weights"), (0, "bias"), (2, "window"),
+                                       (3, "window"), (4, "window"), (6, "weights"),
+                                       (6, "bias")])
+def test_missing_layer_field_names_layer_and_field(tmp_path, index, key):
+    doc = json.loads(HAND_MODEL)
+    del doc["layers"][index][key]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=rf"layer {index}\b.*'{key}'"):
+        relkit.load_model(path)

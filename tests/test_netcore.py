@@ -1,12 +1,15 @@
 """Forward traces, gradients, log-softmax, and the SGD trainer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import relkit
 from relkit.netcore import window_columns
 
-from conftest import central_difference, random_dense_network, two_blob_data
+from conftest import (central_difference, random_dense_network, two_blob_data,
+                      with_random_biases)
 
 
 def test_dense_identity_forward():
@@ -214,3 +217,33 @@ def test_train_nonpositive_bias_projection():
     for layer in trained.layers:
         if layer.bias is not None:
             assert np.all(layer.bias <= 0.0)
+
+
+@pytest.mark.parametrize("plan,in_shape", [
+    ([("dense", 5), ("relu",), ("dense", 3)], (6,)),
+    ([("conv", 3, 3, 3, 2, 1), ("relu",), ("maxpool", 2, 2, 1, 0), ("flatten",),
+      ("dense", 3)], (2, 6, 6)),
+    ([("conv", 3, 3, 3, 2, 1), ("relu",), ("sumpool", 2, 2, 1, 1), ("flatten",),
+      ("dense", 3)], (2, 6, 6)),
+    ([("conv", 3, 3, 3, 2, 1), ("relu",), ("avgpool", 2, 2, 1, 0), ("flatten",),
+      ("dense", 3)], (2, 6, 6)),
+])
+def test_one_sgd_step_follows_cross_entropy_gradient(plan, in_shape):
+    # one sample, batch 1: theta_new = theta_old - lr * dLoss/dtheta
+    rng = np.random.default_rng(43)
+    net = with_random_biases(relkit.random_network(in_shape, plan, seed=41), rng)
+    x, label, lr = rng.standard_normal(in_shape), 1, 0.5
+    config = relkit.TrainConfig(learning_rate=lr, epochs=1, batch_size=1, seed=0)
+    stepped = relkit.train_sgd(net, x[None], np.array([label]), config)
+
+    for idx, layer in enumerate(net.layers):
+        for name in ("weights", "bias") if layer.weights is not None else ():
+            def loss(value, idx=idx, name=name):
+                layers = list(net.layers)
+                layers[idx] = dataclasses.replace(layers[idx], **{name: value})
+                logits = relkit.forward(relkit.Network(layers, in_shape, 3), x).logits
+                return -relkit.log_softmax(logits)[label]
+
+            old, new = getattr(layer, name), getattr(stepped.layers[idx], name)
+            np.testing.assert_allclose((old - new) / lr, central_difference(loss, old, h=1e-6),
+                                       rtol=1e-5, atol=1e-8, err_msg=f"layer {idx} {name}")
