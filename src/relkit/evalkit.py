@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import _explained_value, _check_explained_output
-from .netcore import as_tensor, forward
+from .netcore import as_tensor, class_output, forward
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,16 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         raise ValueError("heatmap metadata lacks class_index")
     class_index = int(heatmap.meta["class_index"])
     mode = heatmap.meta.get("explained_output", "logit")
-    _check_explained_output(mode)
+    work = x.copy()
+    values = [class_output(forward(network, work).logits, class_index, mode)[0]]
 
     regions = _patch_regions(x.shape, config.patch)
     pooled = np.array([scores[region].sum() for region in regions])
     order = np.argsort(-pooled, kind="stable")  # stable: ties keep ascending index
     steps = len(regions) if config.max_steps is None else min(config.max_steps, len(regions))
-
-    work = x.copy()
-    values = [_explained_value(forward(network, work).logits, class_index, mode)]
     for region_id in order[:steps]:
         work[regions[region_id]] = config.fill
-        values.append(_explained_value(forward(network, work).logits, class_index, mode))
+        values.append(class_output(forward(network, work).logits, class_index, mode)[0])
     meta = {"auc_normalization": "step-averaged trapezoid over unit-spaced removals",
             "patch": config.patch,
             "fill": config.fill,

@@ -23,16 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
-                      broadcasts_to, forward, linear_pair, log_softmax, seeded_gradient,
-                      softmax, window_columns, window_scatter, _layer_backward)
-
-_EXPLAINED_OUTPUTS = ("logit", "log_probability")
-
-
-def _check_explained_output(name):
-    if name not in _EXPLAINED_OUTPUTS:
-        raise ValueError(f"explained_output must be one of {_EXPLAINED_OUTPUTS}, "
-                         f"got {name!r}")
+                      broadcasts_to, check_explained_output, class_output, forward,
+                      linear_pair, seeded_gradient, window_columns, window_scatter,
+                      _layer_backward)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +126,7 @@ class RuleConfig:
         object.__setattr__(self, "layer_rules", tuple(self.layer_rules))
         if self.stabilizer <= 0:
             raise ValueError("stabilizer must be positive")
-        _check_explained_output(self.explained_output)
+        check_explained_output(self.explained_output)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,14 +288,8 @@ def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
     return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through
 
 
-def _explained_value(logits, class_index, explained_output):
-    if explained_output == "log_probability":
-        return float(log_softmax(logits)[class_index])
-    return float(logits[class_index])
-
-
 def _backward_sweep(network, trace, class_index, config, mask_at=None, mask=None):
-    value = _explained_value(trace.logits, class_index, config.explained_output)
+    value, _ = class_output(trace.logits, class_index, config.explained_output)
     r = np.zeros_like(trace.logits)
     r[class_index] = value
     masked_total = None
@@ -329,8 +316,6 @@ def lrp(network, trace, class_index, config):
     elsewhere; every layer is then propagated by its assigned rule.
     """
     _check_rules(network, config)
-    if not 0 <= class_index < network.class_count:
-        raise ValueError(f"class_index {class_index} out of range [0, {network.class_count})")
     rels, value, _ = _backward_sweep(network, trace, class_index, config)
     meta = {"class_index": class_index,
             "explained_output": config.explained_output,
@@ -375,27 +360,16 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
     return hm
 
 
-def _output_seed(logits, class_index, explained_output):
-    seed = np.zeros(logits.shape[0])
-    seed[class_index] = 1.0
-    if explained_output == "log_probability":
-        seed -= softmax(logits)
-    return seed
-
-
 def _input_gradient(network, x, class_index, explained_output):
-    # forward pass plus the gradient of the explained output at the input
-    _check_explained_output(explained_output)
-    if not 0 <= class_index < network.class_count:
-        raise ValueError(f"class_index {class_index} out of range [0, {network.class_count})")
+    # forward pass, the explained value and its gradient at the input
     trace = forward(network, x)
-    seed = _output_seed(trace.logits, class_index, explained_output)
-    return trace, seeded_gradient(network, trace, seed)
+    value, seed = class_output(trace.logits, class_index, explained_output)
+    return trace, value, seeded_gradient(network, trace, seed)
 
 
 def sensitivity(network, x, class_index, explained_output="logit"):
     """Squared partial derivatives; decomposes the squared gradient norm."""
-    _, g = _input_gradient(network, x, class_index, explained_output)
+    _, _, g = _input_gradient(network, x, class_index, explained_output)
     scores = g * g
     meta = {"class_index": class_index, "explained_output": explained_output}
     return Heatmap.from_scores(scores, float(np.sum(scores)), "sensitivity", meta)
@@ -407,9 +381,8 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     The unexplained part explained_value - total is reported under the
     "residual" metadata key (zero only in the homogeneous case).
     """
-    trace, g = _input_gradient(network, x, class_index, explained_output)
+    trace, value, g = _input_gradient(network, x, class_index, explained_output)
     scores = g * trace.input
-    value = _explained_value(trace.logits, class_index, explained_output)
     hm = Heatmap.from_scores(scores, value, "simple_taylor",
                              {"class_index": class_index,
                               "explained_output": explained_output})

@@ -8,7 +8,9 @@ its inputs, so independent calls are safe to run concurrently.
 
 Only this module tells Dense from Conv2D; the others work by layer family
 (WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). Input gradients and
-training share one reverse sweep, `_reverse_sweep`.
+training share one reverse sweep, `_reverse_sweep`. One head, `class_output`,
+gives every consumer the explained value and its gradient at the logits, and
+rejects unknown output names and out-of-range classes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ LAYER_KINDS = ("Dense", "Conv2D", "ReLU", "SumPool", "AvgPool", "MaxPool", "Flat
 WEIGHTED_KINDS = ("Dense", "Conv2D")
 POOL_KINDS = ("SumPool", "AvgPool", "MaxPool")
 WINDOWED_KINDS = ("Conv2D",) + POOL_KINDS  # the kinds with a stride and a padding
+EXPLAINED_OUTPUTS = ("logit", "log_probability")
 # weight rank and bias axis of each weighted kind
 _WEIGHT_LAYOUT = {"Dense": (2, 1), "Conv2D": (4, 0)}
 
@@ -412,10 +415,7 @@ def gradient(network, x=None, class_index=0, trace=None):
         if x is None:
             raise ValueError("gradient needs an input tensor or an activation trace")
         trace = forward(network, x)
-    if not 0 <= class_index < network.class_count:
-        raise ValueError(f"class_index {class_index} out of range [0, {network.class_count})")
-    seed = np.zeros(network.class_count)
-    seed[class_index] = 1.0
+    _, seed = class_output(trace.logits, class_index)
     return seeded_gradient(network, trace, seed)
 
 
@@ -430,6 +430,27 @@ def log_softmax(logits):
 
 def softmax(logits):
     return np.exp(log_softmax(logits))
+
+
+def check_explained_output(name):
+    if name not in EXPLAINED_OUTPUTS:
+        raise ValueError(f"explained_output must be one of {EXPLAINED_OUTPUTS}, got {name!r}")
+
+
+def class_output(logits, class_index, explained_output="logit"):
+    """(f_c, df_c/dlogits) of class c: the logit (one-hot gradient) or log p(c | x)
+    (one-hot minus softmax). Rejects an unknown output name and c outside
+    [0, len(logits))."""
+    check_explained_output(explained_output)
+    if not 0 <= class_index < len(logits):
+        raise ValueError(f"class_index {class_index} out of range [0, {len(logits)})")
+    seed = np.zeros(len(logits))
+    seed[class_index] = 1.0
+    if explained_output == "logit":
+        return float(logits[class_index]), seed
+    logp = log_softmax(logits)
+    seed -= np.exp(logp)
+    return float(logp[class_index]), seed
 
 
 @dataclass(frozen=True)
@@ -498,11 +519,9 @@ def train_sgd(network, inputs, labels, config, verbose=False):
                      for idx, (w, b) in params.items()}
             for i in batch:
                 trace = forward(net, data[i])
-                logp = log_softmax(trace.logits)
-                losses.append(-logp[targets[i]])
-                seed = np.exp(logp)
-                seed[targets[i]] -= 1.0
-                _backprop_param_grads(net, trace, seed, grads)
+                logp, seed = class_output(trace.logits, targets[i], "log_probability")
+                losses.append(-logp)
+                _backprop_param_grads(net, trace, -seed, grads)
             scale = config.learning_rate / len(batch)
             for idx, (gw, gb) in grads.items():
                 params[idx][0] -= scale * gw

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import as_tensor, forward, log_softmax, seeded_gradient, softmax
+from .netcore import as_tensor, class_output, forward, seeded_gradient, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +137,7 @@ def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
     x = np.asarray(x, dtype=np.float64)
     trace = forward(network, x)
-    logp = log_softmax(trace.logits)
-    c = objective.class_index
-    if not 0 <= c < network.class_count:
-        raise ValueError(f"class_index {c} out of range [0, {network.class_count})")
-    value = float(logp[c])
-    seed = -np.exp(logp)
-    seed[c] += 1.0
+    value, seed = class_output(trace.logits, objective.class_index, "log_probability")
     grad = seeded_gradient(network, trace, seed)
 
     reg = objective.regularizer

@@ -1,4 +1,4 @@
-"""Forward traces, gradients, log-softmax, and the SGD trainer."""
+"""Forward traces, gradients, log-softmax, the class-output head, and the SGD trainer."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relkit
-from relkit.netcore import window_columns
+from relkit.netcore import class_output, window_columns
 
 from conftest import (central_difference, random_dense_network, two_blob_data,
                       with_random_biases)
@@ -247,3 +247,49 @@ def test_one_sgd_step_follows_cross_entropy_gradient(plan, in_shape):
             old, new = getattr(layer, name), getattr(stepped.layers[idx], name)
             np.testing.assert_allclose((old - new) / lr, central_difference(loss, old, h=1e-6),
                                        rtol=1e-5, atol=1e-8, err_msg=f"layer {idx} {name}")
+
+
+@pytest.mark.parametrize("output", ["logit", "log_probability"])
+def test_class_output_seed_is_the_gradient_of_its_value(output):
+    logits = np.array([0.3, -1.2, 2.0, 0.7])
+    for c in range(len(logits)):
+        value, seed = class_output(logits, c, output)
+        expected = logits[c] if output == "logit" else relkit.log_softmax(logits)[c]
+        assert value == expected
+        numeric = central_difference(lambda z: class_output(z, c, output)[0], logits)
+        np.testing.assert_allclose(seed, numeric, rtol=1e-7, atol=1e-9)
+
+
+def test_class_output_rejects_unknown_output_name():
+    with pytest.raises(ValueError, match="explained_output must be one of .* got 'probability'"):
+        class_output(np.zeros(3), 0, "probability")
+
+
+def _flip(net, x, c):
+    heatmap = relkit.Heatmap.from_scores(x, 0.0, "test", {"class_index": c})
+    return relkit.pixel_flip(net, x, heatmap, relkit.FlipConfig(max_steps=1))
+
+
+# every entry point that explains, scores or climbs the output of one class
+CLASS_CONSUMERS = {
+    "lrp": lambda net, x, c: relkit.lrp(net, relkit.forward(net, x), c,
+                                        relkit.epsilon_config(net)),
+    "filter_relevance": lambda net, x, c: relkit.filter_relevance(
+        net, relkit.forward(net, x), c, relkit.epsilon_config(net), 0, np.ones(x.shape)),
+    "sensitivity": lambda net, x, c: relkit.sensitivity(net, x, c),
+    "simple_taylor": lambda net, x, c: relkit.simple_taylor(net, x, c, "log_probability"),
+    "gradient": lambda net, x, c: relkit.gradient(net, x, c),
+    "am_objective": lambda net, x, c: relkit.am_objective(net, relkit.AmObjective(c), x),
+    "pixel_flip": _flip,
+}
+
+
+@pytest.mark.parametrize("class_index", [-1, 3])
+@pytest.mark.parametrize("consumer", sorted(CLASS_CONSUMERS))
+def test_class_index_outside_the_logits_is_rejected(consumer, class_index):
+    net = relkit.random_network((4,), [("dense", 5), ("relu",), ("dense", 3)], seed=2)
+    x = np.linspace(0.1, 0.4, 4)
+    for c in range(3):
+        CLASS_CONSUMERS[consumer](net, x, c)
+    with pytest.raises(ValueError, match=rf"class_index {class_index} out of range \[0, 3\)"):
+        CLASS_CONSUMERS[consumer](net, x, class_index)
