@@ -36,11 +36,11 @@ def _adapt_sample(image, input_shape):
                      f"network input shape {tuple(input_shape)}")
 
 
-def _load_image(args, input_shape):
+def _indexed_image(args):
     images = modelio.load_idx(args.data)
     if not 0 <= args.index < images.shape[0]:
         raise ValueError(f"--index {args.index} out of range for {images.shape[0]} images")
-    return _adapt_sample(images[args.index], input_shape)
+    return images[args.index]
 
 
 def parse_architecture(text):
@@ -144,8 +144,7 @@ def _cmd_explain(args):
     if args.sliding_window:
         if args.method != "lrp":
             raise ValueError("--sliding-window applies to --method lrp")
-        images = modelio.load_idx(args.data)
-        big = images[args.index]
+        big = _indexed_image(args)
         if len(network.input_shape) == 3:
             big = big[None, :, :] if big.ndim == 2 else big
         if args.class_index is None:
@@ -155,7 +154,7 @@ def _cmd_explain(args):
                                                       config, args.class_index)
         x = big
     else:
-        x = _load_image(args, network.input_shape)
+        x = _adapt_sample(_indexed_image(args), network.input_shape)
         if args.class_index is None:
             args.class_index = int(np.argmax(netcore.forward(network, x).logits))
         explainer = _explainer(args, model_file)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,9 +75,29 @@ def save_model(network, path, expert=None, input_bounds=None):
 
 
 def _require(doc, key, where):
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{where}: expected a JSON object, got {reprlib.repr(doc)}")
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field {key!r}")
     return doc[key]
+
+
+def _is_int(value):
+    # a JSON integer: bools, floats and strings do not count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(value, where):
+    if not _is_int(value):
+        raise ModelFormatError(f"{where} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def _integers(value, where):
+    if not (isinstance(value, list) and all(map(_is_int, value))):
+        raise ModelFormatError(f"{where} must be a list of integers, "
+                               f"got {reprlib.repr(value)}")
+    return value
 
 
 def _parse_layer(doc, index):
@@ -89,11 +110,11 @@ def _parse_layer(doc, index):
         fields["weights"] = _require(doc, "weights", where)
         fields["bias"] = _require(doc, "bias", where)
     if kind in POOL_KINDS:
-        fields["window"] = _require(doc, "window", where)
+        fields["window"] = _integers(_require(doc, "window", where), f"{where}: 'window'")
+    if kind in WINDOWED_KINDS:
+        fields["stride"] = _integer(doc.get("stride", 1), f"{where}: 'stride'")
+        fields["padding"] = _integer(doc.get("padding", 0), f"{where}: 'padding'")
     try:
-        if kind in WINDOWED_KINDS:
-            fields["stride"] = int(doc.get("stride", 1))
-            fields["padding"] = int(doc.get("padding", 0))
         return LayerSpec(kind, **fields)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
@@ -103,30 +124,29 @@ def load_model_file(path):
     """Load a full model document (network, optional expert and bounds)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"malformed JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object at the top level")
     version = _require(doc, "format_version", str(path))
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r} "
                                f"(this build reads version {FORMAT_VERSION})")
-    layers = [_parse_layer(layer_doc, i)
-              for i, layer_doc in enumerate(_require(doc, "layers", str(path)))]
+    layer_docs = _require(doc, "layers", str(path))
+    if not isinstance(layer_docs, list):
+        raise ModelFormatError(f"'layers' must be a list, got {reprlib.repr(layer_docs)}")
+    layers = [_parse_layer(layer_doc, i) for i, layer_doc in enumerate(layer_docs)]
+    input_shape = _integers(_require(doc, "input_shape", str(path)), "'input_shape'")
+    class_count = _integer(_require(doc, "class_count", str(path)), "'class_count'")
     try:
-        network = Network(tuple(layers),
-                          tuple(_require(doc, "input_shape", str(path))),
-                          int(_require(doc, "class_count", str(path))))
+        network = Network(tuple(layers), tuple(input_shape), class_count)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
 
     expert = None
     if "expert" in doc:
-        e = doc["expert"]
+        params = [_require(doc["expert"], key, "expert")
+                  for key in ("factor_weights", "factor_biases", "precision")]
         try:
-            expert = RbmExpert(_require(e, "factor_weights", "expert"),
-                               _require(e, "factor_biases", "expert"),
-                               _require(e, "precision", "expert"))
+            expert = RbmExpert(*params)
         except ValueError as exc:
             raise ModelFormatError(f"expert: {exc}") from None
     low = high = None
@@ -172,7 +192,7 @@ def load_idx(path):
     if len(raw) < header:
         raise ValueError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)
     if count > _MAX_IDX_ELEMENTS:
         raise ValueError(f"{path}: dimension overflow ({dims})")
     payload = raw[header:]
@@ -240,10 +260,18 @@ def load_tensor_csv(path):
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("shape:"):
-                shape = tuple(int(v) for v in body[len("shape:"):].split(",") if v.strip())
-            elif body.startswith("meta:"):
-                meta = json.loads(body[len("meta:"):])
+            try:
+                if body.startswith("shape:"):
+                    shape = tuple(int(v) for v in body[len("shape:"):].split(",") if v.strip())
+                    if min(shape, default=0) < 0:
+                        raise ValueError("negative extent")
+                elif body.startswith("meta:"):
+                    meta = json.loads(body[len("meta:"):])
+                    if not isinstance(meta, dict):
+                        raise ValueError("meta must be a JSON object")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {number}: malformed header {line!r} "
+                                 f"({exc})") from None
             continue
         try:
             value = float(line)
@@ -255,7 +283,7 @@ def load_tensor_csv(path):
     if shape is None:
         raise ValueError(f"{path}: missing shape header")
     arr = np.array(values, dtype=np.float64)
-    if arr.size != int(np.prod(shape, dtype=np.int64)):
+    if arr.size != math.prod(shape):
         raise ValueError(f"{path}: {arr.size} values do not fill shape {shape}")
     return arr.reshape(shape), meta
 
@@ -272,6 +300,9 @@ def load_heatmap_csv(path):
     scores, meta = load_tensor_csv(path)
     method_tag = meta.pop("method_tag", "loaded")
     explained = meta.pop("explained_value", float(np.sum(scores)))
+    if isinstance(explained, bool) or not isinstance(explained, (int, float)):
+        raise ValueError(f"{path}: explained_value must be a number, "
+                         f"got {reprlib.repr(explained)}")
     meta.pop("total", None)
     return Heatmap.from_scores(scores, explained, method_tag, meta)
 

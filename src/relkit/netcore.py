@@ -30,8 +30,11 @@ _WEIGHT_LAYOUT = {"Dense": (2, 1), "Conv2D": (4, 0)}
 
 
 def as_tensor(values, name="tensor"):
-    """Copy `values` into a float64 array, rejecting NaN/Inf entries."""
-    arr = np.array(values, dtype=np.float64)
+    """Copy `values` into a float64 array, rejecting non-numeric and NaN/Inf entries."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric array ({exc})") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
@@ -460,6 +463,14 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     nonpositive_bias: bool = False
+
+    def __post_init__(self):
+        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _weight_grad(layer, x, g):

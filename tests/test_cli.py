@@ -245,3 +245,46 @@ def test_render_rejects_non_finite_heatmap(tmp_path, capsys):
     assert main(["render", "--heatmap", str(heat), "--out", str(ppm)]) == 1
     assert "line 5" in capsys.readouterr().err
     assert not ppm.exists()
+
+
+def test_explain_with_structurally_wrong_model_exits_1(model_path, dataset, tmp_path, capsys):
+    images, _ = dataset
+    doc = json.loads(open(model_path, encoding="utf-8").read())
+    doc["class_count"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["explain", "--model", str(bad), "--data", images,
+                 "--out", str(tmp_path / "heat.csv")])
+    assert code == 1
+    assert "'class_count' must be an integer" in capsys.readouterr().err
+
+
+def test_render_rejects_non_object_meta(tmp_path, capsys):
+    heat = tmp_path / "heat.csv"
+    heat.write_text("# relkit-tensor v1\n# shape: 1,2\n# meta: [1, 2]\n0.5\n0.25\n")
+    ppm = tmp_path / "render.ppm"
+    assert main(["render", "--heatmap", str(heat), "--out", str(ppm)]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not ppm.exists()
+
+
+@pytest.mark.parametrize("index", ["-1", "80"])
+def test_explain_sliding_window_checks_the_index(dataset, tmp_path, capsys, index):
+    images, _ = dataset
+    net = relkit.random_network((1, 8, 8), [("flatten",), ("dense", 2)], seed=33)
+    model = tmp_path / "window.json"
+    relkit.save_model(net, model)
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", str(model), "--data", images, "--index", index,
+                 "--sliding-window", "4", "--class", "1", "--out", str(out)])
+    assert code == 1
+    assert f"--index {index} out of range for 80 images" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_zero_batch(dataset, tmp_path, capsys):
+    images, labels = dataset
+    code = main(["train", "--data", images, "--labels", labels, "--arch", "flatten/dense:2",
+                 "--batch", "0", "--out", str(tmp_path / "model.json")])
+    assert code == 1
+    assert "batch_size must be >= 1" in capsys.readouterr().err

@@ -312,3 +312,57 @@ def test_missing_layer_field_names_layer_and_field(tmp_path, index, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=rf"layer {index}\b.*'{key}'"):
         relkit.load_model(path)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("layers", 3, "stride"), None, r"^layer 3: 'stride' must be an integer, got None$"),
+    (("layers", 0, "stride"), 1.5, r"^layer 0: 'stride' must be an integer, got 1\.5$"),
+    (("layers", 0, "padding"), True, r"^layer 0: 'padding' must be an integer"),
+    (("layers", 2, "window"), [[1], [1]], r"^layer 2: 'window' must be a list of integers"),
+    (("layers", 4, "window"), 2, r"^layer 4: 'window' must be a list of integers"),
+    (("layers", 0, "weights"), {}, r"^layer 0: Conv2D weights is not a numeric array"),
+    (("layers", 6, "bias"), [{}, 1], r"^layer 6: Dense bias is not a numeric array"),
+    (("layers", 1), 7, r"^layer 1: expected a JSON object, got 7$"),
+    (("layers",), 5, r"^'layers' must be a list, got 5$"),
+    (("input_shape",), 5, r"^'input_shape' must be a list of integers, got 5$"),
+    (("input_shape",), [1, 4.0, 4], r"^'input_shape' must be a list of integers"),
+    (("class_count",), None, r"^'class_count' must be an integer, got None$"),
+    (("class_count",), "2", r"^'class_count' must be an integer, got '2'$"),
+    (("input_bounds",), {"low": {}, "high": 1.0}, r"^input_bounds\.low: .*not a numeric array"),
+    (("input_bounds",), 5, r"^input_bounds: expected a JSON object, got 5$"),
+    (("expert",), {"factor_weights": [[0.0]], "factor_biases": [0.0]},
+     r"^expert: missing field 'precision'$"),
+])
+def test_structurally_wrong_model_field_is_a_format_error(tmp_path, path, value, message):
+    doc = json.loads(HAND_MODEL)
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=message):
+        relkit.load_model_file(model)
+
+
+@pytest.mark.parametrize("header,message", [
+    ("# shape: a,b", r"line 2: malformed header '# shape: a,b'"),
+    ("# shape: -2,-2", r"line 2: malformed header .*negative extent"),
+    ("# meta: {bad", r"line 2: malformed header '# meta: \{bad'"),
+    ("# meta: [1, 2]", r"line 2: malformed header .*meta must be a JSON object"),
+])
+def test_tensor_csv_header_errors_name_file_and_line(tmp_path, header, message):
+    path = tmp_path / "heat.csv"
+    path.write_text(f"# relkit-tensor v1\n{header}\n# shape: 2\n1.0\n2.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"heat\.csv: " + message):
+        relkit.load_tensor_csv(path)
+
+
+def test_heatmap_csv_explained_value_must_be_a_number(tmp_path):
+    path = tmp_path / "heat.csv"
+    relkit.save_tensor_csv(path, np.ones(2), {"explained_value": [1.0]})
+    with pytest.raises(ValueError, match=r"heat\.csv: explained_value must be a number"):
+        relkit.load_heatmap_csv(path)

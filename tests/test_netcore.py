@@ -293,3 +293,17 @@ def test_class_index_outside_the_logits_is_rejected(consumer, class_index):
         CLASS_CONSUMERS[consumer](net, x, c)
     with pytest.raises(ValueError, match=rf"class_index {class_index} out of range \[0, 3\)"):
         CLASS_CONSUMERS[consumer](net, x, class_index)
+
+
+@pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -3),
+                                         ("epochs", -1), ("learning_rate", -0.1),
+                                         ("learning_rate", float("nan")),
+                                         ("learning_rate", float("inf"))])
+def test_train_config_rejects_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        relkit.TrainConfig(**{field: value})
+
+
+def test_train_config_allows_zero_rate_and_zero_epochs():
+    config = relkit.TrainConfig(learning_rate=0.0, epochs=0, batch_size=1)
+    assert (config.learning_rate, config.epochs, config.batch_size) == (0.0, 0, 1)
