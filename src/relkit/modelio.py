@@ -124,7 +124,7 @@ def load_model_file(path):
     """Load a full model document (network, optional expert and bounds)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ModelFormatError(f"malformed JSON in {path}: {exc}") from None
     version = _require(doc, "format_version", str(path))
     if version != FORMAT_VERSION:

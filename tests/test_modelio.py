@@ -366,3 +366,18 @@ def test_heatmap_csv_explained_value_must_be_a_number(tmp_path):
     relkit.save_tensor_csv(path, np.ones(2), {"explained_value": [1.0]})
     with pytest.raises(ValueError, match=r"heat\.csv: explained_value must be a number"):
         relkit.load_heatmap_csv(path)
+
+
+def test_idx_dimensions_whose_product_wraps_in_int64_are_an_overflow(tmp_path):
+    # 2**22 * 2**21 * 2**21 = 2**64, which a 64-bit product would read as 0
+    path = tmp_path / "wrap.idx"
+    path.write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 2 ** 22, 2 ** 21, 2 ** 21))
+    with pytest.raises(ValueError, match=r"wrap\.idx: dimension overflow"):
+        relkit.load_idx(path)
+
+
+def test_tensor_csv_extent_beyond_int64_is_a_value_error(tmp_path):
+    path = tmp_path / "heat.csv"
+    path.write_text("# relkit-tensor v1\n# shape: 99999999999999999999\n1.0\n")
+    with pytest.raises(ValueError, match=r"heat\.csv: 1 values do not fill shape"):
+        relkit.load_tensor_csv(path)
