@@ -137,6 +137,26 @@ def _explainer(args, model_file):
     return lambda net, x: explain.lrp_heatmap(net, x, args.class_index, config)
 
 
+def _filter_mask(text, trace):
+    """Parse --filter LAYER:INDEX into (layer, one-hot mask over the relevance at
+    that layer's input; LAYER = layer count means the logits)."""
+    layer_str, _, index_str = text.partition(":")
+    try:
+        layer_index, flat_index = int(layer_str), int(index_str)
+    except ValueError:
+        raise ValueError(f"--filter must be LAYER:INDEX with two integers, got {text!r}") from None
+    layers = len(trace.inputs)
+    if not 0 <= layer_index <= layers:
+        raise ValueError(f"--filter layer {layer_index} out of range [0, {layers}]")
+    shape = trace.logits.shape if layer_index == layers else trace.inputs[layer_index].shape
+    mask = np.zeros(shape)
+    if not 0 <= flat_index < mask.size:
+        raise ValueError(f"--filter index {flat_index} out of range [0, {mask.size}) "
+                         f"for layer {layer_index}")
+    mask.ravel()[flat_index] = 1.0
+    return layer_index, mask
+
+
 def _cmd_explain(args):
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
@@ -167,14 +187,9 @@ def _cmd_explain(args):
         elif args.filter:
             if args.method != "lrp":
                 raise ValueError("--filter applies to --method lrp")
-            layer_str, _, index_str = args.filter.partition(":")
-            layer_index, flat_index = int(layer_str), int(index_str)
             trace = netcore.forward(network, x)
             config = _rule_config(args, model_file)
-            shape = (trace.logits.shape if layer_index == len(network.layers)
-                     else trace.inputs[layer_index].shape)
-            mask = np.zeros(shape)
-            mask.ravel()[flat_index] = 1.0
+            layer_index, mask = _filter_mask(args.filter, trace)
             heatmap = explain.filter_relevance(network, trace, args.class_index,
                                                config, layer_index, mask)
         else:
@@ -267,6 +282,8 @@ def _cmd_evaluate(args):
     images = modelio.load_idx(args.data)
     if not args.pixel_flip and not args.continuity:
         raise ValueError("evaluate needs --pixel-flip or --continuity")
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
 
     def sample(i):
         if not 0 <= i < images.shape[0]:

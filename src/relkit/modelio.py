@@ -100,6 +100,28 @@ def _integers(value, where):
     return value
 
 
+def _numbers(value, where):
+    """Reject JSON strings and booleans anywhere in a number array: NumPy would
+    quietly read "1.5" as 1.5 and true as 1. Other malformed values are left
+    to as_tensor."""
+    items = value if isinstance(value, list) else (value,)
+    kinds = set(map(type, items))
+    if kinds & {str, bool}:
+        bad = next(v for v in items if type(v) in (str, bool))
+        raise ModelFormatError(f"{where} must contain only numbers, got {reprlib.repr(bad)}")
+    if list in kinds:
+        for item in items:
+            _numbers(item, where)
+    return value
+
+
+def _read_utf8(path, error):
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _parse_layer(doc, index):
     where = f"layer {index}"
     kind = _require(doc, "kind", where)
@@ -107,8 +129,8 @@ def _parse_layer(doc, index):
         raise ModelFormatError(f"{where}: unsupported layer kind {kind!r}")
     fields = {}
     if kind in WEIGHTED_KINDS:
-        fields["weights"] = _require(doc, "weights", where)
-        fields["bias"] = _require(doc, "bias", where)
+        for key in ("weights", "bias"):
+            fields[key] = _numbers(_require(doc, key, where), f"{where}: '{key}'")
     if kind in POOL_KINDS:
         fields["window"] = _integers(_require(doc, "window", where), f"{where}: 'window'")
     if kind in WINDOWED_KINDS:
@@ -123,7 +145,7 @@ def _parse_layer(doc, index):
 def load_model_file(path):
     """Load a full model document (network, optional expert and bounds)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_utf8(path, ModelFormatError))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"malformed JSON in {path}: {exc}") from None
     version = _require(doc, "format_version", str(path))
@@ -143,7 +165,7 @@ def load_model_file(path):
 
     expert = None
     if "expert" in doc:
-        params = [_require(doc["expert"], key, "expert")
+        params = [_numbers(_require(doc["expert"], key, "expert"), f"expert: '{key}'")
                   for key in ("factor_weights", "factor_biases", "precision")]
         try:
             expert = RbmExpert(*params)
@@ -159,7 +181,7 @@ def load_model_file(path):
 
 def _input_bound(doc, key, input_shape):
     where = f"input_bounds.{key}"
-    values = _require(doc, key, "input_bounds")
+    values = _numbers(_require(doc, key, "input_bounds"), where)
     try:
         bound = as_tensor(values, "bound")
     except ValueError as exc:
@@ -253,7 +275,7 @@ def load_tensor_csv(path):
     shape = None
     meta = {}
     values = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_utf8(path, ValueError).splitlines()
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:

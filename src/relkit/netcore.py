@@ -10,12 +10,16 @@ Only this module tells Dense from Conv2D; the others work by layer family
 (WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). Input gradients and
 training share one reverse sweep, `_reverse_sweep`. One head, `class_output`,
 gives every consumer the explained value and its gradient at the logits, and
-rejects unknown output names and out-of-range classes.
+rejects unknown output names and out-of-range classes. Every windowed layer
+reads its windows through one cached index map, `_window_index`, of flat
+positions in the zero-padded input plane: window columns are a gather over
+it, their adjoint and the MaxPool winner scatter are one `bincount` over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -240,6 +244,19 @@ def _window_geometry(in_shape, window, stride, padding):
     return WindowGeom(c, h + 2 * padding, w + 2 * padding, kh, kw, stride, padding, oh, ow)
 
 
+@lru_cache(maxsize=64)
+def _window_index(geom):
+    """Flat position in the padded (pad_h, pad_w) plane that window cell k of
+    output cell j reads, as a read-only (kh*kw, out_h*out_w) array with the
+    window axis row-major. The one place that knows how windows tile a plane."""
+    rows = np.arange(geom.kh)[:, None] + geom.stride * np.arange(geom.out_h)
+    cols = np.arange(geom.kw)[:, None] + geom.stride * np.arange(geom.out_w)
+    index = rows[:, None, :, None] * geom.pad_w + cols[None, :, None, :]
+    index = index.reshape(geom.kh * geom.kw, geom.out_h * geom.out_w)
+    index.setflags(write=False)
+    return index
+
+
 def window_columns(x, window, stride, padding):
     """Extract pooling/convolution windows of a (C, H, W) tensor.
 
@@ -250,45 +267,26 @@ def window_columns(x, window, stride, padding):
     geom = _window_geometry(x.shape, window, stride, padding)
     p = geom.padding
     xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    cols = np.empty((geom.channels, geom.kh * geom.kw, geom.out_h * geom.out_w))
-    for i in range(geom.kh):
-        for j in range(geom.kw):
-            patch = xp[:, i:i + geom.stride * geom.out_h:geom.stride,
-                       j:j + geom.stride * geom.out_w:geom.stride]
-            cols[:, i * geom.kw + j, :] = patch.reshape(geom.channels, -1)
-    return cols, geom
+    # np.take, unlike xp[:, index], returns the gather C-contiguous
+    return np.take(xp.reshape(geom.channels, -1), _window_index(geom), axis=1), geom
+
+
+def _scatter(values, index, geom):
+    """Sum (C, ...) values into zero (C, pad_h, pad_w) planes at the flat plane
+    positions `index` (one map shared by every channel, or one per channel),
+    then crop the padding. Each position sums its values in flattened order."""
+    c, plane = geom.channels, geom.pad_h * geom.pad_w
+    values = values.reshape(c, -1)
+    flat = index.reshape(-1, values.shape[1]) + np.arange(0, c * plane, plane)[:, None]
+    planes = np.bincount(flat.ravel(), weights=values.ravel(), minlength=c * plane)
+    planes = planes.reshape(c, geom.pad_h, geom.pad_w)
+    p = geom.padding
+    return planes[:, p:geom.pad_h - p, p:geom.pad_w - p] if p else planes
 
 
 def window_scatter(cols, geom):
     """Adjoint of window_columns: scatter-add window values back to (C, H, W)."""
-    xp = np.zeros((geom.channels, geom.pad_h, geom.pad_w))
-    vals = cols.reshape(geom.channels, geom.kh * geom.kw, geom.out_h, geom.out_w)
-    for i in range(geom.kh):
-        for j in range(geom.kw):
-            xp[:, i:i + geom.stride * geom.out_h:geom.stride,
-               j:j + geom.stride * geom.out_w:geom.stride] += vals[:, i * geom.kw + j]
-    p = geom.padding
-    return xp[:, p:geom.pad_h - p, p:geom.pad_w - p] if p else xp
-
-
-def _winner_flat_index(arg, geom):
-    # arg: (C, n) window-cell argmax -> flat index into the padded (pad_h*pad_w) plane
-    win_i, win_j = np.divmod(arg, geom.kw)
-    cell = np.arange(geom.out_h * geom.out_w)
-    top = (cell // geom.out_w) * geom.stride
-    left = (cell % geom.out_w) * geom.stride
-    return (top[None, :] + win_i) * geom.pad_w + (left[None, :] + win_j)
-
-
-def scatter_to_winners(values, winner, geom):
-    """Scatter (C, oh, ow) values onto their recorded winner positions."""
-    c = geom.channels
-    planes = np.zeros(c * geom.pad_h * geom.pad_w)
-    offsets = np.arange(c)[:, None] * (geom.pad_h * geom.pad_w)
-    np.add.at(planes, (winner.reshape(c, -1) + offsets).ravel(), values.reshape(c, -1).ravel())
-    planes = planes.reshape(c, geom.pad_h, geom.pad_w)
-    p = geom.padding
-    return planes[:, p:geom.pad_h - p, p:geom.pad_w - p] if p else planes
+    return _scatter(cols, _window_index(geom), geom)
 
 
 def conv_apply(weights, x, stride, padding):
@@ -347,7 +345,8 @@ def _layer_forward(layer, x):
     else:  # MaxPool; argmax takes the first maximum = lowest in-window linear index
         arg = cols.argmax(axis=1)
         pooled = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-        extra = _winner_flat_index(arg, geom).reshape(geom.channels, geom.out_h, geom.out_w)
+        extra = np.take_along_axis(_window_index(geom), arg, axis=0).reshape(
+            geom.channels, geom.out_h, geom.out_w)
     return pooled.reshape(geom.channels, geom.out_h, geom.out_w), extra
 
 
@@ -363,7 +362,7 @@ def _layer_backward(layer, x, extra, g):
         return g.reshape(x.shape)
     geom = _window_geometry(x.shape, layer.window, layer.stride, layer.padding)
     if kind == "MaxPool":
-        return scatter_to_winners(g, extra, geom)
+        return _scatter(g, extra, geom)
     share = g if kind == "SumPool" else g / (geom.kh * geom.kw)
     cols = np.broadcast_to(share.reshape(geom.channels, 1, -1),
                            (geom.channels, geom.kh * geom.kw, geom.out_h * geom.out_w))
@@ -456,6 +455,15 @@ def class_output(logits, class_index, explained_output="logit"):
     return float(logp[class_index]), seed
 
 
+def require_int(name, value, minimum):
+    """Reject a `value` that is not an integer (bool and float are not) or is
+    below `minimum`, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.1
@@ -467,10 +475,9 @@ class TrainConfig:
     def __post_init__(self):
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        require_int("epochs", self.epochs, 0)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("seed", self.seed, 0)
 
 
 def _weight_grad(layer, x, g):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import as_tensor, class_output, forward, seeded_gradient, softmax
+from .netcore import as_tensor, class_output, forward, require_int, seeded_gradient, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +164,14 @@ class AmOptions:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-6
     init: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not np.isfinite(self.step_size) or self.step_size <= 0:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        require_int("max_iterations", self.max_iterations, 0)
+        if not np.isfinite(self.gradient_tolerance) or self.gradient_tolerance < 0:
+            raise ValueError(f"gradient_tolerance must be finite and >= 0, "
+                             f"got {self.gradient_tolerance}")
 
 
 @dataclass(frozen=True, eq=False)

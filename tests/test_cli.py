@@ -288,3 +288,49 @@ def test_train_rejects_zero_batch(dataset, tmp_path, capsys):
                  "--batch", "0", "--out", str(tmp_path / "model.json")])
     assert code == 1
     assert "batch_size must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("abc", "--filter must be LAYER:INDEX with two integers, got 'abc'"),
+    ("2", "--filter must be LAYER:INDEX with two integers, got '2'"),
+    ("2:-1", "--filter index -1 out of range [0, 16) for layer 2"),
+    ("2:16", "--filter index 16 out of range [0, 16) for layer 2"),
+    ("0:99999", "--filter index 99999 out of range [0, 144) for layer 0"),
+    ("5:0", "--filter layer 5 out of range [0, 4]"),
+    ("-1:0", "--filter layer -1 out of range [0, 4]"),
+])
+def test_explain_filter_must_name_one_unit(model_path, dataset, tmp_path, capsys, spec, message):
+    images, _ = dataset
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", model_path, "--data", images,
+                 "--method", "lrp", f"--filter={spec}", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["--pixel-flip", "--continuity"])
+def test_evaluate_rejects_negative_count(model_path, dataset, tmp_path, capsys, task):
+    images, _ = dataset
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--model", model_path, "--data", images, task,
+                 "--count", "-1", "--out", str(out)])
+    assert code == 1
+    assert "--count must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--steps", "-1", "max_iterations must be >= 0"),
+    ("--step-size", "-0.1", "step_size must be finite and > 0"),
+    ("--step-size", "nan", "step_size must be finite and > 0"),
+    ("--tol", "-1", "gradient_tolerance must be finite and >= 0"),
+])
+def test_prototype_rejects_bad_search_settings(model_path, tmp_path, capsys, flag, value,
+                                               message):
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--class", "1", flag, value,
+                 "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -381,3 +381,41 @@ def test_tensor_csv_extent_beyond_int64_is_a_value_error(tmp_path):
     path.write_text("# relkit-tensor v1\n# shape: 99999999999999999999\n1.0\n")
     with pytest.raises(ValueError, match=r"heat\.csv: 1 values do not fill shape"):
         relkit.load_tensor_csv(path)
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("layers", 6, "weights"), [["1.0", -1.0], [0.5, 0.25]],
+     r"^layer 6: 'weights' must contain only numbers, got '1\.0'$"),
+    (("layers", 6, "weights"), [[1.0, -1.0], [True, 0.25]],
+     r"^layer 6: 'weights' must contain only numbers, got True$"),
+    (("layers", 0, "bias"), [0.0, "-0.5"], r"^layer 0: 'bias' must contain only numbers"),
+    (("layers", 0, "bias"), False, r"^layer 0: 'bias' must contain only numbers, got False$"),
+    (("input_bounds",), {"low": "0", "high": 1.0},
+     r"^input_bounds\.low must contain only numbers, got '0'$"),
+    (("input_bounds",), {"low": 0.0, "high": [[[1.0, True, 1.0, 1.0]]]},
+     r"^input_bounds\.high must contain only numbers, got True$"),
+    (("expert",), {"factor_weights": [[0.0]], "factor_biases": [False], "precision": [[1.0]]},
+     r"^expert: 'factor_biases' must contain only numbers, got False$"),
+])
+def test_model_number_arrays_reject_json_strings_and_booleans(tmp_path, path, value, message):
+    doc = json.loads(HAND_MODEL)
+    _set(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=message):
+        relkit.load_model_file(model)
+
+
+def test_model_file_that_is_not_utf8_is_a_format_error_naming_the_file(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xff\xfe" + HAND_MODEL.encode("utf-16-le"))
+    with pytest.raises(ModelFormatError, match=r"model\.json: not UTF-8 text .* at byte 0\)$"):
+        relkit.load_model_file(model)
+
+
+@pytest.mark.parametrize("load", [relkit.load_tensor_csv, relkit.load_heatmap_csv])
+def test_csv_that_is_not_utf8_is_a_value_error_naming_the_file(tmp_path, load):
+    path = tmp_path / "heat.csv"
+    path.write_bytes(b"# relkit-tensor v1\n# shape: 1\n\xff\n")
+    with pytest.raises(ValueError, match=r"heat\.csv: not UTF-8 text .* at byte 30\)$"):
+        load(path)

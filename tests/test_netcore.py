@@ -297,3 +297,16 @@ def test_class_index_outside_the_logits_is_rejected(consumer, class_index):
 def test_train_config_rejects_bad_values_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         relkit.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("batch_size", 2.5), ("batch_size", True),
+                                         ("epochs", True), ("epochs", 1.0), ("seed", 0.5),
+                                         ("seed", "0"), ("seed", -1)])
+def test_train_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        relkit.TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    config = relkit.TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.uint8(3))
+    assert (config.epochs, config.batch_size, config.seed) == (1, 4, 3)

@@ -10,12 +10,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import relkit
 from relkit.modelio import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ModelFormatError
+from relkit.netcore import layer_output_shape, window_columns, window_scatter
 
-from conftest import with_random_biases
+from conftest import central_difference, with_random_biases
 from test_modelio import HAND_MODEL
 
 BOUNDED = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -127,3 +128,150 @@ def test_generated_idx_bytes_raise_only_value_error(magic, dims, payload):
             relkit.load_idx(path)
         except ValueError:
             pass
+
+
+@st.composite
+def window_cases(draw):
+    """(x, window, stride, padding) on a (C, H, W) input: 1-3 channels, windows
+    up to 4x4, stride 1-3 (windows overlap when it is below the window) and
+    zero padding 0-2."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(max(1, kh - 2 * padding), 9)),
+             draw(st.integers(max(1, kw - 2 * padding), 9)))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 16))).standard_normal(shape)
+    return x, (kh, kw), stride, padding
+
+
+def _offset_columns(x, window, stride, padding):
+    """Reference columns: one strided slice of the zero-padded input per window
+    offset, offsets in row-major order."""
+    kh, kw = window
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    oh, ow = ((extent - k) // stride + 1 for extent, k in zip(xp.shape[1:], window))
+    return np.stack([xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride].reshape(len(x), -1)
+                     for i in range(kh) for j in range(kw)], axis=1)
+
+
+def _offset_scatter(cols, x_shape, window, stride, padding):
+    """Reference adjoint: add each window offset's values back into its strided
+    slice of a zero padded plane, offsets in row-major order, then crop."""
+    (c, h, w), (kh, kw) = x_shape, window
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    oh, ow = ((extent - k) // stride + 1 for extent, k in zip(xp.shape[1:], window))
+    for i in range(kh):
+        for j in range(kw):
+            patch = cols[:, i * kw + j].reshape(c, oh, ow)
+            xp[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += patch
+    return xp[:, padding:padding + h, padding:padding + w]
+
+
+@FUZZ
+@given(window_cases())
+def test_window_columns_equal_the_per_offset_slices(case):
+    x, window, stride, padding = case
+    cols, geom = window_columns(x, window, stride, padding)
+    assert np.array_equal(cols, _offset_columns(x, window, stride, padding))
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    assert cols.shape == (geom.channels, geom.kh * geom.kw, geom.out_h * geom.out_w)
+
+
+@FUZZ
+@given(window_cases(), st.integers(0, 2 ** 16))
+def test_window_scatter_is_the_adjoint_of_window_columns(case, seed):
+    x, window, stride, padding = case
+    cols, geom = window_columns(x, window, stride, padding)
+    c = np.random.default_rng(seed).standard_normal(cols.shape)
+    back = window_scatter(c, geom)
+    assert back.shape == x.shape
+    assert np.array_equal(back, _offset_scatter(c, x.shape, window, stride, padding))
+    lhs, rhs = np.sum(cols * c), np.sum(x * back)
+    assert abs(lhs - rhs) <= 1e-12 * max(np.sum(np.abs(cols * c)), 1e-300)
+
+
+@FUZZ
+@given(window_cases(), st.integers(0, 2 ** 16))
+def test_padded_maxpool_winners_gather_the_pooled_values(case, seed):
+    x, window, stride, padding = case
+    pool = relkit.max_pool(window, stride=stride, padding=padding)
+    c, oh, ow = layer_output_shape(pool, x.shape)
+    net = relkit.Network((pool, relkit.flatten(), relkit.dense(np.ones((c * oh * ow, 1)))),
+                         x.shape, 1)
+    trace = relkit.forward(net, x)
+    pooled, winner = trace.outputs[0], trace.aux[0]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    planes = xp.reshape(c, -1)
+    assert np.array_equal(np.take_along_axis(planes, winner.reshape(c, -1), axis=1),
+                          pooled.reshape(c, -1))
+    # each winner lies inside its own window of the padded plane
+    rows, cols = np.divmod(winner, xp.shape[2])
+    top, left = stride * np.arange(oh)[:, None], stride * np.arange(ow)
+    assert np.all((rows >= top) & (rows < top + window[0])
+                  & (cols >= left) & (cols < left + window[1]))
+    # winner-take-all (the max-pool gradient) adds each output onto its winner
+    r = np.random.default_rng(seed).standard_normal(pooled.shape)
+    expected = np.zeros(planes.shape)
+    np.add.at(expected, (np.arange(c)[:, None], winner.reshape(c, -1)), r.reshape(c, -1))
+    expected = expected.reshape(xp.shape)[:, padding:padding + x.shape[1],
+                                          padding:padding + x.shape[2]]
+    got = relkit.lrp_pool(pool, x, winner, r, relkit.PoolWinnerTakeAll())
+    assert np.array_equal(got, expected)
+
+
+@st.composite
+def windowed_architectures(draw):
+    """(input_shape, plan, seed, class): conv (stride 1-3, padding below the
+    kernel, so every output reads the input), then a pool of any kind with
+    windows up to 3x3, stride 1-3 and padding 0-1, then a dense ReLU head.
+    The ReLU follows the conv only for the linear pools, so no ReLU reads a
+    MaxPool output that is a padding zero."""
+    in_shape = (draw(st.integers(1, 2)), draw(st.integers(5, 8)), draw(st.integers(5, 8)))
+    k = draw(st.integers(1, 3))
+    conv_stride, conv_padding = draw(st.integers(1, 3)), draw(st.integers(0, k - 1))
+    conv = ("conv", draw(st.integers(1, 3)), k, k, conv_stride, conv_padding)
+    oh, ow = ((e + 2 * conv_padding - k) // conv_stride + 1 for e in in_shape[1:])
+    kind = draw(st.sampled_from(["maxpool", "sumpool", "avgpool"]))
+    pool_padding = draw(st.integers(0, 1))
+    pool = (kind, draw(st.integers(1, min(3, oh + 2 * pool_padding))),
+            draw(st.integers(1, min(3, ow + 2 * pool_padding))), draw(st.integers(1, 3)),
+            pool_padding)
+    classes = draw(st.integers(1, 3))
+    plan = ([conv] + ([("relu",)] if kind != "maxpool" else []) + [pool, ("flatten",)]
+            + [("dense", draw(st.integers(1, 4))), ("relu",), ("dense", classes)])
+    return in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1))
+
+
+def _kink_margin(net, trace):
+    """Distance of a trace from a ReLU kink or a MaxPool argmax switch. A
+    window's zero padding counts as one candidate, since a tie between padding
+    cells moves neither the output nor the gradient."""
+    margin = np.inf
+    for layer, x in zip(net.layers, trace.inputs):
+        if layer.kind == "ReLU":
+            margin = min(margin, np.abs(x).min())
+        elif layer.kind == "MaxPool":
+            args = (layer.window, layer.stride, layer.padding)
+            cols, _ = window_columns(x, *args)
+            real, _ = window_columns(np.ones_like(x), *args)
+            pad = np.where((real == 0).any(axis=1), 0.0, -np.inf)[:, None, :]
+            candidates = np.concatenate([np.where(real == 1, cols, -np.inf), pad], axis=1)
+            second, first = np.sort(candidates, axis=1)[:, -2:].transpose(1, 0, 2)
+            margin = min(margin, (first - second).min())
+    return margin
+
+
+@BOUNDED
+@given(windowed_architectures())
+def test_gradient_matches_central_differences_on_generated_windowed_nets(arch):
+    in_shape, plan, seed, c = arch
+    rng = np.random.default_rng(seed)
+    net = with_random_biases(relkit.random_network(in_shape, plan, seed), rng)
+    for _ in range(20):
+        x = rng.standard_normal(in_shape)
+        if _kink_margin(net, relkit.forward(net, x)) > 1e-3:
+            break
+    else:
+        assume(False)
+    fd = central_difference(lambda v: relkit.forward(net, v).logits[c], x, h=1e-5)
+    ad = relkit.gradient(net, x, c)
+    assert np.abs(fd - ad).max() <= 1e-4 * max(np.abs(ad).max(), 1e-9)

@@ -170,3 +170,20 @@ def test_rejects_wrong_init_shape():
     with pytest.raises(ValueError, match="init shape"):
         relkit.activation_maximize(net, objective,
                                    relkit.AmOptions(init=np.zeros(3)))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("step_size", 0.0), ("step_size", -0.1), ("step_size", float("nan")),
+    ("step_size", float("inf")), ("max_iterations", -1), ("max_iterations", 2.0),
+    ("max_iterations", True), ("gradient_tolerance", -1e-6),
+    ("gradient_tolerance", float("nan")), ("gradient_tolerance", float("inf"))])
+def test_am_options_reject_bad_values_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        relkit.AmOptions(**{field: value})
+
+
+def test_am_options_accept_numpy_integers_and_zero_budgets():
+    options = relkit.AmOptions(max_iterations=np.int64(0), gradient_tolerance=0.0)
+    result = relkit.activation_maximize(identity_logits_network(), relkit.AmObjective(0),
+                                        options)
+    assert result.iterations == 0
