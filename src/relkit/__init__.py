@@ -6,7 +6,7 @@ metrics, over a self-contained float64 network engine.
 """
 
 from .netcore import (ActivationTrace, LayerSpec, Network, TrainConfig, as_tensor,
-                      avg_pool, conv2d, dense, flatten, forward, gradient,
+                      avg_pool, conv2d, dense, flatten, forward, forward_batch, gradient,
                       log_softmax, max_pool, random_network, relu, seeded_gradient,
                       softmax, sum_pool, train_sgd)
 from .explain import (AlphaBeta, Epsilon, Heatmap, PassThrough, PoolProportional,

@@ -18,10 +18,17 @@ from . import evalkit, explain, heatmaptools, modelio, netcore, prototype
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return value
-    env = os.environ.get("RK_SEED")
-    return int(env) if env else 0
+    """The --seed value, else the RK_SEED environment variable, else 0; either
+    source must hold a non-negative integer."""
+    source, text = ("--seed", str(value)) if value is not None else (
+        "RK_SEED", os.environ.get("RK_SEED") or "0")
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _adapt_sample(image, input_shape):
@@ -78,9 +85,11 @@ def _cmd_train(args):
     labels = modelio.load_idx(args.labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image and label counts differ")
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     if args.limit:
         images, labels = images[:args.limit], labels[:args.limit]
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
 
     if args.model:
         network = modelio.load_model(args.model)
@@ -278,7 +287,7 @@ def _cmd_prototype(args):
 def _cmd_evaluate(args):
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
     images = modelio.load_idx(args.data)
     if not args.pixel_flip and not args.continuity:
         raise ValueError("evaluate needs --pixel-flip or --continuity")
@@ -473,6 +482,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        args.seed = _resolve_seed(args.seed)
         return int(args.func(args) or 0)
     except (ValueError, OSError, IndexError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)

@@ -230,7 +230,8 @@ def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
         if layer.kind != "MaxPool" or winner is None:
             raise ValueError("winner-take-all needs a MaxPool winner map")
         # the max-pool gradient is exactly the scatter onto the recorded winners
-        return _layer_backward(layer, x, winner, np.asarray(r_upper, dtype=np.float64))
+        r_upper = np.asarray(r_upper, dtype=np.float64)
+        return _layer_backward(layer, x[None], winner[None], r_upper[None])[0]
     if not isinstance(policy, PoolProportional):
         raise ValueError(f"unknown pool policy {policy!r}")
     cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)

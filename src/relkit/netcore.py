@@ -14,6 +14,16 @@ rejects unknown output names and out-of-range classes. Every windowed layer
 reads its windows through one cached index map, `_window_index`, of flat
 positions in the zero-padded input plane: window columns are a gather over
 it, their adjoint and the MaxPool winner scatter are one `bincount` over it.
+
+The layer kernels, the reverse sweep and the weight gradient work on batches
+with a leading axis of N samples. Pools and the Conv2D window gather fold N
+into the channel axis, so the N*C planes share the one index map; Conv2D
+multiplies all N column tensors in one stacked product whose slice n is
+bitwise the product for sample n alone. `forward_batch` runs N inputs;
+`forward` is the N=1 batch and returns views without the batch axis, and the
+single-sample helpers (`conv_apply`, `window_columns`, `linear_pair`, ...) are
+N=1 views too, so one input gives bitwise the same result either way.
+Training runs one batched forward and one reverse sweep per minibatch.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ def as_tensor(values, name="tensor"):
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a numeric array ({exc})") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -170,7 +180,7 @@ def layer_output_shape(layer, in_shape):
             raise ValueError(f"Conv2D expects {expected} input channels, got {in_shape[0]}")
     else:
         channels, window = in_shape[0], layer.window
-    geom = _window_geometry(in_shape, window, layer.stride, layer.padding)
+    geom = _window_geometry(tuple(in_shape), tuple(window), layer.stride, layer.padding)
     return (channels, geom.out_h, geom.out_w)
 
 
@@ -236,7 +246,9 @@ class WindowGeom(NamedTuple):
     out_w: int
 
 
+@lru_cache(maxsize=256)
 def _window_geometry(in_shape, window, stride, padding):
+    """Geometry of `window` sliding over a (C, H, W) `in_shape`; both are tuples."""
     c, h, w = in_shape
     kh, kw = window
     oh = _out_extent(h, kh, stride, padding)
@@ -257,6 +269,15 @@ def _window_index(geom):
     return index
 
 
+def _columns(planes, geom):
+    """Window columns of (M, H, W) planes as a C-contiguous (M, kh*kw,
+    out_h*out_w) array; `geom` may count the channels of one sample only."""
+    p = geom.padding
+    xp = np.pad(planes, ((0, 0), (p, p), (p, p))) if p else planes
+    # np.take, unlike xp[:, index], returns the gather C-contiguous
+    return np.take(xp.reshape(len(planes), -1), _window_index(geom), axis=1)
+
+
 def window_columns(x, window, stride, padding):
     """Extract pooling/convolution windows of a (C, H, W) tensor.
 
@@ -264,22 +285,19 @@ def window_columns(x, window, stride, padding):
     window axis is ordered row-major, i.e. by ascending linear index inside
     the window.
     """
-    geom = _window_geometry(x.shape, window, stride, padding)
-    p = geom.padding
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    # np.take, unlike xp[:, index], returns the gather C-contiguous
-    return np.take(xp.reshape(geom.channels, -1), _window_index(geom), axis=1), geom
+    geom = _window_geometry(x.shape, tuple(window), stride, padding)
+    return _columns(x, geom), geom
 
 
 def _scatter(values, index, geom):
-    """Sum (C, ...) values into zero (C, pad_h, pad_w) planes at the flat plane
-    positions `index` (one map shared by every channel, or one per channel),
-    then crop the padding. Each position sums its values in flattened order."""
-    c, plane = geom.channels, geom.pad_h * geom.pad_w
-    values = values.reshape(c, -1)
-    flat = index.reshape(-1, values.shape[1]) + np.arange(0, c * plane, plane)[:, None]
-    planes = np.bincount(flat.ravel(), weights=values.ravel(), minlength=c * plane)
-    planes = planes.reshape(c, geom.pad_h, geom.pad_w)
+    """Sum (M, ...) values into M zero (pad_h, pad_w) planes at the flat plane
+    positions `index` (one map shared by every plane, or one per plane), then
+    crop the padding. Each position sums its values in flattened order."""
+    m, plane = len(values), geom.pad_h * geom.pad_w
+    values = values.reshape(m, -1)
+    flat = index.reshape(-1, values.shape[1]) + np.arange(0, m * plane, plane)[:, None]
+    planes = np.bincount(flat.ravel(), weights=values.ravel(), minlength=m * plane)
+    planes = planes.reshape(m, geom.pad_h, geom.pad_w)
     p = geom.padding
     return planes[:, p:geom.pad_h - p, p:geom.pad_w - p] if p else planes
 
@@ -289,24 +307,54 @@ def window_scatter(cols, geom):
     return _scatter(cols, _window_index(geom), geom)
 
 
+def _conv_columns(x, kernel, stride, padding):
+    """Window columns of an (N, C, H, W) batch as (N, C*kh*kw, out_h*out_w),
+    and the window geometry of one sample."""
+    n, c, h, w = x.shape
+    geom = _window_geometry(x.shape[1:], kernel, stride, padding)
+    return _columns(x.reshape(n * c, h, w), geom).reshape(n, c * geom.kh * geom.kw, -1), geom
+
+
+def _conv(weights, x, stride, padding):
+    """Cross-correlate (F, C, kh, kw) weights with (N, C, H, W) tensors: one
+    stacked product whose slice n is the product for sample n alone."""
+    f = len(weights)
+    cols, geom = _conv_columns(x, weights.shape[2:], stride, padding)
+    return (weights.reshape(f, -1) @ cols).reshape(len(x), f, geom.out_h, geom.out_w)
+
+
+def _conv_T(weights, s, stride, padding, in_shape):
+    """Adjoint of _conv: push (N, F, oh, ow) values back to (N,) + in_shape."""
+    f, c, kh, kw = weights.shape
+    n, in_shape = len(s), tuple(in_shape)
+    geom = _window_geometry(in_shape, (kh, kw), stride, padding)
+    cols = weights.reshape(f, -1).T @ s.reshape(n, f, -1)
+    return _scatter(cols.reshape(n * c, kh * kw, -1), _window_index(geom),
+                    geom).reshape((n,) + in_shape)
+
+
 def conv_apply(weights, x, stride, padding):
     """Cross-correlate (out_ch, in_ch, kh, kw) weights with a (C, H, W) tensor (no bias)."""
-    f, c, kh, kw = weights.shape
-    cols, geom = window_columns(x, (kh, kw), stride, padding)
-    out = weights.reshape(f, c * kh * kw) @ cols.reshape(c * kh * kw, -1)
-    return out.reshape(f, geom.out_h, geom.out_w)
+    return _conv(weights, x[None], stride, padding)[0]
 
 
 def conv_transpose_apply(weights, s, stride, padding, in_shape):
     """Adjoint of conv_apply: push (F, oh, ow) values back to the input shape."""
-    f, c, kh, kw = weights.shape
-    geom = _window_geometry(in_shape, (kh, kw), stride, padding)
-    cols = weights.reshape(f, c * kh * kw).T @ s.reshape(f, -1)
-    return window_scatter(cols.reshape(c, kh * kw, -1), geom)
+    return _conv_T(weights, s[None], stride, padding, in_shape)[0]
 
 
-# (apply, apply_T) of a Dense layer: weights are (in, out)
-DENSE_PAIR = (lambda w, a: a @ w, lambda w, s: w @ s)
+# (apply, apply_T) of a Dense layer: weights are (in, out); both take one
+# sample or an (N, ...) batch
+DENSE_PAIR = (lambda w, a: a @ w, lambda w, s: (w @ s.T).T)
+
+
+def _batch_pair(layer, in_shape):
+    """linear_pair over (N,) + `in_shape` batches."""
+    if layer.kind == "Dense":
+        return DENSE_PAIR
+    stride, padding = layer.stride, layer.padding
+    return (lambda w, a: _conv(w, a, stride, padding),
+            lambda w, s: _conv_T(w, s, stride, padding, in_shape))
 
 
 def linear_pair(layer, in_shape):
@@ -329,52 +377,60 @@ def add_bias(z, bias):
 
 
 def _layer_forward(layer, x):
-    kind = layer.kind
+    """Output of `layer` on an (N, ...) batch, and the MaxPool winner map
+    (None for every other kind)."""
+    kind, n = layer.kind, len(x)
     if kind in WEIGHTED_KINDS:
-        apply, _ = linear_pair(layer, x.shape)
-        return add_bias(apply(layer.weights, x), layer.bias), None
+        apply, _ = _batch_pair(layer, x.shape[1:])
+        z = apply(layer.weights, x)
+        z += layer.bias.reshape((-1,) + (1,) * (z.ndim - 2))  # z is a fresh array
+        return z, None
     if kind == "ReLU":
         return np.maximum(x, 0.0), None
     if kind == "Flatten":
-        return x.reshape(-1), None
-    cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
+        return x.reshape(n, -1), None
+    # pools: the N*C planes of the batch share one window index map
+    geom = _window_geometry(x.shape[1:], layer.window, layer.stride, layer.padding)
+    out_shape = (n, geom.channels, geom.out_h, geom.out_w)
+    cols = _columns(x.reshape((-1,) + x.shape[2:]), geom)
     if kind == "SumPool":
-        pooled, extra = cols.sum(axis=1), None
-    elif kind == "AvgPool":
-        pooled, extra = cols.mean(axis=1), None
-    else:  # MaxPool; argmax takes the first maximum = lowest in-window linear index
-        arg = cols.argmax(axis=1)
-        pooled = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-        extra = np.take_along_axis(_window_index(geom), arg, axis=0).reshape(
-            geom.channels, geom.out_h, geom.out_w)
-    return pooled.reshape(geom.channels, geom.out_h, geom.out_w), extra
+        return cols.sum(axis=1).reshape(out_shape), None
+    if kind == "AvgPool":
+        return cols.mean(axis=1).reshape(out_shape), None
+    # MaxPool; argmax takes the first maximum = lowest in-window linear index
+    arg = cols.argmax(axis=1)
+    pooled = np.take_along_axis(cols, arg[:, None, :], axis=1)
+    winner = np.take_along_axis(_window_index(geom), arg, axis=0)
+    return pooled.reshape(out_shape), winner.reshape(out_shape)
 
 
 def _layer_backward(layer, x, extra, g):
+    """Gradient at the (N, ...) input `x` of `layer`, given the gradient `g`
+    at its output and the winner map `extra` of a MaxPool."""
     kind = layer.kind
     if kind in WEIGHTED_KINDS:
-        _, apply_T = linear_pair(layer, x.shape)
+        _, apply_T = _batch_pair(layer, x.shape[1:])
         return apply_T(layer.weights, g)
     if kind == "ReLU":
         # derivative at 0 is taken as 0
         return g * (x > 0.0)
     if kind == "Flatten":
         return g.reshape(x.shape)
-    geom = _window_geometry(x.shape, layer.window, layer.stride, layer.padding)
+    geom = _window_geometry(x.shape[1:], layer.window, layer.stride, layer.padding)
+    planes = len(x) * geom.channels
     if kind == "MaxPool":
-        return _scatter(g, extra, geom)
-    share = g if kind == "SumPool" else g / (geom.kh * geom.kw)
-    cols = np.broadcast_to(share.reshape(geom.channels, 1, -1),
-                           (geom.channels, geom.kh * geom.kw, geom.out_h * geom.out_w))
-    return window_scatter(cols, geom)
+        back = _scatter(g.reshape(planes, -1), extra, geom)
+    else:
+        share = g if kind == "SumPool" else g / (geom.kh * geom.kw)
+        cols = np.broadcast_to(share.reshape(planes, 1, -1),
+                               (planes, geom.kh * geom.kw, geom.out_h * geom.out_w))
+        back = _scatter(cols, _window_index(geom), geom)
+    return back.reshape(x.shape)
 
 
-def forward(network, x):
-    """Run the network on one input, recording every intermediate activation."""
-    x = as_tensor(x, "input")
-    if x.shape != network.input_shape:
-        raise ValueError(f"input shape {x.shape} does not match network input "
-                         f"{network.input_shape}")
+def _forward_rows(network, x):
+    """Per-layer inputs, outputs and MaxPool winner maps of a validated
+    (N,) + input_shape batch, as three lists."""
     inputs, outputs, aux = [], [], []
     for i, layer in enumerate(network.layers):
         try:
@@ -385,17 +441,59 @@ def forward(network, x):
         outputs.append(y)
         aux.append(extra)
         x = y
-    return ActivationTrace(tuple(inputs), tuple(outputs), tuple(aux))
+    return inputs, outputs, aux
 
 
-def _reverse_sweep(network, trace, g):
+def _take(tensors, pick):
+    """`t[pick]` of every tensor (None stays None): pick 0 drops an N=1 batch
+    axis, pick None adds one."""
+    return tuple([None if t is None else t[pick] for t in tensors])
+
+
+def sample_bytes(network):
+    """Bytes of the widest tensor one sample makes in a forward pass: an
+    activation, or the window columns of a windowed layer."""
+    widest = max(int(np.prod(shape)) for shape in network.activation_shapes)
+    for layer, shape in zip(network.layers, network.activation_shapes):
+        if layer.kind in WINDOWED_KINDS:
+            window = layer.weights.shape[2:] if layer.kind == "Conv2D" else layer.window
+            g = _window_geometry(shape, window, layer.stride, layer.padding)
+            widest = max(widest, g.channels * g.kh * g.kw * g.out_h * g.out_w)
+    return 8 * widest
+
+
+def forward_batch(network, x):
+    """Run the network on an (N,) + input_shape batch; every tensor of the
+    returned trace has the leading batch axis."""
+    x = as_tensor(x, "input batch")
+    if x.ndim == 0 or x.shape[1:] != network.input_shape or len(x) == 0:
+        raise ValueError(f"input batch of shape {x.shape} is not one or more rows of the "
+                         f"network input {network.input_shape}")
+    return ActivationTrace(*map(tuple, _forward_rows(network, x)))
+
+
+def forward(network, x):
+    """Run the network on one input, recording every intermediate activation.
+    This is the N=1 batch, returned without the batch axis."""
+    x = as_tensor(x, "input")
+    if x.shape != network.input_shape:
+        raise ValueError(f"input shape {x.shape} does not match network input "
+                         f"{network.input_shape}")
+    _, outputs, aux = _forward_rows(network, x[None])
+    outputs = _take(outputs, 0)
+    # each layer's input is the previous layer's output
+    return ActivationTrace((x,) + outputs[:-1], outputs, _take(aux, 0))
+
+
+def _reverse_sweep(network, inputs, aux, g):
     """Yield the gradient of `g . logits` at the output of every layer, last
-    layer first, then at the network input. Lazy: a layer's backward step runs
-    only when the next gradient is asked for, so training uses each gradient
-    before that step and stops at the first weighted layer."""
+    layer first, then at the network input, for the (N, ...) layer `inputs`
+    and winner maps `aux` of a batched forward. Lazy: a layer's backward step
+    runs only when the next gradient is asked for, so training uses each
+    gradient before that step and stops at the first weighted layer."""
     for idx in reversed(range(len(network.layers))):
         yield g
-        g = _layer_backward(network.layers[idx], trace.inputs[idx], trace.aux[idx], g)
+        g = _layer_backward(network.layers[idx], inputs[idx], aux[idx], g)
     yield g
 
 
@@ -404,8 +502,9 @@ def seeded_gradient(network, trace, output_seed):
     g = as_tensor(output_seed, "output seed")
     if g.shape != (network.class_count,):
         raise ValueError(f"output seed must have shape ({network.class_count},)")
-    *_, input_grad = _reverse_sweep(network, trace, g)
-    return input_grad
+    *_, input_grad = _reverse_sweep(network, _take(trace.inputs, None),
+                                    _take(trace.aux, None), g[None])
+    return input_grad[0]
 
 
 def gradient(network, x=None, class_index=0, trace=None):
@@ -422,12 +521,13 @@ def gradient(network, x=None, class_index=0, trace=None):
 
 
 def log_softmax(logits):
-    """Numerically stable log-probabilities of a 1-D logit vector."""
+    """Numerically stable log-probabilities of a 1-D logit vector, or of each
+    row of an (N, classes) array."""
     v = as_tensor(logits, "logits")
-    if v.ndim != 1:
-        raise ValueError("log_softmax expects a 1-D logit vector")
-    shifted = v - v.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    if v.ndim not in (1, 2):
+        raise ValueError("log_softmax expects a 1-D logit vector or an (N, classes) array")
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(logits):
@@ -442,17 +542,25 @@ def check_explained_output(name):
 def class_output(logits, class_index, explained_output="logit"):
     """(f_c, df_c/dlogits) of class c: the logit (one-hot gradient) or log p(c | x)
     (one-hot minus softmax). Rejects an unknown output name and c outside
-    [0, len(logits))."""
+    [0, classes). On (N, classes) logits, `class_index` is one class for every
+    row or one per row, and the result is (N,) values and (N, classes) seeds."""
     check_explained_output(explained_output)
-    if not 0 <= class_index < len(logits):
-        raise ValueError(f"class_index {class_index} out of range [0, {len(logits)})")
-    seed = np.zeros(len(logits))
-    seed[class_index] = 1.0
-    if explained_output == "logit":
-        return float(logits[class_index]), seed
-    logp = log_softmax(logits)
-    seed -= np.exp(logp)
-    return float(logp[class_index]), seed
+    logits = np.asarray(logits)
+    classes = logits.shape[-1]
+    if logits.ndim == 1:
+        pick, in_range = class_index, 0 <= class_index < classes
+    else:
+        index = np.asarray(class_index)
+        pick, in_range = (np.arange(len(logits)), index), np.all((0 <= index) & (index < classes))
+    if not in_range:
+        raise ValueError(f"class_index {class_index} out of range [0, {classes})")
+    seed = np.zeros(logits.shape)
+    seed[pick] = 1.0
+    if explained_output == "log_probability":
+        logits = log_softmax(logits)
+        seed -= np.exp(logits)
+    value = logits[pick]
+    return (float(value), seed) if seed.ndim == 1 else (value, seed)
 
 
 def require_int(name, value, minimum):
@@ -481,22 +589,28 @@ class TrainConfig:
 
 
 def _weight_grad(layer, x, g):
-    """Gradient of `g . output` with respect to the weights of a weighted layer."""
+    """Gradient of `sum_n g_n . output_n` with respect to the weights of a
+    weighted layer, over an (N, ...) batch of inputs `x`."""
     if layer.kind == "Dense":
-        return np.outer(x, g)
-    f, c, kh, kw = layer.weights.shape
-    cols, _ = window_columns(x, (kh, kw), layer.stride, layer.padding)
-    gw = g.reshape(f, -1) @ cols.reshape(c * kh * kw, -1).T
+        return x.T @ g
+    cols, _ = _conv_columns(x, layer.weights.shape[2:], layer.stride, layer.padding)
+    # one product per sample, summed over the batch in order
+    gw = (g.reshape(len(x), len(layer.weights), -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
     return gw.reshape(layer.weights.shape)
 
 
-def _backprop_param_grads(network, trace, seed, grads):
-    down_to_first_weighted = range(len(network.layers) - 1, min(grads, default=0) - 1, -1)
-    for idx, g in zip(down_to_first_weighted, _reverse_sweep(network, trace, seed)):
-        if idx in grads:
-            gw, gb = grads[idx]
-            gw += _weight_grad(network.layers[idx], trace.inputs[idx], g)
-            gb += g.reshape(len(gb), -1).sum(axis=1)
+def _param_grads(network, inputs, aux, seed, weighted):
+    """{idx: (weight gradient, bias gradient)} of `sum_n seed_n . logits_n` for
+    the layers in `weighted`, from one reverse sweep of a batched forward that
+    stops at the first of them."""
+    grads = {}
+    down_to_first_weighted = range(len(network.layers) - 1, min(weighted, default=0) - 1, -1)
+    for idx, g in zip(down_to_first_weighted, _reverse_sweep(network, inputs, aux, seed)):
+        if idx in weighted:
+            layer = network.layers[idx]
+            grads[idx] = (_weight_grad(layer, inputs[idx], g),
+                          g.reshape(len(g), len(layer.bias), -1).sum(axis=(0, 2)))
+    return grads
 
 
 def _with_params(network, params):
@@ -533,16 +647,14 @@ def train_sgd(network, inputs, labels, config, verbose=False):
         losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = {idx: [np.zeros_like(w), np.zeros_like(b)]
-                     for idx, (w, b) in params.items()}
-            for i in batch:
-                trace = forward(net, data[i])
-                logp, seed = class_output(trace.logits, targets[i], "log_probability")
-                losses.append(-logp)
-                _backprop_param_grads(net, trace, -seed, grads)
+            layer_inputs, outputs, aux = _forward_rows(net, data[batch])
+            logp, seed = class_output(outputs[-1], targets[batch], "log_probability")
+            losses.extend(-logp)
+            grads = _param_grads(net, layer_inputs, aux, -seed, params)
             scale = config.learning_rate / len(batch)
             for idx, (gw, gb) in grads.items():
-                params[idx][0] -= scale * gw
+                gw *= scale  # in place: one weight-sized temporary fewer
+                params[idx][0] -= gw
                 params[idx][1] -= scale * gb
                 if config.nonpositive_bias:
                     params[idx][1] = np.minimum(params[idx][1], 0.0)

@@ -334,3 +334,56 @@ def test_prototype_rejects_bad_search_settings(model_path, tmp_path, capsys, fla
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_negative_limit(dataset, tmp_path, capsys):
+    images, labels = dataset
+    out = tmp_path / "model.json"
+    code = main(["train", "--data", images, "--labels", labels, "--arch", "flatten/dense:2",
+                 "--limit", "-5", "--out", str(out)])
+    assert code == 1
+    assert "--limit must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "evaluate", "prototype", "render"])
+def test_negative_seed_flag_is_rejected_by_every_subcommand(model_path, dataset, tmp_path,
+                                                            capsys, command):
+    images, labels = dataset
+    out = str(tmp_path / "out")
+    argv = {"train": ["--data", images, "--labels", labels, "--arch", "flatten/dense:2"],
+            "explain": ["--model", model_path, "--data", images],
+            "evaluate": ["--model", model_path, "--data", images, "--continuity"],
+            "prototype": ["--model", model_path, "--class", "0"],
+            "render": ["--heatmap", out]}[command]
+    assert main([command, *argv, "--out", out, "--seed", "-1"]) == 1
+    assert "--seed must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bad_rk_seed_is_rejected_naming_the_variable(model_path, dataset, tmp_path, capsys,
+                                                     monkeypatch, value):
+    images, _ = dataset
+    monkeypatch.setenv("RK_SEED", value)
+    out = tmp_path / "continuity.csv"
+    code = main(["evaluate", "--model", model_path, "--data", images, "--continuity",
+                 "--out", str(out)])
+    assert code == 1
+    assert f"RK_SEED must be a non-negative integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conv_maxpool_train_and_patch1_flip_are_byte_reproducible(dataset, tmp_path):
+    images, labels = dataset
+    digests = []
+    for run in ("one", "two"):
+        root = tmp_path / run
+        root.mkdir()
+        model, summary = root / "model.json", root / "flip.csv"
+        assert main(["train", "--data", images, "--labels", labels, "--out", str(model),
+                     "--arch", "conv:4x3x3:p1/relu/maxpool:2x2/flatten/dense:2",
+                     "--epochs", "2", "--batch", "8", "--seed", "3"]) == 0
+        assert main(["evaluate", "--model", str(model), "--data", images, "--pixel-flip",
+                     "--patch", "1", "--count", "3", "--out", str(summary)]) == 0
+        digests.append([_digest(p) for p in (model, summary)])
+    assert digests[0] == digests[1]

@@ -1,6 +1,7 @@
 """Pixel-flipping selectivity, AUC arithmetic, and continuity estimation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -187,3 +188,23 @@ def test_unknown_explained_output_in_heatmap_meta_is_rejected():
                                          {"class_index": 0, "explained_output": "probability"})
     with pytest.raises(ValueError, match="explained_output.*'probability'"):
         relkit.pixel_flip(net, [1.0, 1.0], heatmap)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"patch": 0}, "patch must be >= 1, got 0"),
+    ({"patch": True}, "patch must be an integer, got True"),
+    ({"patch": 2.0}, "patch must be an integer, got 2.0"),
+    ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+    ({"max_steps": -1}, "max_steps must be >= 0, got -1"),
+    ({"fill": np.nan}, "fill must be a finite number, got nan"),
+    ({"fill": np.inf}, "fill must be a finite number, got inf"),
+    ({"fill": "0"}, "fill must be a finite number, got '0'"),
+])
+def test_flip_config_names_the_bad_field(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        relkit.FlipConfig(**fields)
+
+
+def test_flip_config_accepts_numpy_scalars():
+    config = relkit.FlipConfig(patch=np.int64(2), fill=np.float32(0.5), max_steps=np.int32(3))
+    assert (config.patch, config.fill, config.max_steps) == (2, 0.5, 3)

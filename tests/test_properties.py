@@ -8,13 +8,15 @@ import json
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import relkit
+from relkit import evalkit
 from relkit.modelio import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ModelFormatError
-from relkit.netcore import layer_output_shape, window_columns, window_scatter
+from relkit.netcore import layer_output_shape, sample_bytes, window_columns, window_scatter
 
 from conftest import central_difference, with_random_biases
 from test_modelio import HAND_MODEL
@@ -275,3 +277,153 @@ def test_gradient_matches_central_differences_on_generated_windowed_nets(arch):
     fd = central_difference(lambda v: relkit.forward(net, v).logits[c], x, h=1e-5)
     ad = relkit.gradient(net, x, c)
     assert np.abs(fd - ad).max() <= 1e-4 * max(np.abs(ad).max(), 1e-9)
+
+
+# ---- the batch axis: every batched result against a per-sample reference
+
+BATCHED = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def generated_nets():
+    """(input_shape, plan, seed, class): the dense stacks of architectures()
+    and the conv + pool nets of windowed_architectures()."""
+    return st.one_of(architectures().map(lambda arch: (*arch, 0)), windowed_architectures())
+
+
+def _built(arch):
+    in_shape, plan, seed, c = arch
+    rng = np.random.default_rng(seed)
+    return with_random_biases(relkit.random_network(in_shape, plan, seed), rng), rng, c
+
+
+def _close(got, want, rtol=1e-12):
+    return np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+@BATCHED
+@given(generated_nets(), st.integers(1, 6))
+def test_batched_forward_rows_equal_single_sample_forwards(arch, rows):
+    net, rng, _ = _built(arch)
+    xs = rng.standard_normal((rows,) + net.input_shape)
+    batch = relkit.forward_batch(net, xs)
+    for i, x in enumerate(xs):
+        single = relkit.forward(net, x)
+        for got, want in zip(batch.outputs, single.outputs):
+            assert got.shape == (rows,) + want.shape
+            assert _close(got[i], want)
+        for got, want in zip(batch.aux, single.aux):
+            assert (got is None) == (want is None)
+            if want is not None:  # MaxPool winner maps
+                assert np.array_equal(got[i], want)
+
+
+@st.composite
+def flip_cases(draw):
+    """(arch, patch, chunk rows, max_steps, fill, explained output). Patch 2
+    rounds a conv net's input extents up to even ones."""
+    in_shape, plan, seed, c = draw(generated_nets())
+    patch = draw(st.sampled_from([1, 2])) if len(in_shape) == 3 else 1
+    if patch == 2:
+        in_shape = (in_shape[0],) + tuple(e + e % 2 for e in in_shape[1:])
+    return ((in_shape, plan, seed, c), patch, draw(st.integers(1, 5)),
+            draw(st.none() | st.integers(0, 40)), draw(st.sampled_from([0.0, 0.5, -1.0])),
+            draw(st.sampled_from(relkit.netcore.EXPLAINED_OUTPUTS)))
+
+
+def _reference_flip(net, x, scores, c, mode, patch, fill, max_steps):
+    """One forward per removal step, regions removed one by one."""
+    def value(v):
+        logits = relkit.forward(net, v).logits
+        return logits[c] if mode == "logit" else relkit.log_softmax(logits)[c]
+
+    if patch == 1:
+        regions = [np.unravel_index(i, x.shape) for i in range(x.size)]
+    else:
+        regions = [(slice(None), slice(r, r + patch), slice(k, k + patch))
+                   for r in range(0, x.shape[1], patch) for k in range(0, x.shape[2], patch)]
+    order = np.argsort([-scores[region].sum() for region in regions], kind="stable")
+    order = order[:max_steps]
+    work, values = x.copy(), [value(x)]
+    for region_id in order:
+        work[regions[region_id]] = fill
+        values.append(value(work))
+    return order, np.array(values)
+
+
+@BATCHED
+@given(flip_cases())
+def test_pixel_flip_equals_a_per_step_forward_reference(case):
+    arch, patch, rows, max_steps, fill, mode = case
+    net, rng, c = _built(arch)
+    x = rng.standard_normal(net.input_shape)
+    scores = rng.integers(-2, 3, net.input_shape).astype(float)  # ties keep the lowest index
+    heatmap = relkit.Heatmap.from_scores(scores, 1.0, "t",
+                                         {"class_index": c, "explained_output": mode})
+    # chunks of `rows` removal steps
+    with mock.patch.object(evalkit, "_CHUNK_BYTES", rows * sample_bytes(net)):
+        curve = relkit.pixel_flip(net, x, heatmap,
+                                  relkit.FlipConfig(patch=patch, fill=fill, max_steps=max_steps))
+    order, values = _reference_flip(net, x, scores, c, mode, patch, fill, max_steps)
+    assert curve.order == tuple(order)
+    assert curve.values[0] == values[0]
+    assert len(curve.values) == len(values)
+    assert np.abs(np.array(curve.values) - values).max() <= 1e-12 * np.abs(values).max()
+
+
+def _per_sample_sgd_epoch(net, data, labels, config):
+    """One epoch of the same minibatch SGD, one sample at a time: each weighted
+    layer's gradient is the outer product (Dense) or the window-offset
+    correlation (Conv2D) of its input with the gradient at its output."""
+    order = np.random.default_rng(config.seed).permutation(len(data))
+    weighted = [i for i, layer in enumerate(net.layers) if layer.weights is not None]
+    params = {i: [net.layers[i].weights.copy(), net.layers[i].bias.copy()] for i in weighted}
+    for start in range(0, len(data), config.batch_size):
+        batch = order[start:start + config.batch_size]
+        layers = [relkit.LayerSpec(layer.kind, params[i][0], params[i][1], layer.stride,
+                                   layer.padding) if i in params else layer
+                  for i, layer in enumerate(net.layers)]
+        current = relkit.Network(layers, net.input_shape, net.class_count)
+        sums = {i: [np.zeros_like(w), np.zeros_like(b)] for i, (w, b) in params.items()}
+        for k in batch:
+            trace = relkit.forward(current, data[k])
+            seed = relkit.softmax(trace.logits) - np.eye(net.class_count)[labels[k]]
+            for i in weighted:
+                if i == len(layers) - 1:
+                    g = seed
+                else:  # gradient at layer i's output: the rest of the net, seeded
+                    rest = relkit.Network(layers[i + 1:], current.activation_shapes[i + 1],
+                                          net.class_count)
+                    g = relkit.seeded_gradient(rest, relkit.forward(rest, trace.outputs[i]),
+                                               seed)
+                a, layer = trace.inputs[i], layers[i]
+                if layer.kind == "Dense":
+                    sums[i][0] += np.outer(a, g)
+                    sums[i][1] += g
+                else:
+                    f, _, kh, kw = layer.weights.shape
+                    cols = _offset_columns(a, (kh, kw), layer.stride, layer.padding)
+                    sums[i][0] += (g.reshape(f, -1) @ cols.reshape(-1, g[0].size).T).reshape(
+                        layer.weights.shape)
+                    sums[i][1] += g.reshape(f, -1).sum(axis=1)
+        for i, (gw, gb) in sums.items():
+            params[i][0] -= config.learning_rate / len(batch) * gw
+            params[i][1] -= config.learning_rate / len(batch) * gb
+            if config.nonpositive_bias:
+                params[i][1] = np.minimum(params[i][1], 0.0)
+    return params
+
+
+@BATCHED
+@given(generated_nets(), st.integers(1, 9), st.integers(1, 4), st.booleans())
+def test_train_sgd_epoch_equals_a_per_sample_gradient_reference(arch, samples, batch_size,
+                                                                nonpositive_bias):
+    net, rng, _ = _built(arch)
+    data = rng.standard_normal((samples,) + net.input_shape)
+    labels = rng.integers(0, net.class_count, samples)
+    config = relkit.TrainConfig(learning_rate=0.1, epochs=1, batch_size=batch_size,
+                                seed=int(rng.integers(2 ** 16)),
+                                nonpositive_bias=nonpositive_bias)
+    trained = relkit.train_sgd(net, data, labels, config)
+    for i, (w, b) in _per_sample_sgd_epoch(net, data, labels, config).items():
+        assert _close(trained.layers[i].weights, w)
+        assert _close(trained.layers[i].bias, b)
