@@ -43,11 +43,15 @@ def _adapt_sample(image, input_shape):
                      f"network input shape {tuple(input_shape)}")
 
 
+def _dataset_image(images, flag, index):
+    """Image `index` of a dataset, or an error that names the `flag` giving it."""
+    if not 0 <= index < images.shape[0]:
+        raise ValueError(f"{flag} {index} out of range for {images.shape[0]} images")
+    return images[index]
+
+
 def _indexed_image(args):
-    images = modelio.load_idx(args.data)
-    if not 0 <= args.index < images.shape[0]:
-        raise ValueError(f"--index {args.index} out of range for {images.shape[0]} images")
-    return images[args.index]
+    return _dataset_image(modelio.load_idx(args.data), "--index", args.index)
 
 
 def parse_architecture(text):
@@ -247,10 +251,8 @@ def _cmd_prototype(args):
     if args.eta > 0:
         if images is None or args.x0_index is None:
             raise ValueError("--eta needs --data and --x0-index for the reference point")
-        if not 0 <= args.x0_index < images.shape[0]:
-            raise ValueError(f"--x0-index {args.x0_index} out of range for "
-                             f"{images.shape[0]} images")
-        reference = _adapt_sample(images[args.x0_index], network.input_shape)
+        reference = _adapt_sample(_dataset_image(images, "--x0-index", args.x0_index),
+                                  network.input_shape)
         localization = prototype.Localization(args.eta, reference)
 
     objective = prototype.AmObjective(args.class_index, regularizer, localization)
@@ -294,10 +296,8 @@ def _cmd_evaluate(args):
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
 
-    def sample(i):
-        if not 0 <= i < images.shape[0]:
-            raise ValueError(f"image index {i} out of range for {images.shape[0]} images")
-        return _adapt_sample(images[i], network.input_shape)
+    def sample(i):  # only --index can be out of range
+        return _adapt_sample(_dataset_image(images, "--index", i), network.input_shape)
 
     def classify(x):
         return int(np.argmax(netcore.forward(network, x).logits))
@@ -332,8 +332,8 @@ def _cmd_evaluate(args):
         return 0
 
     # continuity
-    count = args.count or 1
-    probes = [sample(i) for i in range(min(count, images.shape[0]))]
+    probes = ([sample(i) for i in range(min(args.count, images.shape[0]))] if args.count
+              else [sample(args.index)])
     if args.class_index is None:
         args.class_index = classify(probes[0])
     explainer = _explainer(args, model_file)

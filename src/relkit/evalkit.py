@@ -139,10 +139,10 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
     Deterministic for a fixed seed; trials are drawn in an outer loop so a
     longer run extends (never reshuffles) the sample stream.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not np.isfinite(delta) or delta <= 0:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
     probes = [as_tensor(p, "probe") for p in probes]
     base = [_heatmap_scores(explainer(network, p)) for p in probes]
     rng = np.random.default_rng(seed)

@@ -10,8 +10,11 @@ linear operator pair (apply, apply_T) from netcore.linear_pair, as the
 four-step scheme z <- apply(rho(w), a); s <- R / z; c <- apply_T(rho(w), s);
 R <- a * c, where rho is the rule's weight transform (W+, W-, W^2 or W
 itself). Dense and Conv2D layers differ only in their operator pair.
-Denominators smaller in magnitude than the stabilizer absorb their unit's
-relevance instead of being inflated; when the inhibitory branch of the
+The rules, the pool rule and the backward sweep work on (N, ...) batches over
+netcore's batch kernels; `lrp`, `filter_relevance` and the single-layer
+entries (`lrp_pool`, `lrp_dense_*`, `lrp_input_*`) run one sample as the N=1
+batch. Denominators smaller in magnitude than the stabilizer absorb their
+unit's relevance instead of being inflated; when the inhibitory branch of the
 alpha/beta rule is empty the unit falls back to purely excitatory
 redistribution so that layer conservation survives.
 """
@@ -24,8 +27,8 @@ import numpy as np
 
 from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
                       broadcasts_to, check_explained_output, class_output, forward,
-                      linear_pair, seeded_gradient, window_columns, window_scatter,
-                      _layer_backward)
+                      linear_pair, window_columns, window_scatter, _layer_backward,
+                      _take, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +162,8 @@ def safe_divide(numerator, denominator, stabilizer):
 
 def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer):
     """Four-step pass z = apply(rho(w), a); s = R / z; c = apply_T(rho(w), s);
-    R = a * c of one weighted-layer rule over the layer's operator pair."""
+    R = a * c of one weighted-layer rule over the layer's operator pair, for
+    an (N, ...) batch of layer inputs `a` and upper relevances `r_upper`."""
     apply, apply_T = pair
     if isinstance(rule, Epsilon):
         z = add_bias(apply(w, a), bias)
@@ -196,9 +200,9 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer):
 
 
 def _dense_rule(a, weights, bias, r_upper, rule, stabilizer=1e-9):
-    return _redistribute(DENSE_PAIR, np.asarray(a, dtype=np.float64),
+    return _redistribute(DENSE_PAIR, np.asarray(a, dtype=np.float64)[None],
                          np.asarray(weights, dtype=np.float64), bias,
-                         np.asarray(r_upper, dtype=np.float64), rule, stabilizer)
+                         np.asarray(r_upper, dtype=np.float64)[None], rule, stabilizer)[0]
 
 
 def lrp_dense_alphabeta(a, weights, r_upper, alpha, beta, stabilizer=1e-9):
@@ -222,22 +226,26 @@ def lrp_input_zb(x, weights, r_upper, low, high, stabilizer=1e-9):
     return _dense_rule(x, weights, None, r_upper, ZBounds(low, high), stabilizer)
 
 
-def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
-    """Redistribute pooled relevance back over the pool windows."""
-    if layer.kind not in POOL_KINDS:
-        raise ValueError(f"lrp_pool applies to pooling layers, not {layer.kind}")
+def _pool_rule(layer, x, winner, r_upper, policy, stabilizer):
+    """Pool relevance of an (N, C, H, W) batch back over the pool windows."""
     if isinstance(policy, PoolWinnerTakeAll):
         if layer.kind != "MaxPool" or winner is None:
             raise ValueError("winner-take-all needs a MaxPool winner map")
         # the max-pool gradient is exactly the scatter onto the recorded winners
-        r_upper = np.asarray(r_upper, dtype=np.float64)
-        return _layer_backward(layer, x[None], winner[None], r_upper[None])[0]
+        return _layer_backward(layer, x, winner, r_upper)
     if not isinstance(policy, PoolProportional):
         raise ValueError(f"unknown pool policy {policy!r}")
     cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
-    r_flat = np.asarray(r_upper, dtype=np.float64).reshape(geom.channels, -1)
-    s = safe_divide(r_flat, cols.sum(axis=1), stabilizer)
-    return window_scatter(cols * s[:, None, :], geom)
+    s = safe_divide(r_upper.reshape(cols.shape[:2] + (-1,)), cols.sum(axis=-2), stabilizer)
+    return window_scatter(cols * s[..., None, :], geom)
+
+
+def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
+    """Redistribute pooled relevance back over the pool windows."""
+    if layer.kind not in POOL_KINDS:
+        raise ValueError(f"lrp_pool applies to pooling layers, not {layer.kind}")
+    return _propagate_layer(layer, x, winner, np.asarray(r_upper, dtype=np.float64), policy,
+                            stabilizer)
 
 
 def _first_weighted_index(network):
@@ -280,34 +288,52 @@ def _check_rules(network, config):
                              f"{type(rule).__name__} does not apply to this layer kind")
 
 
-def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
+def _propagate(layer, x, extra, r_upper, rule, stabilizer):
+    """Relevance at the (N, ...) input `x` of one layer under its rule."""
     if layer.kind in WEIGHTED_KINDS:
-        return _redistribute(linear_pair(layer, x.shape), x, layer.weights, layer.bias,
+        return _redistribute(linear_pair(layer, x.shape[1:]), x, layer.weights, layer.bias,
                              r_upper, rule, stabilizer)
     if layer.kind in POOL_KINDS:
-        return lrp_pool(layer, x, extra, r_upper, rule, stabilizer)
+        return _pool_rule(layer, x, extra, r_upper, rule, stabilizer)
     return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through
 
 
-def _backward_sweep(network, trace, class_index, config, mask_at=None, mask=None):
-    value, _ = class_output(trace.logits, class_index, config.explained_output)
-    r = np.zeros_like(trace.logits)
-    r[class_index] = value
+def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
+    """_propagate of one sample: the N=1 batch."""
+    extra = None if extra is None else extra[None]
+    return _propagate(layer, x[None], extra, r_upper[None], rule, stabilizer)[0]
+
+
+def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=None,
+                    mask=None):
+    """Per-layer relevances of a batched forward (the layer `inputs`, MaxPool
+    winner maps `aux` and `logits`, each (N, ...)) for one class of every row,
+    the explained values, and the total the mask at layer `mask_at` keeps."""
+    value, _ = class_output(logits, class_index, config.explained_output)
+    r = np.zeros_like(logits)
+    r[:, class_index] = value
     masked_total = None
     if mask_at == len(network.layers):
         r = r * mask
         masked_total = float(np.sum(r))
     rels = [r]
     for idx in reversed(range(len(network.layers))):
-        layer = network.layers[idx]
-        r = _propagate_layer(layer, trace.inputs[idx], trace.aux[idx], r,
-                             config.layer_rules[idx], config.stabilizer)
+        r = _propagate(network.layers[idx], inputs[idx], aux[idx], r,
+                       config.layer_rules[idx], config.stabilizer)
         if idx == mask_at:
             r = r * mask
             masked_total = float(np.sum(r))
         rels.append(r)
     rels.reverse()
     return rels, value, masked_total
+
+
+def _single_sweep(network, trace, class_index, config, mask_at=None, mask=None):
+    """_backward_sweep of a single-sample trace, run as the N=1 batch."""
+    rels, value, masked_total = _backward_sweep(
+        network, _take(trace.inputs, None), _take(trace.aux, None), trace.logits[None],
+        class_index, config, mask_at, mask)
+    return _take(rels, 0), float(value[0]), masked_total
 
 
 def lrp(network, trace, class_index, config):
@@ -317,12 +343,12 @@ def lrp(network, trace, class_index, config):
     elsewhere; every layer is then propagated by its assigned rule.
     """
     _check_rules(network, config)
-    rels, value, _ = _backward_sweep(network, trace, class_index, config)
+    rels, value, _ = _single_sweep(network, trace, class_index, config)
     meta = {"class_index": class_index,
             "explained_output": config.explained_output,
             "rules": config.name,
             "stabilizer": config.stabilizer}
-    return RelevanceTrace(tuple(rels), value, class_index, f"lrp:{config.name}", meta)
+    return RelevanceTrace(rels, value, class_index, f"lrp:{config.name}", meta)
 
 
 def lrp_heatmap(network, x, class_index, config):
@@ -349,8 +375,8 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
                          f"relevance shape {expected}")
     if mask.min() < 0 or mask.max() > 1:
         raise ValueError("mask entries must lie in [0, 1]")
-    rels, value, masked_total = _backward_sweep(network, trace, class_index, config,
-                                                mask_at=layer_index, mask=mask)
+    rels, value, masked_total = _single_sweep(network, trace, class_index, config,
+                                              mask_at=layer_index, mask=mask)
     meta = {"class_index": class_index,
             "explained_output": config.explained_output,
             "rules": config.name,
@@ -361,16 +387,9 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
     return hm
 
 
-def _input_gradient(network, x, class_index, explained_output):
-    # forward pass, the explained value and its gradient at the input
-    trace = forward(network, x)
-    value, seed = class_output(trace.logits, class_index, explained_output)
-    return trace, value, seeded_gradient(network, trace, seed)
-
-
 def sensitivity(network, x, class_index, explained_output="logit"):
     """Squared partial derivatives; decomposes the squared gradient norm."""
-    _, _, g = _input_gradient(network, x, class_index, explained_output)
+    _, _, g = _value_and_gradient(network, x, class_index, explained_output)
     scores = g * g
     meta = {"class_index": class_index, "explained_output": explained_output}
     return Heatmap.from_scores(scores, float(np.sum(scores)), "sensitivity", meta)
@@ -382,7 +401,7 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     The unexplained part explained_value - total is reported under the
     "residual" metadata key (zero only in the homogeneous case).
     """
-    trace, value, g = _input_gradient(network, x, class_index, explained_output)
+    trace, value, g = _value_and_gradient(network, x, class_index, explained_output)
     scores = g * trace.input
     hm = Heatmap.from_scores(scores, value, "simple_taylor",
                              {"class_index": class_index,

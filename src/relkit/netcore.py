@@ -15,15 +15,16 @@ reads its windows through one cached index map, `_window_index`, of flat
 positions in the zero-padded input plane: window columns are a gather over
 it, their adjoint and the MaxPool winner scatter are one `bincount` over it.
 
-The layer kernels, the reverse sweep and the weight gradient work on batches
-with a leading axis of N samples. Pools and the Conv2D window gather fold N
-into the channel axis, so the N*C planes share the one index map; Conv2D
-multiplies all N column tensors in one stacked product whose slice n is
-bitwise the product for sample n alone. `forward_batch` runs N inputs;
-`forward` is the N=1 batch and returns views without the batch axis, and the
-single-sample helpers (`conv_apply`, `window_columns`, `linear_pair`, ...) are
-N=1 views too, so one input gives bitwise the same result either way.
-Training runs one batched forward and one reverse sweep per minibatch.
+Every kernel has one implementation, over batches with a leading axis of N
+samples: the layer kernels, the operator pair `linear_pair`, the reverse
+sweep and the weight gradient. `window_columns` and `window_scatter` take any
+leading axes before (C, H, W), and only the scatter folds them into planes;
+all planes share the one index map. Conv2D multiplies all N column tensors in
+one stacked product whose slice n is bitwise the product for sample n alone.
+`forward_batch` runs N inputs; `forward`, `seeded_gradient`, `conv_apply` and
+`conv_transpose_apply` are N=1 views that add and drop the batch axis, so one
+input gives bitwise the same result either way. Training runs one batched
+forward and one reverse sweep per minibatch.
 """
 
 from __future__ import annotations
@@ -269,68 +270,57 @@ def _window_index(geom):
     return index
 
 
-def _columns(planes, geom):
-    """Window columns of (M, H, W) planes as a C-contiguous (M, kh*kw,
-    out_h*out_w) array; `geom` may count the channels of one sample only."""
-    p = geom.padding
-    xp = np.pad(planes, ((0, 0), (p, p), (p, p))) if p else planes
-    # np.take, unlike xp[:, index], returns the gather C-contiguous
-    return np.take(xp.reshape(len(planes), -1), _window_index(geom), axis=1)
-
-
 def window_columns(x, window, stride, padding):
-    """Extract pooling/convolution windows of a (C, H, W) tensor.
+    """Extract pooling/convolution windows of a (..., C, H, W) tensor.
 
-    Returns (cols, geom) where cols has shape (C, kh*kw, out_h*out_w) and the
-    window axis is ordered row-major, i.e. by ascending linear index inside
-    the window.
+    Returns (cols, geom) where cols has shape (..., C, kh*kw, out_h*out_w)
+    and the window axis is ordered row-major, i.e. by ascending linear index
+    inside the window; `geom` describes one (C, H, W) sample.
     """
-    geom = _window_geometry(x.shape, tuple(window), stride, padding)
-    return _columns(x, geom), geom
+    geom = _window_geometry(x.shape[-3:], tuple(window), stride, padding)
+    p = geom.padding
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p))) if p else x
+    # np.take, unlike xp[..., index], returns the gather C-contiguous
+    return np.take(xp.reshape(x.shape[:-2] + (-1,)), _window_index(geom), axis=-1), geom
 
 
 def _scatter(values, index, geom):
-    """Sum (M, ...) values into M zero (pad_h, pad_w) planes at the flat plane
-    positions `index` (one map shared by every plane, or one per plane), then
-    crop the padding. Each position sums its values in flattened order."""
-    m, plane = len(values), geom.pad_h * geom.pad_w
-    values = values.reshape(m, -1)
+    """Sum values into zero (pad_h, pad_w) planes at the flat plane positions
+    `index`, then crop the padding. The last two axes of `values` hold one
+    plane's values and every leading axis counts planes; `index` is one map
+    shared by every plane, or one per plane. Each position sums its values in
+    flattened order. The one place that folds leading axes into planes."""
+    lead, plane = values.shape[:-2], geom.pad_h * geom.pad_w
+    values = values.reshape(-1, values.shape[-2] * values.shape[-1])
+    m = len(values)
     flat = index.reshape(-1, values.shape[1]) + np.arange(0, m * plane, plane)[:, None]
     planes = np.bincount(flat.ravel(), weights=values.ravel(), minlength=m * plane)
-    planes = planes.reshape(m, geom.pad_h, geom.pad_w)
+    planes = planes.reshape(lead + (geom.pad_h, geom.pad_w))
     p = geom.padding
-    return planes[:, p:geom.pad_h - p, p:geom.pad_w - p] if p else planes
+    return planes[..., p:geom.pad_h - p, p:geom.pad_w - p] if p else planes
 
 
 def window_scatter(cols, geom):
-    """Adjoint of window_columns: scatter-add window values back to (C, H, W)."""
+    """Adjoint of window_columns: scatter-add (..., C, kh*kw, out_h*out_w)
+    window values back to (..., C, H, W)."""
     return _scatter(cols, _window_index(geom), geom)
-
-
-def _conv_columns(x, kernel, stride, padding):
-    """Window columns of an (N, C, H, W) batch as (N, C*kh*kw, out_h*out_w),
-    and the window geometry of one sample."""
-    n, c, h, w = x.shape
-    geom = _window_geometry(x.shape[1:], kernel, stride, padding)
-    return _columns(x.reshape(n * c, h, w), geom).reshape(n, c * geom.kh * geom.kw, -1), geom
 
 
 def _conv(weights, x, stride, padding):
     """Cross-correlate (F, C, kh, kw) weights with (N, C, H, W) tensors: one
     stacked product whose slice n is the product for sample n alone."""
     f = len(weights)
-    cols, geom = _conv_columns(x, weights.shape[2:], stride, padding)
-    return (weights.reshape(f, -1) @ cols).reshape(len(x), f, geom.out_h, geom.out_w)
+    cols, geom = window_columns(x, weights.shape[2:], stride, padding)
+    z = weights.reshape(f, -1) @ cols.reshape(len(x), -1, cols.shape[-1])
+    return z.reshape(len(x), f, geom.out_h, geom.out_w)
 
 
 def _conv_T(weights, s, stride, padding, in_shape):
     """Adjoint of _conv: push (N, F, oh, ow) values back to (N,) + in_shape."""
     f, c, kh, kw = weights.shape
-    n, in_shape = len(s), tuple(in_shape)
-    geom = _window_geometry(in_shape, (kh, kw), stride, padding)
-    cols = weights.reshape(f, -1).T @ s.reshape(n, f, -1)
-    return _scatter(cols.reshape(n * c, kh * kw, -1), _window_index(geom),
-                    geom).reshape((n,) + in_shape)
+    geom = _window_geometry(tuple(in_shape), (kh, kw), stride, padding)
+    cols = weights.reshape(f, -1).T @ s.reshape(len(s), f, -1)
+    return window_scatter(cols.reshape(len(s), c, kh * kw, -1), geom)
 
 
 def conv_apply(weights, x, stride, padding):
@@ -343,13 +333,17 @@ def conv_transpose_apply(weights, s, stride, padding, in_shape):
     return _conv_T(weights, s[None], stride, padding, in_shape)[0]
 
 
-# (apply, apply_T) of a Dense layer: weights are (in, out); both take one
-# sample or an (N, ...) batch
+# (apply, apply_T) of a Dense layer: weights are (in, out)
 DENSE_PAIR = (lambda w, a: a @ w, lambda w, s: (w @ s.T).T)
 
 
-def _batch_pair(layer, in_shape):
-    """linear_pair over (N,) + `in_shape` batches."""
+def linear_pair(layer, in_shape):
+    """Bias-free linear operator pair (apply, apply_T) of a weighted layer.
+
+    apply(w, a) maps an (N,) + `in_shape` batch through weights `w` shaped
+    like layer.weights (or any elementwise transform of them); apply_T(w, s)
+    is its adjoint, pushing an output-shaped batch back to (N,) + `in_shape`.
+    """
     if layer.kind == "Dense":
         return DENSE_PAIR
     stride, padding = layer.stride, layer.padding
@@ -357,50 +351,34 @@ def _batch_pair(layer, in_shape):
             lambda w, s: _conv_T(w, s, stride, padding, in_shape))
 
 
-def linear_pair(layer, in_shape):
-    """Bias-free linear operator pair (apply, apply_T) of a weighted layer.
-
-    apply(w, a) maps an `in_shape` tensor through weights `w` shaped like
-    layer.weights (or any elementwise transform of them); apply_T(w, s) is its
-    adjoint, pushing an output-shaped tensor back to `in_shape`.
-    """
-    if layer.kind == "Dense":
-        return DENSE_PAIR
-    stride, padding = layer.stride, layer.padding
-    return (lambda w, a: conv_apply(w, a, stride, padding),
-            lambda w, s: conv_transpose_apply(w, s, stride, padding, in_shape))
-
-
 def add_bias(z, bias):
-    """Add one bias per output unit (Dense) or per output channel (Conv2D)."""
-    return z + bias.reshape((-1,) + (1,) * (z.ndim - 1))
+    """Add one bias per output unit (Dense) or per output channel (Conv2D) to
+    a fresh (N, ...) batch `z`, in place."""
+    z += bias.reshape((-1,) + (1,) * (z.ndim - 2))
+    return z
 
 
 def _layer_forward(layer, x):
     """Output of `layer` on an (N, ...) batch, and the MaxPool winner map
     (None for every other kind)."""
-    kind, n = layer.kind, len(x)
+    kind = layer.kind
     if kind in WEIGHTED_KINDS:
-        apply, _ = _batch_pair(layer, x.shape[1:])
-        z = apply(layer.weights, x)
-        z += layer.bias.reshape((-1,) + (1,) * (z.ndim - 2))  # z is a fresh array
-        return z, None
+        apply, _ = linear_pair(layer, x.shape[1:])
+        return add_bias(apply(layer.weights, x), layer.bias), None
     if kind == "ReLU":
         return np.maximum(x, 0.0), None
     if kind == "Flatten":
-        return x.reshape(n, -1), None
-    # pools: the N*C planes of the batch share one window index map
-    geom = _window_geometry(x.shape[1:], layer.window, layer.stride, layer.padding)
-    out_shape = (n, geom.channels, geom.out_h, geom.out_w)
-    cols = _columns(x.reshape((-1,) + x.shape[2:]), geom)
+        return x.reshape(len(x), -1), None
+    cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
+    out_shape = x.shape[:2] + (geom.out_h, geom.out_w)
     if kind == "SumPool":
-        return cols.sum(axis=1).reshape(out_shape), None
+        return cols.sum(axis=-2).reshape(out_shape), None
     if kind == "AvgPool":
-        return cols.mean(axis=1).reshape(out_shape), None
+        return cols.mean(axis=-2).reshape(out_shape), None
     # MaxPool; argmax takes the first maximum = lowest in-window linear index
-    arg = cols.argmax(axis=1)
-    pooled = np.take_along_axis(cols, arg[:, None, :], axis=1)
-    winner = np.take_along_axis(_window_index(geom), arg, axis=0)
+    arg = cols.argmax(axis=-2)
+    pooled = np.take_along_axis(cols, arg[..., None, :], axis=-2)
+    winner = _window_index(geom)[arg, np.arange(arg.shape[-1])]
     return pooled.reshape(out_shape), winner.reshape(out_shape)
 
 
@@ -409,7 +387,7 @@ def _layer_backward(layer, x, extra, g):
     at its output and the winner map `extra` of a MaxPool."""
     kind = layer.kind
     if kind in WEIGHTED_KINDS:
-        _, apply_T = _batch_pair(layer, x.shape[1:])
+        _, apply_T = linear_pair(layer, x.shape[1:])
         return apply_T(layer.weights, g)
     if kind == "ReLU":
         # derivative at 0 is taken as 0
@@ -417,15 +395,12 @@ def _layer_backward(layer, x, extra, g):
     if kind == "Flatten":
         return g.reshape(x.shape)
     geom = _window_geometry(x.shape[1:], layer.window, layer.stride, layer.padding)
-    planes = len(x) * geom.channels
     if kind == "MaxPool":
-        back = _scatter(g.reshape(planes, -1), extra, geom)
-    else:
-        share = g if kind == "SumPool" else g / (geom.kh * geom.kw)
-        cols = np.broadcast_to(share.reshape(planes, 1, -1),
-                               (planes, geom.kh * geom.kw, geom.out_h * geom.out_w))
-        back = _scatter(cols, _window_index(geom), geom)
-    return back.reshape(x.shape)
+        return _scatter(g.reshape(extra.shape), extra, geom)
+    share = g if kind == "SumPool" else g / (geom.kh * geom.kw)
+    cols = share.reshape(x.shape[:2] + (1, -1))
+    return window_scatter(np.broadcast_to(cols, x.shape[:2] + (geom.kh * geom.kw, cols.shape[-1])),
+                          geom)
 
 
 def _forward_rows(network, x):
@@ -507,17 +482,22 @@ def seeded_gradient(network, trace, output_seed):
     return input_grad[0]
 
 
+def _value_and_gradient(network, x, class_index, explained_output="logit", trace=None):
+    """(trace, f_c, df_c/dx) of one input: its forward trace (or the given
+    one), the explained value of class c and its gradient at the input."""
+    trace = forward(network, x) if trace is None else trace
+    value, seed = class_output(trace.logits, class_index, explained_output)
+    return trace, value, seeded_gradient(network, trace, seed)
+
+
 def gradient(network, x=None, class_index=0, trace=None):
     """Gradient of the selected logit with respect to the input.
 
     Either an input tensor or a previously recorded trace must be supplied.
     """
-    if trace is None:
-        if x is None:
-            raise ValueError("gradient needs an input tensor or an activation trace")
-        trace = forward(network, x)
-    _, seed = class_output(trace.logits, class_index)
-    return seeded_gradient(network, trace, seed)
+    if trace is None and x is None:
+        raise ValueError("gradient needs an input tensor or an activation trace")
+    return _value_and_gradient(network, x, class_index, trace=trace)[2]
 
 
 def log_softmax(logits):
@@ -546,12 +526,15 @@ def class_output(logits, class_index, explained_output="logit"):
     row or one per row, and the result is (N,) values and (N, classes) seeds."""
     check_explained_output(explained_output)
     logits = np.asarray(logits)
+    if logits.ndim == 1:  # row 0 of the batch case
+        value, seed = class_output(logits[None], class_index, explained_output)
+        return float(value[0]), seed[0]
     classes = logits.shape[-1]
-    if logits.ndim == 1:
-        pick, in_range = class_index, 0 <= class_index < classes
+    if isinstance(class_index, (int, np.integer)):  # one class for every row
+        pick, in_range = (slice(None), class_index), 0 <= class_index < classes
     else:
-        index = np.asarray(class_index)
-        pick, in_range = (np.arange(len(logits)), index), np.all((0 <= index) & (index < classes))
+        pick = (np.arange(len(logits)), class_index)
+        in_range = all(0 <= c < classes for c in np.ravel(class_index).tolist())
     if not in_range:
         raise ValueError(f"class_index {class_index} out of range [0, {classes})")
     seed = np.zeros(logits.shape)
@@ -559,8 +542,7 @@ def class_output(logits, class_index, explained_output="logit"):
     if explained_output == "log_probability":
         logits = log_softmax(logits)
         seed -= np.exp(logits)
-    value = logits[pick]
-    return (float(value), seed) if seed.ndim == 1 else (value, seed)
+    return logits[pick].copy(), seed
 
 
 def require_int(name, value, minimum):
@@ -593,7 +575,8 @@ def _weight_grad(layer, x, g):
     weighted layer, over an (N, ...) batch of inputs `x`."""
     if layer.kind == "Dense":
         return x.T @ g
-    cols, _ = _conv_columns(x, layer.weights.shape[2:], layer.stride, layer.padding)
+    cols, _ = window_columns(x, layer.weights.shape[2:], layer.stride, layer.padding)
+    cols = cols.reshape(len(x), -1, cols.shape[-1])
     # one product per sample, summed over the batch in order
     gw = (g.reshape(len(x), len(layer.weights), -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
     return gw.reshape(layer.weights.shape)

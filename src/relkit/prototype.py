@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import as_tensor, class_output, forward, require_int, seeded_gradient, softmax
+from .netcore import as_tensor, forward, require_int, softmax, _value_and_gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +136,7 @@ def _penalize(value, grad, weight, d):
 def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
     x = np.asarray(x, dtype=np.float64)
-    trace = forward(network, x)
-    value, seed = class_output(trace.logits, objective.class_index, "log_probability")
-    grad = seeded_gradient(network, trace, seed)
+    _, value, grad = _value_and_gradient(network, x, objective.class_index, "log_probability")
 
     reg = objective.regularizer
     if isinstance(reg, L2Penalty):

@@ -282,6 +282,33 @@ def test_explain_sliding_window_checks_the_index(dataset, tmp_path, capsys, inde
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task", ["--pixel-flip", "--continuity"])
+def test_evaluate_index_error_names_the_flag(model_path, dataset, tmp_path, capsys, task):
+    images, _ = dataset
+    out = tmp_path / "out.csv"
+    code = main(["evaluate", "--model", model_path, "--data", images, task,
+                 "--index", "999", "--out", str(out)])
+    assert code == 1
+    assert "--index 999 out of range for 80 images" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prototype_x0_index_error_names_the_flag(model_path, dataset, tmp_path, capsys):
+    images, _ = dataset
+    code = main(["prototype", "--model", model_path, "--class", "1", "--data", images,
+                 "--eta", "0.1", "--x0-index", "80", "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "--x0-index 80 out of range for 80 images" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_a_non_finite_delta(model_path, dataset, capsys):
+    images, _ = dataset
+    code = main(["evaluate", "--model", model_path, "--data", images, "--continuity",
+                 "--delta", "nan"])
+    assert code == 1
+    assert "delta must be finite and > 0, got nan" in capsys.readouterr().err
+
+
 def test_train_rejects_zero_batch(dataset, tmp_path, capsys):
     images, labels = dataset
     code = main(["train", "--data", images, "--labels", labels, "--arch", "flatten/dense:2",

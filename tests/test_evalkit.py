@@ -182,6 +182,22 @@ def test_continuity_rejects_bad_arguments():
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], 0.1, 0, 0)
 
 
+@pytest.mark.parametrize("delta,trials,seed,message", [
+    (np.nan, 1, 0, "delta must be finite and > 0, got nan"),
+    (np.inf, 1, 0, "delta must be finite and > 0, got inf"),
+    (-0.1, 1, 0, "delta must be finite and > 0, got -0.1"),
+    (0.1, 2.5, 0, "trials must be an integer, got 2.5"),
+    (0.1, True, 0, "trials must be an integer, got True"),
+    (0.1, 0, 0, "trials must be >= 1, got 0"),
+    (0.1, 1, -1, "seed must be >= 0, got -1"),
+    (0.1, 1, 1.0, "seed must be an integer, got 1.0"),
+])
+def test_continuity_names_the_bad_argument(delta, trials, seed, message):
+    net = linear_net([1.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], delta, trials, seed)
+
+
 def test_unknown_explained_output_in_heatmap_meta_is_rejected():
     net = linear_net([1.0, 2.0])
     heatmap = relkit.Heatmap.from_scores([1.0, 2.0], 3.0, "t",

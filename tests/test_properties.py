@@ -4,6 +4,7 @@ Every property runs a bounded, derandomized example budget so the suite stays
 deterministic and fast.
 """
 
+import dataclasses
 import json
 import struct
 import tempfile
@@ -192,6 +193,21 @@ def test_window_scatter_is_the_adjoint_of_window_columns(case, seed):
 
 
 @FUZZ
+@given(window_cases(), st.integers(1, 4), st.integers(0, 2 ** 16))
+def test_window_helpers_on_a_batch_equal_the_stacked_per_sample_calls(case, rows, seed):
+    x, window, stride, padding = case
+    rng = np.random.default_rng(seed)
+    batch = np.concatenate([x[None], rng.standard_normal((rows - 1,) + x.shape)])
+    cols, geom = window_columns(batch, window, stride, padding)
+    singles = [window_columns(sample, window, stride, padding) for sample in batch]
+    assert all(g == geom for _, g in singles)
+    assert np.array_equal(cols, np.stack([c for c, _ in singles]))
+    values = rng.standard_normal(cols.shape)
+    assert np.array_equal(window_scatter(values, geom),
+                          np.stack([window_scatter(v, geom) for v in values]))
+
+
+@FUZZ
 @given(window_cases(), st.integers(0, 2 ** 16))
 def test_padded_maxpool_winners_gather_the_pooled_values(case, seed):
     x, window, stride, padding = case
@@ -277,6 +293,52 @@ def test_gradient_matches_central_differences_on_generated_windowed_nets(arch):
     fd = central_difference(lambda v: relkit.forward(net, v).logits[c], x, h=1e-5)
     ad = relkit.gradient(net, x, c)
     assert np.abs(fd - ad).max() <= 1e-4 * max(np.abs(ad).max(), 1e-9)
+
+
+@st.composite
+def rectified_architectures(draw):
+    """(input_shape, plan, seed): conv (stride 1-2, padding 0-1), ReLU, an
+    optional pool of any kind (windows up to 3x3, stride 1-2, padding 0-1),
+    then a dense ReLU head. Every weighted layer reads the input or a ReLU
+    output, as deep Taylor decomposition assumes."""
+    in_shape = (draw(st.integers(1, 2)), draw(st.integers(5, 8)), draw(st.integers(5, 8)))
+    k, stride, padding = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    plan = [("conv", draw(st.integers(1, 3)), k, k, stride, padding), ("relu",)]
+    if draw(st.booleans()):
+        oh, ow = ((e + 2 * padding - k) // stride + 1 for e in in_shape[1:])
+        pool_padding = draw(st.integers(0, 1))
+        plan.append((draw(st.sampled_from(["maxpool", "sumpool", "avgpool"])),
+                     draw(st.integers(1, min(3, oh + 2 * pool_padding))),
+                     draw(st.integers(1, min(3, ow + 2 * pool_padding))),
+                     draw(st.integers(1, 2)), pool_padding))
+    plan += [("flatten",), ("dense", draw(st.integers(1, 4))), ("relu",),
+             ("dense", draw(st.integers(1, 3)))]
+    return in_shape, plan, draw(st.integers(0, 2 ** 16))
+
+
+@FUZZ
+@given(rectified_architectures())
+def test_deep_taylor_is_positive_and_bounded_under_nonpositive_biases(arch):
+    in_shape, plan, seed = arch
+    rng = np.random.default_rng(seed)
+    net = relkit.random_network(in_shape, plan, seed)
+    net = relkit.Network([dataclasses.replace(layer, bias=-0.1 * np.abs(
+                              rng.standard_normal(layer.bias.shape)))
+                          if layer.weights is not None else layer for layer in net.layers],
+                         in_shape, net.class_count)
+    for _ in range(20):
+        trace = relkit.forward(net, rng.random(in_shape))
+        c = int(np.argmax(trace.logits))
+        if trace.logits[c] > 0:
+            break
+    else:
+        assume(False)
+    for config in (relkit.deep_taylor_config(net, "pixel", low=0.0, high=1.0),
+                   relkit.deep_taylor_config(net, "relu"),
+                   relkit.deep_taylor_config(net, "real")):
+        relevances = relkit.lrp(net, trace, c, config).relevances
+        assert all(r.min() >= 0.0 for r in relevances)
+        assert relevances[0].sum() <= trace.logits[c] * (1 + 1e-12)
 
 
 # ---- the batch axis: every batched result against a per-sample reference
