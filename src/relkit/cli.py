@@ -20,14 +20,14 @@ from . import evalkit, explain, heatmaptools, modelio, netcore, prototype
 def _resolve_seed(value):
     """The --seed value, else the RK_SEED environment variable, else 0; either
     source must hold a non-negative integer."""
-    source, text = ("--seed", str(value)) if value is not None else (
-        "RK_SEED", os.environ.get("RK_SEED") or "0")
+    text = str(value) if value is not None else os.environ.get("RK_SEED") or "0"
     try:
         seed = int(text)
     except ValueError:
         seed = -1
     if seed < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+        raise ValueError(f"{'RK_SEED' if value is None else '--seed'} must be a "
+                         f"non-negative integer, got {text!r}")
     return seed
 
 
@@ -50,37 +50,61 @@ def _dataset_image(images, flag, index):
     return images[index]
 
 
-def _indexed_image(args):
-    return _dataset_image(modelio.load_idx(args.data), "--index", args.index)
+def _non_negative(flag, value):
+    """`value` of `flag`, which must be >= 0."""
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0, got {value}")
+    return value
+
+
+def _class_of(network, x, chosen=None):
+    """`chosen` when given, else the class the network predicts for `x`."""
+    if chosen is not None:
+        return chosen
+    return int(np.argmax(netcore.forward(network, x).logits))
+
+
+def _write(path, data):
+    """Write text or bytes to `path` and say so."""
+    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
+    with open(path, mode, encoding=encoding) as fh:
+        fh.write(data)
+    print(f"wrote {path}")
+
+
+# parse_architecture token head -> (number of sizes, token form)
+_LAYER_TOKENS = {"dense": (1, "dense:OUT"), "conv": (3, "conv:FxKHxKW[:sS][:pP]"),
+                 "relu": (0, "relu"), "flatten": (0, "flatten"),
+                 **{pool: (2, f"{pool}:PHxPW[:sS][:pP]")
+                    for pool in ("maxpool", "sumpool", "avgpool")}}
 
 
 def parse_architecture(text):
     """Parse layer tokens joined by "/" into a random_network plan.
 
     Tokens: dense:OUT, conv:FxKHxKW[:sS][:pP], relu, flatten,
-    maxpool:PHxPW[:sS][:pP] (likewise sumpool/avgpool).
+    maxpool:PHxPW[:sS][:pP] (likewise sumpool/avgpool). Sizes and strides are
+    positive integers, paddings non-negative ones; a malformed token is a
+    ValueError naming the token and its form.
     """
     plan = []
     for token in text.split("/"):
-        parts = token.strip().split(":")
-        head = parts[0]
-        opts = {"s": None, "p": 0}
-        for part in parts[2:]:
-            if part[:1] not in opts or not part[1:].isdigit():
-                raise ValueError(f"bad layer option {part!r} in token {token!r}")
-            opts[part[0]] = int(part[1:])
-        if head == "dense":
-            plan.append(("dense", int(parts[1])))
-        elif head == "conv":
-            f, kh, kw = (int(v) for v in parts[1].split("x"))
-            plan.append(("conv", f, kh, kw, opts["s"] or 1, opts["p"]))
-        elif head in ("maxpool", "sumpool", "avgpool"):
-            ph, pw = (int(v) for v in parts[1].split("x"))
-            plan.append((head, ph, pw, opts["s"] or ph, opts["p"]))
-        elif head in ("relu", "flatten"):
-            plan.append((head,))
-        else:
+        head, *fields = token.strip().split(":")
+        if head not in _LAYER_TOKENS:
             raise ValueError(f"unknown layer token {head!r}")
+        arity, form = _LAYER_TOKENS[head]
+        sizes = fields[0].split("x") if fields else []
+        opts = {field[:1]: field[1:] for field in fields[1:]}
+        if (len(sizes) != arity or len(opts) < len(fields) - 1
+                or not set(opts) <= ({"s", "p"} if arity > 1 else set())
+                or not all(v.isdecimal() for v in [*sizes, *opts.values()])
+                or 0 in [int(v) for v in [*sizes, opts.get("s", "1")]]):
+            raise ValueError(f"bad layer token {token!r}, expected {form}")
+        entry = (head, *(int(v) for v in sizes))
+        if arity > 1:  # conv strides default to 1, pool strides to the window height
+            stride = opts.get("s", 1 if head == "conv" else sizes[0])
+            entry += (int(stride), int(opts.get("p", 0)))
+        plan.append(entry)
     return plan
 
 
@@ -89,28 +113,24 @@ def _cmd_train(args):
     labels = modelio.load_idx(args.labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image and label counts differ")
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    if args.limit:
+    if _non_negative("--limit", args.limit):
         images, labels = images[:args.limit], labels[:args.limit]
-    seed = args.seed
 
     if args.model:
         network = modelio.load_model(args.model)
     elif args.arch:
         input_shape = (1,) + images.shape[1:]
-        network = netcore.random_network(input_shape, parse_architecture(args.arch), seed)
+        network = netcore.random_network(input_shape, parse_architecture(args.arch), args.seed)
     else:
         raise ValueError("train needs either --arch or --model to start from")
 
     data = np.stack([_adapt_sample(img, network.input_shape) for img in images])
     config = netcore.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                                 batch_size=args.batch, seed=seed,
+                                 batch_size=args.batch, seed=args.seed,
                                  nonpositive_bias=args.nonpositive_bias)
     trained = netcore.train_sgd(network, data, labels, config, verbose=args.verbose)
 
-    correct = sum(int(np.argmax(netcore.forward(trained, x).logits) == y)
-                  for x, y in zip(data, labels))
+    correct = sum(int(_class_of(trained, x) == y) for x, y in zip(data, labels))
     print(f"train accuracy: {correct}/{len(labels)} = {correct / len(labels):.4f}")
 
     bounds = None if args.no_bounds else (float(args.bounds[0]), float(args.bounds[1]))
@@ -119,13 +139,18 @@ def _cmd_train(args):
     return 0
 
 
+# --output flag -> the explained output's name in netcore.class_output
+_EXPLAINED_OUTPUT = {"logit": "logit", "logprob": "log_probability"}
+# --rule -> (alpha, beta) for the alpha/beta rules
+_ALPHA_BETA = {"alpha1beta0": (1.0, 0.0), "alpha2beta1": (2.0, 1.0)}
+
+
 def _rule_config(args, model_file):
     network = model_file.network
-    mode = "log_probability" if args.output == "logprob" else "logit"
-    if args.rule == "alpha1beta0":
-        return explain.alphabeta_config(network, 1.0, 0.0, explained_output=mode)
-    if args.rule == "alpha2beta1":
-        return explain.alphabeta_config(network, 2.0, 1.0, explained_output=mode)
+    mode = _EXPLAINED_OUTPUT[args.output]
+    if args.rule in _ALPHA_BETA:
+        return explain.alphabeta_config(network, *_ALPHA_BETA[args.rule],
+                                        explained_output=mode)
     if args.rule == "epsilon":
         return explain.epsilon_config(network, args.epsilon, explained_output=mode)
     # deeptaylor
@@ -140,14 +165,14 @@ def _rule_config(args, model_file):
     return explain.deep_taylor_config(network, domain, explained_output=mode)
 
 
-def _explainer(args, model_file):
-    mode = "log_probability" if args.output == "logprob" else "logit"
-    if args.method == "sensitivity":
-        return lambda net, x: explain.sensitivity(net, x, args.class_index, mode)
-    if args.method == "taylor":
-        return lambda net, x: explain.simple_taylor(net, x, args.class_index, mode)
-    config = _rule_config(args, model_file)
-    return lambda net, x: explain.lrp_heatmap(net, x, args.class_index, config)
+def _explainer(args, model_file, class_index):
+    """A (network, x) -> Heatmap function explaining `class_index` by --method."""
+    if args.method == "lrp":
+        config = _rule_config(args, model_file)
+        return lambda net, x: explain.lrp_heatmap(net, x, class_index, config)
+    gradient = {"sensitivity": explain.sensitivity, "taylor": explain.simple_taylor}[args.method]
+    mode = _EXPLAINED_OUTPUT[args.output]
+    return lambda net, x: gradient(net, x, class_index, mode)
 
 
 def _filter_mask(text, trace):
@@ -173,43 +198,39 @@ def _filter_mask(text, trace):
 def _cmd_explain(args):
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
+    _non_negative("--translate", args.translate)
+    _non_negative("--sliding-window", args.sliding_window)
+    lrp_task = "--sliding-window" if args.sliding_window else "--filter" if args.filter else None
+    if lrp_task and args.method != "lrp":
+        raise ValueError(f"{lrp_task} applies to --method lrp")
+    image = _dataset_image(modelio.load_idx(args.data), "--index", args.index)
 
+    class_index = args.class_index
     if args.sliding_window:
-        if args.method != "lrp":
-            raise ValueError("--sliding-window applies to --method lrp")
-        big = _indexed_image(args)
-        if len(network.input_shape) == 3:
-            big = big[None, :, :] if big.ndim == 2 else big
-        if args.class_index is None:
+        if class_index is None:
             raise ValueError("--sliding-window needs an explicit --class")
-        config = _rule_config(args, model_file)
-        heatmap = heatmaptools.sliding_window_explain(network, big, args.sliding_window,
-                                                      config, args.class_index)
-        x = big
+        x = image[None, :, :] if len(network.input_shape) == 3 and image.ndim == 2 else image
+        heatmap = heatmaptools.sliding_window_explain(network, x, args.sliding_window,
+                                                      _rule_config(args, model_file),
+                                                      class_index)
     else:
-        x = _adapt_sample(_indexed_image(args), network.input_shape)
-        if args.class_index is None:
-            args.class_index = int(np.argmax(netcore.forward(network, x).logits))
-        explainer = _explainer(args, model_file)
-        if args.translate and args.filter:
-            raise ValueError("--translate and --filter cannot be combined")
+        x = _adapt_sample(image, network.input_shape)
+        class_index = _class_of(network, x, class_index)
+        explainer = _explainer(args, model_file, class_index)
         if args.translate:
             k = args.translate
             shifts = [(dy, dx) for dy in range(-k, k + 1) for dx in range(-k, k + 1)]
             heatmap = heatmaptools.translation_average(explainer, network, x, shifts)
         elif args.filter:
-            if args.method != "lrp":
-                raise ValueError("--filter applies to --method lrp")
             trace = netcore.forward(network, x)
-            config = _rule_config(args, model_file)
-            layer_index, mask = _filter_mask(args.filter, trace)
-            heatmap = explain.filter_relevance(network, trace, args.class_index,
-                                               config, layer_index, mask)
+            heatmap = explain.filter_relevance(network, trace, class_index,
+                                               _rule_config(args, model_file),
+                                               *_filter_mask(args.filter, trace))
         else:
             heatmap = explainer(network, x)
 
     modelio.save_heatmap_csv(args.out, heatmap)
-    print(f"class {args.class_index}: explained value {heatmap.explained_value!r}, "
+    print(f"class {class_index}: explained value {heatmap.explained_value!r}, "
           f"heatmap total {heatmap.total!r}")
     print(f"wrote {args.out}")
     if args.pattern:
@@ -217,15 +238,12 @@ def _cmd_explain(args):
         modelio.save_tensor_csv(args.pattern, masked, {"source": args.out})
         print(f"wrote {args.pattern}")
     if args.ppm:
-        with open(args.ppm, "wb") as fh:
-            fh.write(heatmaptools.render_heatmap(heatmap, args.colormap))
-        print(f"wrote {args.ppm}")
+        _write(args.ppm, heatmaptools.render_heatmap(heatmap, args.colormap))
     return 0
 
 
 def _cmd_prototype(args):
-    model_file = modelio.load_model_file(args.model)
-    network = model_file.network
+    network = modelio.load_model(args.model)
 
     data_mean = None
     images = None
@@ -278,97 +296,69 @@ def _cmd_prototype(args):
     modelio.save_tensor_csv(args.out, found, meta)
     print(f"wrote {args.out}")
     if args.ppm:
-        rendered = heatmaptools.render_heatmap(
-            explain.Heatmap.from_scores(found, 0.0, "prototype"), "sequential")
-        with open(args.ppm, "wb") as fh:
-            fh.write(rendered)
-        print(f"wrote {args.ppm}")
+        _write(args.ppm, heatmaptools.render_heatmap(
+            explain.Heatmap.from_scores(found, 0.0, "prototype"), "sequential"))
     return 0
 
 
 def _cmd_evaluate(args):
+    if args.pixel_flip and not args.out:
+        raise ValueError("--pixel-flip needs --out for its curve or summary")
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
-    seed = args.seed
     images = modelio.load_idx(args.data)
-    if not args.pixel_flip and not args.continuity:
-        raise ValueError("evaluate needs --pixel-flip or --continuity")
-    if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
-
-    def sample(i):  # only --index can be out of range
-        return _adapt_sample(_dataset_image(images, "--index", i), network.input_shape)
-
-    def classify(x):
-        return int(np.argmax(netcore.forward(network, x).logits))
+    count = min(_non_negative("--count", args.count), images.shape[0])
+    indices = range(count) if args.count else [args.index]
+    # only --index can be out of range
+    probes = [_adapt_sample(_dataset_image(images, "--index", i), network.input_shape)
+              for i in indices]
+    classes = [_class_of(network, x, args.class_index) for x in probes]
 
     if args.pixel_flip:
         config = evalkit.FlipConfig(patch=args.patch, fill=args.fill,
                                     max_steps=args.max_steps)
-        if args.count:
-            rows = []
-            for i in range(min(args.count, images.shape[0])):
-                x = sample(i)
-                args.class_index = classify(x)
-                hm = _explainer(args, model_file)(network, x)
-                rows.append((i, evalkit.pixel_flip(network, x, hm, config).auc))
-            mean_auc = float(np.mean([r[1] for r in rows]))
-            lines = ["# relkit-flip-summary v1",
-                     f"# mean_auc: {mean_auc!r}",
-                     "index,auc"]
-            lines.extend(f"{i},{auc_value!r}" for i, auc_value in rows)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            print(f"mean AUC over {len(rows)} images: {mean_auc!r}")
-        else:
-            x = sample(args.index)
-            if args.class_index is None:
-                args.class_index = classify(x)
-            hm = _explainer(args, model_file)(network, x)
-            curve = evalkit.pixel_flip(network, x, hm, config)
-            modelio.save_curve_csv(args.out, curve)
-            print(f"AUC: {curve.auc!r}")
-        print(f"wrote {args.out}")
+        curves = [evalkit.pixel_flip(network, x, _explainer(args, model_file, c)(network, x),
+                                     config) for x, c in zip(probes, classes)]
+        if not args.count:
+            modelio.save_curve_csv(args.out, curves[0])
+            print(f"AUC: {curves[0].auc!r}")
+            print(f"wrote {args.out}")
+            return 0
+        mean_auc = float(np.mean([curve.auc for curve in curves]))
+        lines = ["# relkit-flip-summary v1", f"# mean_auc: {mean_auc!r}", "index,auc"]
+        lines.extend(f"{i},{curve.auc!r}" for i, curve in zip(indices, curves))
+        print(f"mean AUC over {len(curves)} images: {mean_auc!r}")
+        _write(args.out, "\n".join(lines) + "\n")
         return 0
 
-    # continuity
-    probes = ([sample(i) for i in range(min(args.count, images.shape[0]))] if args.count
-              else [sample(args.index)])
-    if args.class_index is None:
-        args.class_index = classify(probes[0])
-    explainer = _explainer(args, model_file)
-    estimate = evalkit.continuity_estimate(explainer, network, probes,
-                                           args.delta, args.trials, seed)
+    # continuity scores one explanation function: the first probe's class at every probe
+    estimate = evalkit.continuity_estimate(_explainer(args, model_file, classes[0]), network,
+                                           probes, args.delta, args.trials, args.seed)
     print(f"continuity estimate (sampled lower bound): {estimate!r}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("# relkit-continuity v1\n"
-                     f"# delta: {args.delta!r}\n# trials: {args.trials}\n"
-                     f"estimate\n{estimate!r}\n")
-        print(f"wrote {args.out}")
+        _write(args.out, "# relkit-continuity v1\n"
+                         f"# delta: {args.delta!r}\n# trials: {args.trials}\n"
+                         f"estimate\n{estimate!r}\n")
     return 0
 
 
 def _cmd_render(args):
     heatmap = modelio.load_heatmap_csv(args.heatmap)
-    data = heatmaptools.render_heatmap(heatmap, args.colormap)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
-    print(f"wrote {args.out}")
+    _write(args.out, heatmaptools.render_heatmap(heatmap, args.colormap))
     return 0
 
 
 def _add_method_flags(sub):
     sub.add_argument("--method", choices=("sensitivity", "taylor", "lrp"), default="lrp")
-    sub.add_argument("--rule", choices=("deeptaylor", "alpha1beta0", "alpha2beta1",
-                                        "epsilon"), default="deeptaylor")
+    sub.add_argument("--rule", choices=("deeptaylor", *_ALPHA_BETA, "epsilon"),
+                     default="deeptaylor")
     sub.add_argument("--epsilon", type=float, default=1e-9,
                      help="epsilon for --rule epsilon")
     sub.add_argument("--input-domain", choices=("auto", "relu", "pixel", "real"),
                      default="auto", help="first-layer rule domain for deeptaylor")
     sub.add_argument("--class", dest="class_index", type=int, default=None,
                      help="class to explain (default: predicted class)")
-    sub.add_argument("--output", choices=("logit", "logprob"), default="logit",
+    sub.add_argument("--output", choices=tuple(_EXPLAINED_OUTPUT), default="logit",
                      help="explained quantity")
 
 
@@ -377,8 +367,15 @@ def build_parser():
         prog="relkit",
         description="Train small ReLU networks and explain their predictions.")
     commands = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None)
 
-    train = commands.add_parser("train", help="train a model on an IDX dataset")
+    def command(name, func, help):
+        sub = commands.add_parser(name, help=help, parents=[common])
+        sub.set_defaults(func=func)
+        return sub
+
+    train = command("train", _cmd_train, "train a model on an IDX dataset")
     train.add_argument("--data", required=True, help="IDX image file")
     train.add_argument("--labels", required=True, help="IDX label file")
     train.add_argument("--out", required=True, help="output model JSON")
@@ -396,19 +393,18 @@ def build_parser():
     train.add_argument("--no-bounds", action="store_true",
                        help="do not store input bounds")
     train.add_argument("--verbose", action="store_true")
-    train.add_argument("--seed", type=int, default=None)
-    train.set_defaults(func=_cmd_train)
 
-    expl = commands.add_parser("explain", help="explain one prediction as a heatmap")
+    expl = command("explain", _cmd_explain, "explain one prediction as a heatmap")
     expl.add_argument("--model", required=True)
     expl.add_argument("--data", required=True, help="IDX image file")
     expl.add_argument("--index", type=int, default=0, help="image index to explain")
     _add_method_flags(expl)
-    expl.add_argument("--filter", metavar="LAYER:INDEX",
+    task = expl.add_mutually_exclusive_group()
+    task.add_argument("--filter", metavar="LAYER:INDEX",
                       help="keep only relevance through one unit of a layer")
-    expl.add_argument("--translate", type=int, default=0, metavar="K",
+    task.add_argument("--translate", type=int, default=0, metavar="K",
                       help="average explanations over shifts up to K pixels")
-    expl.add_argument("--sliding-window", type=int, default=0, metavar="STRIDE",
+    task.add_argument("--sliding-window", type=int, default=0, metavar="STRIDE",
                       help="explain an oversized image window by window")
     expl.add_argument("--pattern", metavar="PATH",
                       help="also write the heatmap-masked image as CSV")
@@ -416,10 +412,8 @@ def build_parser():
     expl.add_argument("--ppm", help="also render the heatmap to this PPM file")
     expl.add_argument("--colormap", choices=("diverging", "sequential"),
                       default="diverging")
-    expl.add_argument("--seed", type=int, default=None)
-    expl.set_defaults(func=_cmd_explain)
 
-    proto = commands.add_parser("prototype", help="synthesize a class prototype")
+    proto = command("prototype", _cmd_prototype, "synthesize a class prototype")
     proto.add_argument("--model", required=True)
     proto.add_argument("--class", dest="class_index", type=int, required=True)
     proto.add_argument("--regularizer", choices=("none", "l2", "l2mean", "expert"),
@@ -441,36 +435,31 @@ def build_parser():
                             "(post-processing only)")
     proto.add_argument("--out", required=True, help="output prototype CSV")
     proto.add_argument("--ppm", help="also render the prototype to this PPM file")
-    proto.add_argument("--seed", type=int, default=None)
-    proto.set_defaults(func=_cmd_prototype)
 
-    ev = commands.add_parser("evaluate", help="score explanation quality")
+    ev = command("evaluate", _cmd_evaluate, "score explanation quality")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--index", type=int, default=0)
     ev.add_argument("--count", type=int, default=0,
                     help="evaluate the first N images instead of --index")
     _add_method_flags(ev)
-    ev.add_argument("--pixel-flip", action="store_true",
-                    help="selectivity by greedy feature removal")
+    task = ev.add_mutually_exclusive_group(required=True)
+    task.add_argument("--pixel-flip", action="store_true",
+                      help="selectivity by greedy feature removal (needs --out)")
+    task.add_argument("--continuity", action="store_true",
+                      help="sampled explanation-continuity estimate")
     ev.add_argument("--patch", type=int, default=4, help="square patch side")
     ev.add_argument("--fill", type=float, default=0.0, help="removal fill value")
     ev.add_argument("--max-steps", type=int, default=None)
-    ev.add_argument("--continuity", action="store_true",
-                    help="sampled explanation-continuity estimate")
     ev.add_argument("--delta", type=float, default=1e-2, help="perturbation norm")
     ev.add_argument("--trials", type=int, default=10, help="perturbations per probe")
     ev.add_argument("--out", help="output CSV")
-    ev.add_argument("--seed", type=int, default=None)
-    ev.set_defaults(func=_cmd_evaluate)
 
-    rend = commands.add_parser("render", help="render a heatmap CSV as a PPM image")
+    rend = command("render", _cmd_render, "render a heatmap CSV as a PPM image")
     rend.add_argument("--heatmap", required=True, help="heatmap CSV")
     rend.add_argument("--out", required=True, help="output PPM path")
     rend.add_argument("--colormap", choices=("diverging", "sequential"),
                       default="diverging")
-    rend.add_argument("--seed", type=int, default=None)
-    rend.set_defaults(func=_cmd_render)
     return parser
 
 
@@ -487,11 +476,3 @@ def main(argv=None):
     except (ValueError, OSError, IndexError) as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -414,3 +414,105 @@ def test_conv_maxpool_train_and_patch1_flip_are_byte_reproducible(dataset, tmp_p
                      "--patch", "1", "--count", "3", "--out", str(summary)]) == 0
         digests.append([_digest(p) for p in (model, summary)])
     assert digests[0] == digests[1]
+
+
+def test_evaluate_takes_one_task(model_path, dataset, tmp_path, capsys):
+    images, _ = dataset
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--model", model_path, "--data", images, "--pixel-flip",
+                 "--continuity", "--index", "1", "--out", str(out)])
+    assert code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _flip_auc(text):
+    return next(line.split(": ", 1)[1] for line in text.splitlines() if line.startswith("# auc:"))
+
+
+def test_evaluate_count_explains_the_given_class(model_path, dataset, tmp_path):
+    images, _ = dataset
+    summaries = {}
+    for k in (0, 1):
+        out = tmp_path / f"summary{k}.csv"
+        assert main(["evaluate", "--model", model_path, "--data", images, "--pixel-flip",
+                     "--patch", "4", "--count", "3", "--class", str(k), "--out", str(out)]) == 0
+        summaries[k] = out.read_text()
+        rows = summaries[k].splitlines()[3:]
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            curve = tmp_path / f"curve{i}_{k}.csv"
+            assert main(["evaluate", "--model", model_path, "--data", images, "--pixel-flip",
+                         "--patch", "4", "--index", str(i), "--class", str(k),
+                         "--out", str(curve)]) == 0
+            assert row == f"{i},{_flip_auc(curve.read_text())}"
+    assert summaries[0] != summaries[1]
+
+
+@pytest.mark.parametrize("scope", [["--index", "1"], ["--count", "2"]])
+def test_evaluate_pixel_flip_needs_out(model_path, dataset, capsys, scope):
+    images, _ = dataset
+    code = main(["evaluate", "--model", model_path, "--data", images, "--pixel-flip", *scope])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--pixel-flip needs --out" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tasks", [["--filter", "2:0", "--translate", "1"],
+                                   ["--filter", "2:0", "--sliding-window", "4"],
+                                   ["--translate", "1", "--sliding-window", "4"]])
+def test_explain_tasks_are_exclusive(model_path, dataset, tmp_path, capsys, tasks):
+    images, _ = dataset
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", model_path, "--data", images, "--class", "0",
+                 *tasks, "--out", str(out)])
+    assert code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--translate", "-1"), ("--sliding-window", "-2")])
+def test_explain_rejects_negative_task_flags(model_path, dataset, tmp_path, capsys, flag,
+                                             value):
+    images, _ = dataset
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", model_path, "--data", images, "--class", "0",
+                 flag, value, "--out", str(out)])
+    assert code == 1
+    assert f"{flag} must be >= 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token,form", [
+    ("dense", "dense:OUT"),
+    ("dense:abc", "dense:OUT"),
+    ("dense:0", "dense:OUT"),
+    ("dense:-3", "dense:OUT"),
+    ("dense:4:s2", "dense:OUT"),
+    ("conv:8x5", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5x5", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5:s0", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5:q1", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5:s1:s2", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5:p", "conv:FxKHxKW[:sS][:pP]"),
+    ("conv:8x5x5:", "conv:FxKHxKW[:sS][:pP]"),
+    ("maxpool:2", "maxpool:PHxPW[:sS][:pP]"),
+    ("sumpool:2x", "sumpool:PHxPW[:sS][:pP]"),
+    ("avgpool:2x2:p-1", "avgpool:PHxPW[:sS][:pP]"),
+    ("relu:3", "relu"),
+    ("flatten:", "flatten"),
+])
+def test_parse_architecture_names_the_bad_token(token, form):
+    with pytest.raises(ValueError) as excinfo:
+        parse_architecture(f"flatten/{token}/dense:2")
+    assert str(excinfo.value) == f"bad layer token {token!r}, expected {form}"
+
+
+def test_parse_architecture_defaults_and_option_order():
+    assert parse_architecture("conv:8x5x5/relu/sumpool:2x2/flatten/dense:2") == [
+        ("conv", 8, 5, 5, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0), ("flatten",), ("dense", 2)]
+    assert parse_architecture("flatten/dense:300/relu/dense:100/relu/dense:10") == [
+        ("flatten",), ("dense", 300), ("relu",), ("dense", 100), ("relu",), ("dense", 10)]
+    assert parse_architecture("conv:2x3x3:p1:s2/avgpool:3x2:p1") == [
+        ("conv", 2, 3, 3, 2, 1), ("avgpool", 3, 2, 3, 1)]
