@@ -14,7 +14,7 @@ from .explain import (AlphaBeta, Epsilon, Heatmap, PassThrough, PoolProportional
                       ZBounds, alphabeta_config, deep_taylor_config, epsilon_config,
                       filter_relevance, lrp, lrp_dense_alphabeta, lrp_dense_epsilon,
                       lrp_heatmap, lrp_input_wsquare, lrp_input_zb, lrp_pool,
-                      sensitivity, simple_taylor)
+                      rule_config, sensitivity, simple_taylor)
 from .prototype import (AmObjective, AmOptions, AmResult, ExpertPrior, L2Penalty,
                         Localization, MeanAnchoredL2, RbmExpert, activation_maximize,
                         am_objective, rbm_log_density)

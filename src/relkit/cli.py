@@ -109,6 +109,7 @@ def parse_architecture(text):
 
 
 def _cmd_train(args):
+    bounds = None if args.no_bounds else modelio.check_input_bounds(*args.bounds, "--bounds")
     images = modelio.load_idx(args.data)
     labels = modelio.load_idx(args.labels)
     if images.shape[0] != labels.shape[0]:
@@ -133,7 +134,6 @@ def _cmd_train(args):
     correct = sum(int(_class_of(trained, x) == y) for x, y in zip(data, labels))
     print(f"train accuracy: {correct}/{len(labels)} = {correct / len(labels):.4f}")
 
-    bounds = None if args.no_bounds else (float(args.bounds[0]), float(args.bounds[1]))
     modelio.save_model(trained, args.out, input_bounds=bounds)
     print(f"wrote {args.out}")
     return 0
@@ -141,28 +141,17 @@ def _cmd_train(args):
 
 # --output flag -> the explained output's name in netcore.class_output
 _EXPLAINED_OUTPUT = {"logit": "logit", "logprob": "log_probability"}
-# --rule -> (alpha, beta) for the alpha/beta rules
-_ALPHA_BETA = {"alpha1beta0": (1.0, 0.0), "alpha2beta1": (2.0, 1.0)}
 
 
 def _rule_config(args, model_file):
-    network = model_file.network
-    mode = _EXPLAINED_OUTPUT[args.output]
-    if args.rule in _ALPHA_BETA:
-        return explain.alphabeta_config(network, *_ALPHA_BETA[args.rule],
-                                        explained_output=mode)
-    if args.rule == "epsilon":
-        return explain.epsilon_config(network, args.epsilon, explained_output=mode)
-    # deeptaylor
-    domain = args.input_domain
-    if domain == "auto":
-        domain = "pixel" if model_file.input_low is not None else "real"
-    if domain == "pixel":
-        low = model_file.input_low if model_file.input_low is not None else 0.0
-        high = model_file.input_high if model_file.input_high is not None else 1.0
-        return explain.deep_taylor_config(network, "pixel", low=low, high=high,
-                                          explained_output=mode)
-    return explain.deep_taylor_config(network, domain, explained_output=mode)
+    """The --rule stack. --input-domain auto is pixel when the model stores input
+    bounds, else real; pixel without stored bounds takes the box [0, 1]."""
+    low, high = model_file.input_low, model_file.input_high
+    auto = "real" if low is None else "pixel"
+    domain = auto if args.input_domain == "auto" else args.input_domain
+    return explain.rule_config(model_file.network, args.rule, domain,
+                               0.0 if low is None else low, 1.0 if high is None else high,
+                               args.epsilon, explained_output=_EXPLAINED_OUTPUT[args.output])
 
 
 def _explainer(args, model_file, class_index):
@@ -350,11 +339,10 @@ def _cmd_render(args):
 
 def _add_method_flags(sub):
     sub.add_argument("--method", choices=("sensitivity", "taylor", "lrp"), default="lrp")
-    sub.add_argument("--rule", choices=("deeptaylor", *_ALPHA_BETA, "epsilon"),
-                     default="deeptaylor")
+    sub.add_argument("--rule", choices=explain.LRP_RULES, default=explain.DEEP_TAYLOR)
     sub.add_argument("--epsilon", type=float, default=1e-9,
                      help="epsilon for --rule epsilon")
-    sub.add_argument("--input-domain", choices=("auto", "relu", "pixel", "real"),
+    sub.add_argument("--input-domain", choices=("auto", *explain.INPUT_DOMAINS),
                      default="auto", help="first-layer rule domain for deeptaylor")
     sub.add_argument("--class", dest="class_index", type=int, default=None,
                      help="class to explain (default: predicted class)")

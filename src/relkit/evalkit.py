@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netcore import (as_tensor, class_output, forward, forward_batch, require_int,
-                      sample_bytes)
+                      sample_bytes, window_columns)
 
 # Bytes one chunk of removal steps may spend on its widest tensor (an
 # activation or a window-column tensor): a chunk holds this budget divided by
@@ -79,8 +79,8 @@ def _region_entries(a, patch):
     h, w = a.shape[-2:]
     if h % patch or w % patch:
         raise ValueError(f"{patch}x{patch} patches do not tile a {h}x{w} input")
-    squares = a.reshape(-1, h // patch, patch, w // patch, patch).transpose(1, 3, 0, 2, 4)
-    return squares.reshape((h // patch) * (w // patch), -1)
+    cols, _ = window_columns(a.reshape(-1, h, w), (patch, patch), patch, 0)
+    return cols.transpose(2, 0, 1).reshape(cols.shape[-1], -1)
 
 
 def pixel_flip(network, x, heatmap, config=FlipConfig()):

@@ -3,7 +3,9 @@
 Backward relevance propagation with per-layer rules (alpha/beta excitatory
 split, epsilon-stabilized, squared-weight and bounded-input first-layer
 rules, pooling policies), plus the gradient-based sensitivity and simple
-Taylor explainers. All explainers emit input-shaped Heatmaps.
+Taylor explainers. All explainers emit input-shaped Heatmaps. The paper's rule
+stacks are named once, in LRP_RULES, ALPHA_BETA and INPUT_DOMAINS, and built by
+rule_config, which deep_taylor_config, alphabeta_config and epsilon_config enter.
 
 Each weighted-layer rule is written once, against the layer's bias-free
 linear operator pair (apply, apply_T) from netcore.linear_pair, as the
@@ -48,6 +50,14 @@ class Heatmap:
                    method_tag, dict(meta or {}))
 
 
+def _require_finite(name, value):
+    """Raise a ValueError naming `name` unless every entry of `value` is finite."""
+    value = np.asarray(value, dtype=np.float64)
+    bad = value[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
+
+
 @dataclass(frozen=True)
 class AlphaBeta:
     """Split redistribution into excitatory/inhibitory parts; alpha - beta = 1."""
@@ -60,6 +70,8 @@ class AlphaBeta:
             raise ValueError("AlphaBeta requires alpha - beta = 1")
         if self.beta < 0:
             raise ValueError("AlphaBeta requires beta >= 0")
+        _require_finite("AlphaBeta alpha", self.alpha)
+        _require_finite("AlphaBeta beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,7 @@ class Epsilon:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("Epsilon requires a positive epsilon")
+        _require_finite("Epsilon epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,8 @@ class ZBounds:
         high = np.array(self.high, dtype=np.float64)
         if np.any(low > 0) or np.any(high < 0):
             raise ValueError("ZBounds requires low <= 0 <= high elementwise")
+        _require_finite("ZBounds low", low)
+        _require_finite("ZBounds high", high)
         low.setflags(write=False)
         high.setflags(write=False)
         object.__setattr__(self, "low", low)
@@ -129,6 +144,7 @@ class RuleConfig:
         object.__setattr__(self, "layer_rules", tuple(self.layer_rules))
         if self.stabilizer <= 0:
             raise ValueError("stabilizer must be positive")
+        _require_finite("RuleConfig stabilizer", self.stabilizer)
         check_explained_output(self.explained_output)
 
 
@@ -410,19 +426,6 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     return hm
 
 
-def _rules_for(network, hidden_rule, input_rule, pool_rule):
-    first_weighted = _first_weighted_index(network)
-    rules = []
-    for idx, layer in enumerate(network.layers):
-        if layer.kind in WEIGHTED_KINDS:
-            rules.append(input_rule if idx == first_weighted else hidden_rule)
-        elif layer.kind in POOL_KINDS:
-            rules.append(pool_rule)
-        else:
-            rules.append(PassThrough())
-    return tuple(rules)
-
-
 def _first_layer_bound(network, bound, name):
     # A scalar bound applies as is; one that broadcasts to the input shape is
     # carried through the shape-only layers to the first weighted layer.
@@ -439,40 +442,64 @@ def _first_layer_bound(network, bound, name):
                      f"or the input shape {network.input_shape}")
 
 
-def deep_taylor_config(network, input_domain="relu", low=None, high=None,
-                       stabilizer=1e-9, explained_output="logit"):
-    """Default rule stack: excitatory-only hidden layers, proportional pools,
-    and a first-layer rule chosen by input domain.
+# Named LRP rule stacks (alpha/beta ones with their (alpha, beta)) and input domains
+ALPHA_BETA = {"alpha1beta0": (1.0, 0.0), "alpha2beta1": (2.0, 1.0)}
+DEEP_TAYLOR, EPSILON = "deeptaylor", "epsilon"
+LRP_RULES = (DEEP_TAYLOR, *ALPHA_BETA, EPSILON)
+INPUT_DOMAINS = ("relu", "pixel", "real")
 
-    input_domain: "relu" (non-negative inputs, excitatory rule), "pixel"
-    (box-bounded inputs, requires low/high), or "real" (unbounded inputs,
-    squared-weight rule).
-    """
-    if input_domain == "relu":
-        input_rule = AlphaBeta(1.0, 0.0)
-    elif input_domain == "pixel":
+
+def rule_config(network, rule, input_domain="relu", low=None, high=None, epsilon=1e-9,
+                stabilizer=1e-9, explained_output="logit"):
+    """The stack `rule` of LRP_RULES: an alpha/beta rule or epsilon on every weighted
+    layer, or deeptaylor, the excitatory-only rule under the first-layer rule that
+    _stack picks by input domain; only deeptaylor reads input_domain, low, high."""
+    if rule in ALPHA_BETA:
+        return alphabeta_config(network, *ALPHA_BETA[rule], stabilizer, explained_output)
+    if rule == EPSILON:
+        return _stack(network, Epsilon(epsilon), rule, stabilizer, explained_output)
+    if rule != DEEP_TAYLOR:
+        raise ValueError(f"unknown LRP rule {rule!r}")
+    return _stack(network, AlphaBeta(), rule, stabilizer, explained_output, input_domain,
+                  low, high)
+
+
+def _stack(network, hidden_rule, name, stabilizer, explained_output, input_domain="relu",
+           low=None, high=None):
+    """RuleConfig `name`: `hidden_rule` on the weighted layers, proportional pools,
+    pass-through shape-only layers; the first weighted layer keeps it for "relu"
+    inputs, takes z^B for "pixel" inputs in [low, high] and w^2 for "real" ones."""
+    input_rule = hidden_rule
+    if input_domain == "pixel":
         if low is None or high is None:
             raise ValueError("pixel input domain requires low/high bounds")
         input_rule = ZBounds(_first_layer_bound(network, low, "low"),
                              _first_layer_bound(network, high, "high"))
     elif input_domain == "real":
         input_rule = WSquare()
-    else:
+    elif input_domain not in INPUT_DOMAINS:
         raise ValueError(f"unknown input domain {input_domain!r}")
-    rules = _rules_for(network, AlphaBeta(1.0, 0.0), input_rule, PoolProportional())
-    return RuleConfig(rules, stabilizer, explained_output, name="deeptaylor")
+    first = _first_weighted_index(network)
+    rules = [(input_rule if idx == first else hidden_rule) if layer.kind in WEIGHTED_KINDS
+             else PoolProportional() if layer.kind in POOL_KINDS else PassThrough()
+             for idx, layer in enumerate(network.layers)]
+    return RuleConfig(rules, stabilizer, explained_output, name)
+
+
+def deep_taylor_config(network, input_domain="relu", low=None, high=None,
+                       stabilizer=1e-9, explained_output="logit"):
+    """rule_config's deeptaylor stack."""
+    return rule_config(network, DEEP_TAYLOR, input_domain, low, high,
+                       stabilizer=stabilizer, explained_output=explained_output)
 
 
 def alphabeta_config(network, alpha, beta, stabilizer=1e-9, explained_output="logit"):
-    """Uniform alpha/beta rule on every weighted layer."""
-    rule = AlphaBeta(alpha, beta)
-    rules = _rules_for(network, rule, rule, PoolProportional())
-    return RuleConfig(rules, stabilizer, explained_output,
-                      name=f"alpha{alpha:g}beta{beta:g}")
+    """Uniform alpha/beta rule on every weighted layer, named as in ALPHA_BETA."""
+    return _stack(network, AlphaBeta(alpha, beta), f"alpha{alpha:g}beta{beta:g}",
+                  stabilizer, explained_output)
 
 
 def epsilon_config(network, epsilon=1e-9, stabilizer=1e-9, explained_output="logit"):
-    """Uniform epsilon rule on every weighted layer."""
-    rule = Epsilon(epsilon)
-    rules = _rules_for(network, rule, rule, PoolProportional())
-    return RuleConfig(rules, stabilizer, explained_output, name="epsilon")
+    """rule_config's epsilon stack."""
+    return rule_config(network, EPSILON, epsilon=epsilon, stabilizer=stabilizer,
+                       explained_output=explained_output)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .explain import Heatmap
+from .explain import Heatmap, ZBounds
 from .netcore import (LAYER_KINDS, POOL_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, LayerSpec,
                       Network, as_tensor, broadcasts_to)
 from .prototype import RbmExpert
@@ -67,11 +67,21 @@ def save_model(network, path, expert=None, input_bounds=None):
                          "factor_biases": expert.factor_biases.tolist(),
                          "precision": expert.precision.tolist()}
     if input_bounds is not None:
-        low, high = input_bounds
+        low, high = check_input_bounds(*input_bounds)
         doc["input_bounds"] = {"low": np.asarray(low, dtype=np.float64).tolist(),
                                "high": np.asarray(high, dtype=np.float64).tolist()}
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
+
+
+def check_input_bounds(low, high, where="input_bounds"):
+    """(low, high) as the box rule ZBounds takes them: finite, with low <= 0 <=
+    high elementwise; otherwise a ValueError that names `where`."""
+    try:
+        box = ZBounds(low, high)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return box.low, box.high
 
 
 def _require(doc, key, where):

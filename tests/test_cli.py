@@ -516,3 +516,30 @@ def test_parse_architecture_defaults_and_option_order():
         ("flatten",), ("dense", 300), ("relu",), ("dense", 100), ("relu",), ("dense", 10)]
     assert parse_architecture("conv:2x3x3:p1:s2/avgpool:3x2:p1") == [
         ("conv", 2, 3, 3, 2, 1), ("avgpool", 3, 2, 3, 1)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_explain_rejects_a_non_finite_epsilon(model_path, dataset, tmp_path, capsys, value):
+    images, _ = dataset
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", model_path, "--data", images, "--rule", "epsilon",
+                 "--epsilon", value, "--out", str(out)])
+    assert code == 1
+    assert f"Epsilon epsilon must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds,message", [
+    (("nan", "1"), "--bounds: ZBounds low must be finite, got nan"),
+    (("0", "inf"), "--bounds: ZBounds high must be finite, got inf"),
+    (("0.5", "1"), "--bounds: ZBounds requires low <= 0 <= high elementwise"),
+])
+def test_train_rejects_bounds_before_training(dataset, tmp_path, capsys, bounds, message):
+    images, labels = dataset
+    out = tmp_path / "model.json"
+    code = main(["train", "--data", images, "--labels", labels, "--arch", "flatten/dense:2",
+                 "--bounds", *bounds, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err
+    assert captured.out == "" and not out.exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import relkit
+from relkit import explain
 
 from conftest import random_dense_network
 
@@ -158,6 +159,23 @@ def test_continuity_ordering_on_max_network(max_network):
         assert smooth < jumpy
     assert smooth <= 2.0
     assert jumpy > 10.0
+
+
+def test_positive_relevance_stacks_are_smoother_than_gradient_explainers(digit_corpus,
+                                                                         digit_classifier):
+    # the paper's continuity comparison on a trained conv net: deep Taylor (relu
+    # domain and the [0, 1] pixel box) and alpha1beta0 vary at least 5x less
+    # under small perturbations than sensitivity and simple Taylor (measured on
+    # the synthetic corpus: 53.2 and 24.2 against 1.32, 0.56 and 1.32)
+    net, probes = digit_classifier, [x[None] for x in digit_corpus[2][:3]]
+    c = int(np.argmax(relkit.forward(net, probes[0]).logits))
+    configs = [explain.rule_config(net, explain.DEEP_TAYLOR, domain, 0.0, 1.0)
+               for domain in ("relu", "pixel")] + [explain.rule_config(net, "alpha1beta0")]
+    smooth = [relkit.continuity_estimate(lambda n, x, cfg=cfg: relkit.lrp_heatmap(n, x, c, cfg),
+                                         net, probes, 0.01, 2, 0) for cfg in configs]
+    jumpy = [relkit.continuity_estimate(lambda n, x, f=f: f(n, x, c), net, probes, 0.01, 2, 0)
+             for f in (relkit.sensitivity, relkit.simple_taylor)]
+    assert min(jumpy) >= 5.0 * max(smooth), (jumpy, smooth)
 
 
 def test_continuity_monotone_in_trials():

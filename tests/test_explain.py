@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import relkit
+from relkit import explain
 
 from conftest import random_dense_network
 
@@ -270,3 +271,49 @@ def test_hand_built_zbounds_of_the_wrong_shape_are_rejected_by_name():
 def test_gradient_explainers_reject_unknown_explained_output(max_network, explainer):
     with pytest.raises(ValueError, match="explained_output.*'probability'"):
         explainer(max_network, [1.0, 0.5], 0, explained_output="probability")
+
+
+def _stack_summary(config):
+    return (config.name, config.stabilizer, config.explained_output,
+            [(type(rule).__name__, vars(rule)) for rule in config.layer_rules])
+
+
+CONV_NET = relkit.random_network((1, 8, 8), [("conv", 3, 3, 3, 1, 1), ("relu",),
+                                             ("maxpool", 2, 2, 2, 0), ("flatten",),
+                                             ("dense", 4), ("relu",), ("dense", 2)], seed=3)
+
+
+@pytest.mark.parametrize("rule", explain.LRP_RULES)
+def test_every_named_stack_carries_its_name(rule):
+    config = relkit.rule_config(CONV_NET, rule)
+    assert config.name == rule
+    kinds = [type(r).__name__ for r in config.layer_rules]
+    assert kinds[1:3] == ["PassThrough", "PoolProportional"]
+    assert kinds[0] == kinds[4] == kinds[6]  # the relu domain keeps the hidden rule
+
+
+def test_named_stacks_equal_their_factories():
+    low, high = np.zeros((1, 8, 8)), 1.0
+    pairs = [(relkit.rule_config(CONV_NET, name, stabilizer=1e-6), relkit.alphabeta_config(
+              CONV_NET, alpha, beta, stabilizer=1e-6)) for name, (alpha, beta)
+             in explain.ALPHA_BETA.items()]
+    pairs.append((relkit.rule_config(CONV_NET, explain.EPSILON, "pixel", epsilon=0.25,
+                                     explained_output="log_probability"),
+                  relkit.epsilon_config(CONV_NET, 0.25, explained_output="log_probability")))
+    for domain in explain.INPUT_DOMAINS:
+        pairs.append((relkit.rule_config(CONV_NET, explain.DEEP_TAYLOR, domain, low, high),
+                      relkit.deep_taylor_config(CONV_NET, domain, low=low, high=high)))
+    for got, want in pairs:
+        assert repr(_stack_summary(got)) == repr(_stack_summary(want))
+    dt_relu = relkit.deep_taylor_config(CONV_NET, "relu")
+    alpha1beta0 = relkit.rule_config(CONV_NET, "alpha1beta0")
+    assert [vars(r) for r in dt_relu.layer_rules] == [vars(r) for r in alpha1beta0.layer_rules]
+
+
+def test_rule_config_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown LRP rule 'alpha3beta2'"):
+        relkit.rule_config(CONV_NET, "alpha3beta2")
+    with pytest.raises(ValueError, match="unknown input domain 'box'"):
+        relkit.rule_config(CONV_NET, explain.DEEP_TAYLOR, "box")
+    with pytest.raises(ValueError, match="pixel input domain requires low/high"):
+        relkit.rule_config(CONV_NET, explain.DEEP_TAYLOR, "pixel")

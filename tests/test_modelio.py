@@ -419,3 +419,17 @@ def test_csv_that_is_not_utf8_is_a_value_error_naming_the_file(tmp_path, load):
     path.write_bytes(b"# relkit-tensor v1\n# shape: 1\n\xff\n")
     with pytest.raises(ValueError, match=r"heat\.csv: not UTF-8 text .* at byte 30\)$"):
         load(path)
+
+
+@pytest.mark.parametrize("bounds,message", [
+    ((np.nan, 1.0), "input_bounds: ZBounds low must be finite, got nan"),
+    ((0.0, np.array([1.0, np.inf])), "input_bounds: ZBounds high must be finite, got inf"),
+    ((0.5, 1.0), r"input_bounds: ZBounds requires low <= 0 <= high"),
+    ((0.0, -1.0), r"input_bounds: ZBounds requires low <= 0 <= high"),
+])
+def test_save_model_rejects_bounds_the_box_rule_cannot_use(max_network, tmp_path, bounds,
+                                                           message):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match=message):
+        relkit.save_model(max_network, path, input_bounds=bounds)
+    assert not path.exists()

@@ -295,6 +295,34 @@ def test_gradient_matches_central_differences_on_generated_windowed_nets(arch):
     assert np.abs(fd - ad).max() <= 1e-4 * max(np.abs(ad).max(), 1e-9)
 
 
+@BOUNDED
+@given(windowed_architectures())
+def test_epsilon_lrp_tends_to_gradient_times_input_on_generated_windowed_nets(arch):
+    # epsilon-LRP at epsilon -> 0 is gradient x input when max pools route by
+    # their winners and sum/avg pools proportionally; the rule's z/(z+eps)
+    # leaves the gradient only where a pre-activation is near 0, so such
+    # inputs are skipped
+    in_shape, plan, seed, c = arch
+    rng = np.random.default_rng(seed)
+    net = with_random_biases(relkit.random_network(in_shape, plan, seed), rng)
+    weighted = [i for i, layer in enumerate(net.layers) if layer.weights is not None]
+    for _ in range(20):
+        x = rng.standard_normal(in_shape)
+        trace = relkit.forward(net, x)
+        margin = min(np.abs(trace.outputs[i]).min() for i in weighted)
+        if min(margin, _kink_margin(net, trace)) > 1e-3:
+            break
+    else:
+        assume(False)
+    config = relkit.epsilon_config(net, 1e-12)
+    rules = [relkit.PoolWinnerTakeAll() if layer.kind == "MaxPool" else rule
+             for layer, rule in zip(net.layers, config.layer_rules)]
+    config = dataclasses.replace(config, layer_rules=rules)
+    eps = relkit.lrp(net, trace, c, config).relevances[0]
+    taylor = relkit.simple_taylor(net, x, c).scores
+    assert np.abs(eps - taylor).max() <= 1e-8 * max(np.abs(taylor).max(), 1e-300)
+
+
 @st.composite
 def rectified_architectures(draw):
     """(input_shape, plan, seed): conv (stride 1-2, padding 0-1), ReLU, an

@@ -279,3 +279,29 @@ def test_conv_spanning_its_input_equals_dense(rule_name):
     scale = np.abs(out["dense"]).max()
     assert scale > 0.0
     assert np.abs(out["conv"].ravel() - out["dense"]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: relkit.AlphaBeta(np.nan, np.nan), "AlphaBeta alpha must be finite, got nan"),
+    (lambda: relkit.AlphaBeta(np.inf, np.inf), "AlphaBeta alpha must be finite, got inf"),
+    (lambda: relkit.Epsilon(np.nan), "Epsilon epsilon must be finite, got nan"),
+    (lambda: relkit.Epsilon(np.inf), "Epsilon epsilon must be finite, got inf"),
+    (lambda: relkit.ZBounds(np.nan, 1.0), "ZBounds low must be finite, got nan"),
+    (lambda: relkit.ZBounds(np.array([0.0, -np.inf]), 1.0),
+     "ZBounds low must be finite, got -inf"),
+    (lambda: relkit.ZBounds(0.0, np.array([[1.0], [np.inf]])),
+     "ZBounds high must be finite, got inf"),
+    (lambda: relkit.RuleConfig((), stabilizer=np.nan),
+     "RuleConfig stabilizer must be finite, got nan"),
+    (lambda: relkit.RuleConfig((), stabilizer=np.inf),
+     "RuleConfig stabilizer must be finite, got inf"),
+    # values that fail an older check keep its message
+    (lambda: relkit.AlphaBeta(2.0, 0.0), "AlphaBeta requires alpha - beta = 1"),
+    (lambda: relkit.AlphaBeta(0.5, -0.5), "AlphaBeta requires beta >= 0"),
+    (lambda: relkit.Epsilon(-np.inf), "Epsilon requires a positive epsilon"),
+    (lambda: relkit.ZBounds(np.inf, 1.0), "ZBounds requires low <= 0 <= high elementwise"),
+    (lambda: relkit.RuleConfig((), stabilizer=-np.inf), "stabilizer must be positive"),
+])
+def test_bad_rule_parameters_are_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
