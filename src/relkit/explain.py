@@ -12,6 +12,8 @@ linear operator pair (apply, apply_T) from netcore.linear_pair, as the
 four-step scheme z <- apply(rho(w), a); s <- R / z; c <- apply_T(rho(w), s);
 R <- a * c, where rho is the rule's weight transform (W+, W-, W^2 or W
 itself). Dense and Conv2D layers differ only in their operator pair.
+W+, W-, W^2, the W^2 denominator and the z^B box offsets are computed once per
+layer on first use and live as long as the LayerSpec (and the ZBounds) does.
 The rules, the pool rule and the backward sweep work on (N, ...) batches over
 netcore's batch kernels; `lrp`, `filter_relevance` and the single-layer
 entries (`lrp_pool`, `lrp_dense_*`, `lrp_input_*`) run one sample as the N=1
@@ -23,6 +25,7 @@ redistribution so that layer conservation survives.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,29 +179,49 @@ def safe_divide(numerator, denominator, stabilizer):
     return np.where(ok, numerator / np.where(ok, denominator, 1.0), 0.0)
 
 
-def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer):
+_TERMS = weakref.WeakKeyDictionary()  # the cached rule terms, see _term
+
+
+def _term(owners, key, make):
+    """make(), computed once per `key` and `owners` (a LayerSpec, or a ZBounds rule
+    then a LayerSpec) in weak dictionaries nested by owner, so the entry dies with
+    either owner; a None owner (raw weights, no layer) computes it afresh."""
+    if None in owners:
+        return make()
+    table = _TERMS
+    for owner in owners[:-1]:
+        table = table.setdefault(owner, weakref.WeakKeyDictionary())
+    terms = table.setdefault(owners[-1], {})
+    return terms[key] if key in terms else terms.setdefault(key, make())
+
+
+def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
     """Four-step pass z = apply(rho(w), a); s = R / z; c = apply_T(rho(w), s);
     R = a * c of one weighted-layer rule over the layer's operator pair, for
-    an (N, ...) batch of layer inputs `a` and upper relevances `r_upper`."""
+    an (N, ...) batch of layer inputs `a` and upper relevances `r_upper`. The
+    terms that do not depend on `a` are computed at N=1 and cached on `layer`."""
     apply, apply_T = pair
+    in_shape = a.shape[1:]
     if isinstance(rule, Epsilon):
         z = add_bias(apply(w, a), bias)
         # sign(0) is taken as +1 so a zero denominator stays finite
         denom = np.where(z >= 0, z + rule.epsilon, z - rule.epsilon)
         return a * apply_T(w, r_upper / denom)
     if isinstance(rule, WSquare):
-        w2 = w ** 2
-        z = apply(w2, np.ones_like(a))
+        w2 = _term((layer,), "w2", lambda: w ** 2)
+        z = _term((layer,), ("w2z", in_shape), lambda: apply(w2, np.ones((1,) + in_shape)))
         ok = z > 0.0  # all-zero weight columns drop their unit's relevance
         return apply_T(w2, np.where(ok, r_upper / np.where(ok, z, 1.0), 0.0))
-    w_pos = np.maximum(w, 0.0)
+    w_pos = _term((layer,), "w+", lambda: np.maximum(w, 0.0))
     if isinstance(rule, ZBounds):
-        w_neg = np.minimum(w, 0.0)
-        low = np.broadcast_to(rule.low, a.shape)
-        high = np.broadcast_to(rule.high, a.shape)
-        z = apply(w, a) - apply(w_pos, low) - apply(w_neg, high)
+        w_neg = _term((layer,), "w-", lambda: np.minimum(w, 0.0))
+        # apply(W+, low) and apply(W-, high), one row broadcast over the batch
+        offset = _term((rule, layer), in_shape, lambda: (
+            apply(w_pos, np.broadcast_to(rule.low, (1,) + in_shape)),
+            apply(w_neg, np.broadcast_to(rule.high, (1,) + in_shape))))
+        z = apply(w, a) - offset[0] - offset[1]
         s = safe_divide(r_upper, z, stabilizer)
-        return a * apply_T(w, s) - low * apply_T(w_pos, s) - high * apply_T(w_neg, s)
+        return a * apply_T(w, s) - rule.low * apply_T(w_pos, s) - rule.high * apply_T(w_neg, s)
     # AlphaBeta: the positive part, mirrored over the negative part. Units
     # whose positive denominator vanishes absorb their relevance; units with
     # an empty negative branch redistribute with alpha_eff = 1 so the layer
@@ -206,7 +229,7 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer):
     z_pos = apply(w_pos, a)
     if rule.beta == 0.0:
         return a * apply_T(w_pos, safe_divide(r_upper, z_pos, stabilizer))
-    w_neg = np.minimum(w, 0.0)
+    w_neg = _term((layer,), "w-", lambda: np.minimum(w, 0.0))
     z_neg = apply(w_neg, a)
     alpha_eff = np.where(np.abs(z_neg) >= stabilizer, rule.alpha, 1.0)
     s_pos = safe_divide(alpha_eff * r_upper, z_pos, stabilizer)
@@ -308,7 +331,7 @@ def _propagate(layer, x, extra, r_upper, rule, stabilizer):
     """Relevance at the (N, ...) input `x` of one layer under its rule."""
     if layer.kind in WEIGHTED_KINDS:
         return _redistribute(linear_pair(layer, x.shape[1:]), x, layer.weights, layer.bias,
-                             r_upper, rule, stabilizer)
+                             r_upper, rule, stabilizer, layer)
     if layer.kind in POOL_KINDS:
         return _pool_rule(layer, x, extra, r_upper, rule, stabilizer)
     return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through

@@ -186,6 +186,10 @@ def load_model_file(path):
         b = doc["input_bounds"]
         low = _input_bound(b, "low", network.input_shape)
         high = _input_bound(b, "high", network.input_shape)
+        try:
+            check_input_bounds(low, high, f"{path}: input_bounds")
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from None
     return ModelFile(network, expert, low, high)
 
 

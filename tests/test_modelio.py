@@ -433,3 +433,16 @@ def test_save_model_rejects_bounds_the_box_rule_cannot_use(max_network, tmp_path
     with pytest.raises(ValueError, match=message):
         relkit.save_model(max_network, path, input_bounds=bounds)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("key,value", [("low", 0.5), ("high", -0.1)])
+def test_stored_bounds_the_box_rule_cannot_use_are_a_format_error(max_network, tmp_path,
+                                                                   key, value):
+    path = tmp_path / "model.json"
+    relkit.save_model(max_network, path, input_bounds=(0.0, 1.0))
+    doc = json.loads(path.read_text())
+    doc["input_bounds"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match=r"model\.json: input_bounds: ZBounds requires low <= 0 <= high"):
+        relkit.load_model_file(path)
