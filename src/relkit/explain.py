@@ -188,10 +188,10 @@ def _term(owners, key, make):
     either owner; a None owner (raw weights, no layer) computes it afresh."""
     if None in owners:
         return make()
-    table = _TERMS
+    table = _TERMS  # get() first, so a lookup of filled tables builds no dictionary
     for owner in owners[:-1]:
-        table = table.setdefault(owner, weakref.WeakKeyDictionary())
-    terms = table.setdefault(owners[-1], {})
+        table = table.get(owner) or table.setdefault(owner, weakref.WeakKeyDictionary())
+    terms = table.get(owners[-1]) or table.setdefault(owners[-1], {})
     return terms[key] if key in terms else terms.setdefault(key, make())
 
 
