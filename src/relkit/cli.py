@@ -51,8 +51,8 @@ def _dataset_image(images, flag, index):
 
 
 def _non_negative(flag, value):
-    """`value` of `flag`, which must be >= 0."""
-    if value < 0:
+    """`value` of `flag`, which must be >= 0 (NaN is not)."""
+    if not value >= 0:
         raise ValueError(f"{flag} must be >= 0, got {value}")
     return value
 
@@ -255,7 +255,7 @@ def _cmd_prototype(args):
         regularizer = prototype.ExpertPrior(expert)
 
     localization = None
-    if args.eta > 0:
+    if _non_negative("--eta", args.eta):
         if images is None or args.x0_index is None:
             raise ValueError("--eta needs --data and --x0-index for the reference point")
         reference = _adapt_sample(_dataset_image(images, "--x0-index", args.x0_index),

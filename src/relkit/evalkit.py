@@ -56,10 +56,9 @@ class FlipCurve:
     meta: dict
 
 
-def auc(curve):
-    """Step-averaged trapezoid area: a constant curve of value c scores c."""
-    values = np.asarray(curve.values if isinstance(curve, FlipCurve) else curve,
-                        dtype=np.float64)
+def auc(values):
+    """Step-averaged trapezoid area of curve values: a constant c scores c."""
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need at least one recorded value")
     if values.size == 1:

@@ -15,12 +15,15 @@ itself). Dense and Conv2D layers differ only in their operator pair.
 W+, W-, W^2, the W^2 denominator and the z^B box offsets are computed once per
 layer on first use and live as long as the LayerSpec (and the ZBounds) does.
 The rules, the pool rule and the backward sweep work on (N, ...) batches over
-netcore's batch kernels; `lrp`, `filter_relevance` and the single-layer
-entries (`lrp_pool`, `lrp_dense_*`, `lrp_input_*`) run one sample as the N=1
-batch. Denominators smaller in magnitude than the stabilizer absorb their
-unit's relevance instead of being inflated; when the inhibitory branch of the
-alpha/beta rule is empty the unit falls back to purely excitatory
-redistribution so that layer conservation survives.
+netcore's batch kernels. One checked single-sample pass serves `lrp`,
+`filter_relevance` and (through `lrp_heatmap`) sliding windows: it checks the
+rule config, runs the sweep as the N=1 batch and gives the metadata every LRP
+result carries. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
+`lrp_input_*`) also run one sample as the N=1 batch. Denominators smaller in
+magnitude than the stabilizer absorb their unit's relevance instead of being
+inflated; when the inhibitory branch of the alpha/beta rule is empty the unit
+falls back to purely excitatory redistribution so that layer conservation
+survives.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 
 from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
                       broadcasts_to, check_explained_output, class_output, forward,
-                      linear_pair, window_columns, window_scatter, _layer_backward,
-                      _take, _value_and_gradient)
+                      linear_pair, require_finite, window_columns, window_scatter,
+                      _layer_backward, _take, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +56,6 @@ class Heatmap:
                    method_tag, dict(meta or {}))
 
 
-def _require_finite(name, value):
-    """Raise a ValueError naming `name` unless every entry of `value` is finite."""
-    value = np.asarray(value, dtype=np.float64)
-    bad = value[~np.isfinite(value)]
-    if bad.size:
-        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
-
-
 @dataclass(frozen=True)
 class AlphaBeta:
     """Split redistribution into excitatory/inhibitory parts; alpha - beta = 1."""
@@ -73,8 +68,8 @@ class AlphaBeta:
             raise ValueError("AlphaBeta requires alpha - beta = 1")
         if self.beta < 0:
             raise ValueError("AlphaBeta requires beta >= 0")
-        _require_finite("AlphaBeta alpha", self.alpha)
-        _require_finite("AlphaBeta beta", self.beta)
+        require_finite("AlphaBeta alpha", self.alpha)
+        require_finite("AlphaBeta beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class Epsilon:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("Epsilon requires a positive epsilon")
-        _require_finite("Epsilon epsilon", self.epsilon)
+        require_finite("Epsilon epsilon", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,8 @@ class ZBounds:
         high = np.array(self.high, dtype=np.float64)
         if np.any(low > 0) or np.any(high < 0):
             raise ValueError("ZBounds requires low <= 0 <= high elementwise")
-        _require_finite("ZBounds low", low)
-        _require_finite("ZBounds high", high)
+        require_finite("ZBounds low", low)
+        require_finite("ZBounds high", high)
         low.setflags(write=False)
         high.setflags(write=False)
         object.__setattr__(self, "low", low)
@@ -129,9 +124,10 @@ class PassThrough:
     """Shape-only layers (ReLU, Flatten) hand relevance through unchanged."""
 
 
-_HIDDEN_RULES = (AlphaBeta, Epsilon)
 _INPUT_ONLY_RULES = (WSquare, ZBounds)
-_POOL_RULES = (PoolProportional, PoolWinnerTakeAll)
+# the rules each layer family accepts; shape-only layers take PassThrough
+_FAMILY_RULES = {**dict.fromkeys(WEIGHTED_KINDS, (AlphaBeta, Epsilon) + _INPUT_ONLY_RULES),
+                 **dict.fromkeys(POOL_KINDS, (PoolProportional, PoolWinnerTakeAll))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +143,7 @@ class RuleConfig:
         object.__setattr__(self, "layer_rules", tuple(self.layer_rules))
         if self.stabilizer <= 0:
             raise ValueError("stabilizer must be positive")
-        _require_finite("RuleConfig stabilizer", self.stabilizer)
+        require_finite("RuleConfig stabilizer", self.stabilizer)
         check_explained_output(self.explained_output)
 
 
@@ -166,9 +162,8 @@ class RelevanceTrace:
     meta: dict
 
     def heatmap(self):
-        scores = self.relevances[0]
-        meta = dict(self.meta)
-        hm = Heatmap.from_scores(scores, self.explained_value, self.method_tag, meta)
+        hm = Heatmap.from_scores(self.relevances[0], self.explained_value, self.method_tag,
+                                 self.meta)
         hm.meta["conservation_gap"] = self.explained_value - hm.total
         return hm
 
@@ -298,33 +293,24 @@ def _check_rules(network, config):
     if len(config.layer_rules) != len(network.layers):
         raise ValueError(f"rule config assigns {len(config.layer_rules)} rules "
                          f"to a network with {len(network.layers)} layers")
-    first_weighted = _first_weighted_index(network)
     for idx, (layer, rule) in enumerate(zip(network.layers, config.layer_rules)):
         if rule is None:
             raise ValueError(f"layer {idx} ({layer.kind}) has no rule assigned")
-        ok: bool
-        if layer.kind in WEIGHTED_KINDS:
-            ok = isinstance(rule, _HIDDEN_RULES + _INPUT_ONLY_RULES)
-            if isinstance(rule, _INPUT_ONLY_RULES) and idx != first_weighted:
-                raise ValueError(f"layer {idx} ({layer.kind}): "
-                                 f"{type(rule).__name__} applies only to the first "
-                                 "weighted layer")
-            for name in ("low", "high") if isinstance(rule, ZBounds) else ():
-                shape, target = getattr(rule, name).shape, network.activation_shapes[idx]
-                if not broadcasts_to(shape, target):
-                    raise ValueError(f"layer {idx} ({layer.kind}): ZBounds {name} has shape "
-                                     f"{shape}, which does not broadcast to the layer's "
-                                     f"input shape {target}")
-        elif layer.kind in POOL_KINDS:
-            ok = isinstance(rule, _POOL_RULES)
-            if isinstance(rule, PoolWinnerTakeAll) and layer.kind != "MaxPool":
-                raise ValueError(f"layer {idx} ({layer.kind}): winner-take-all "
-                                 "needs a MaxPool layer")
-        else:
-            ok = isinstance(rule, PassThrough)
-        if not ok:
+        if not isinstance(rule, _FAMILY_RULES.get(layer.kind, PassThrough)):
             raise ValueError(f"layer {idx} ({layer.kind}): rule "
                              f"{type(rule).__name__} does not apply to this layer kind")
+        if isinstance(rule, _INPUT_ONLY_RULES) and idx != _first_weighted_index(network):
+            raise ValueError(f"layer {idx} ({layer.kind}): {type(rule).__name__} applies "
+                             "only to the first weighted layer")
+        if isinstance(rule, PoolWinnerTakeAll) and layer.kind != "MaxPool":
+            raise ValueError(f"layer {idx} ({layer.kind}): winner-take-all "
+                             "needs a MaxPool layer")
+        for name in ("low", "high") if isinstance(rule, ZBounds) else ():
+            shape, target = getattr(rule, name).shape, network.activation_shapes[idx]
+            if not broadcasts_to(shape, target):
+                raise ValueError(f"layer {idx} ({layer.kind}): ZBounds {name} has shape "
+                                 f"{shape}, which does not broadcast to the layer's "
+                                 f"input shape {target}")
 
 
 def _propagate(layer, x, extra, r_upper, rule, stabilizer):
@@ -347,32 +333,34 @@ def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=N
                     mask=None):
     """Per-layer relevances of a batched forward (the layer `inputs`, MaxPool
     winner maps `aux` and `logits`, each (N, ...)) for one class of every row,
-    the explained values, and the total the mask at layer `mask_at` keeps."""
+    and the explained values; the relevance at position `mask_at` (a layer
+    input, or the logits at len(network.layers)) is multiplied by `mask`."""
     value, _ = class_output(logits, class_index, config.explained_output)
     r = np.zeros_like(logits)
     r[:, class_index] = value
-    masked_total = None
-    if mask_at == len(network.layers):
-        r = r * mask
-        masked_total = float(np.sum(r))
-    rels = [r]
-    for idx in reversed(range(len(network.layers))):
-        r = _propagate(network.layers[idx], inputs[idx], aux[idx], r,
-                       config.layer_rules[idx], config.stabilizer)
+    rels = []
+    for idx in reversed(range(len(network.layers) + 1)):
+        if idx < len(network.layers):
+            r = _propagate(network.layers[idx], inputs[idx], aux[idx], r,
+                           config.layer_rules[idx], config.stabilizer)
         if idx == mask_at:
             r = r * mask
-            masked_total = float(np.sum(r))
         rels.append(r)
     rels.reverse()
-    return rels, value, masked_total
+    return rels, value
 
 
-def _single_sweep(network, trace, class_index, config, mask_at=None, mask=None):
-    """_backward_sweep of a single-sample trace, run as the N=1 batch."""
-    rels, value, masked_total = _backward_sweep(
-        network, _take(trace.inputs, None), _take(trace.aux, None), trace.logits[None],
-        class_index, config, mask_at, mask)
-    return _take(rels, 0), float(value[0]), masked_total
+def _single_pass(network, trace, class_index, config, mask_at=None, mask=None):
+    """The one single-sample LRP pass: check `config` against the network, run
+    _backward_sweep on `trace` as the N=1 batch, and return the per-layer
+    relevances, the explained value and the metadata of every LRP result."""
+    _check_rules(network, config)
+    rels, value = _backward_sweep(network, _take(trace.inputs, None), _take(trace.aux, None),
+                                  trace.logits[None], class_index, config, mask_at, mask)
+    meta = {"class_index": class_index,
+            "explained_output": config.explained_output,
+            "rules": config.name}
+    return _take(rels, 0), float(value[0]), meta
 
 
 def lrp(network, trace, class_index, config):
@@ -381,12 +369,8 @@ def lrp(network, trace, class_index, config):
     The output layer starts with the explained value at `class_index` and zero
     elsewhere; every layer is then propagated by its assigned rule.
     """
-    _check_rules(network, config)
-    rels, value, _ = _single_sweep(network, trace, class_index, config)
-    meta = {"class_index": class_index,
-            "explained_output": config.explained_output,
-            "rules": config.name,
-            "stabilizer": config.stabilizer}
+    rels, value, meta = _single_pass(network, trace, class_index, config)
+    meta["stabilizer"] = config.stabilizer
     return RelevanceTrace(rels, value, class_index, f"lrp:{config.name}", meta)
 
 
@@ -403,24 +387,18 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
     the input of `layer_index` before propagation continues; passing
     len(network.layers) masks the logits themselves.
     """
-    _check_rules(network, config)
     if not 0 <= layer_index <= len(network.layers):
         raise ValueError(f"layer_index {layer_index} out of range")
     mask = as_tensor(mask, "mask")
-    expected = (trace.logits.shape if layer_index == len(network.layers)
-                else trace.inputs[layer_index].shape)
+    expected = (*trace.inputs, trace.logits)[layer_index].shape
     if mask.shape != expected:
         raise ValueError(f"mask shape {mask.shape} does not match the layer's "
                          f"relevance shape {expected}")
     if mask.min() < 0 or mask.max() > 1:
         raise ValueError("mask entries must lie in [0, 1]")
-    rels, value, masked_total = _single_sweep(network, trace, class_index, config,
-                                              mask_at=layer_index, mask=mask)
-    meta = {"class_index": class_index,
-            "explained_output": config.explained_output,
-            "rules": config.name,
-            "filter_layer": layer_index,
-            "masked_layer_total": masked_total}
+    rels, value, meta = _single_pass(network, trace, class_index, config, layer_index, mask)
+    masked_total = float(np.sum(rels[layer_index]))
+    meta.update(filter_layer=layer_index, masked_layer_total=masked_total)
     hm = Heatmap.from_scores(rels[0], value, f"lrp-filtered:{config.name}", meta)
     hm.meta["conservation_gap"] = masked_total - hm.total
     return hm

@@ -7,8 +7,8 @@ import warnings
 
 import numpy as np
 
-from .explain import Heatmap, lrp
-from .netcore import as_tensor, forward
+from .explain import Heatmap, lrp_heatmap
+from .netcore import as_tensor, require_finite, require_int
 
 
 def pool_relevance(heatmap, partition):
@@ -109,8 +109,7 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     if big.ndim == 3 and big.shape[0] != window[0]:
         raise ValueError(f"image has {big.shape[0]} channels, network expects {window[0]}")
     (wh, ww), (h, w) = window[-2:], big.shape[-2:]
-    if stride < 1:
-        raise ValueError("stride must be positive")
+    require_int("stride", stride, 1)
     if h < wh or w < ww:
         raise ValueError(f"image {big.shape} is smaller than the network window {window}")
 
@@ -121,8 +120,7 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     for top in range(0, h - wh + 1, stride):
         for left in range(0, w - ww + 1, stride):
             region = (..., slice(top, top + wh), slice(left, left + ww))
-            trace = forward(network, big[region])
-            hm = lrp(network, trace, class_index, rule_config).heatmap()
+            hm = lrp_heatmap(network, big[region], class_index, rule_config)
             acc[region] += hm.scores
             coverage[region] += 1
             total_value += hm.explained_value
@@ -145,6 +143,7 @@ def pattern(image, heatmap, normalization="clip", percentile=99.0):
     """
     image = as_tensor(image, "image")
     scores = np.asarray(heatmap.scores, dtype=np.float64)
+    require_finite(f"{heatmap.method_tag} heatmap scores", scores)
     if scores.shape != image.shape:
         raise ValueError(f"heatmap shape {scores.shape} does not match image {image.shape}")
     if normalization not in ("rescale", "clip"):
@@ -164,9 +163,11 @@ def render_heatmap(heatmap, colormap="diverging"):
 
     The diverging map is symmetric around zero (positive red, negative blue,
     zero white), so negating the heatmap swaps the red and blue channels
-    exactly. The sequential map runs black to red over [min, max].
+    exactly. The sequential map runs black to red over [min, max]. Non-finite
+    scores are a ValueError naming the heatmap's method tag.
     """
     scores = np.asarray(heatmap.scores, dtype=np.float64)
+    require_finite(f"{heatmap.method_tag} heatmap scores", scores)
     if scores.ndim == 3:
         scores = scores.sum(axis=0)
     if scores.ndim != 2:

@@ -482,22 +482,17 @@ def seeded_gradient(network, trace, output_seed):
     return input_grad[0]
 
 
-def _value_and_gradient(network, x, class_index, explained_output="logit", trace=None):
-    """(trace, f_c, df_c/dx) of one input: its forward trace (or the given
-    one), the explained value of class c and its gradient at the input."""
-    trace = forward(network, x) if trace is None else trace
+def _value_and_gradient(network, x, class_index, explained_output="logit"):
+    """(trace, f_c, df_c/dx) of one input: its forward trace, the explained
+    value of class c and its gradient at the input."""
+    trace = forward(network, x)
     value, seed = class_output(trace.logits, class_index, explained_output)
     return trace, value, seeded_gradient(network, trace, seed)
 
 
-def gradient(network, x=None, class_index=0, trace=None):
-    """Gradient of the selected logit with respect to the input.
-
-    Either an input tensor or a previously recorded trace must be supplied.
-    """
-    if trace is None and x is None:
-        raise ValueError("gradient needs an input tensor or an activation trace")
-    return _value_and_gradient(network, x, class_index, trace=trace)[2]
+def gradient(network, x, class_index=0):
+    """Gradient of the selected logit with respect to the input."""
+    return _value_and_gradient(network, x, class_index)[2]
 
 
 def log_softmax(logits):
@@ -543,6 +538,14 @@ def class_output(logits, class_index, explained_output="logit"):
         logits = log_softmax(logits)
         seed -= np.exp(logits)
     return logits[pick].copy(), seed
+
+
+def require_finite(name, value):
+    """Raise a ValueError naming `name` unless every entry of `value` is finite."""
+    value = np.asarray(value, dtype=np.float64)
+    bad = value[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
 def require_int(name, value, minimum):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import as_tensor, forward, require_int, softmax, _value_and_gradient
+from .netcore import (as_tensor, forward, require_finite, require_int, softmax,
+                      _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +81,7 @@ class L2Penalty:
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError("penalty weight must be non-negative")
+        require_finite(f"{type(self).__name__} weight", self.weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +94,7 @@ class MeanAnchoredL2:
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError("penalty weight must be non-negative")
+        require_finite(f"{type(self).__name__} weight", self.weight)
         mean = as_tensor(self.mean, "anchor mean")
         mean.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -114,6 +117,7 @@ class Localization:
     def __post_init__(self):
         if self.weight < 0:
             raise ValueError("localization weight must be non-negative")
+        require_finite(f"{type(self).__name__} weight", self.weight)
         ref = as_tensor(self.reference, "localization reference")
         ref.setflags(write=False)
         object.__setattr__(self, "reference", ref)

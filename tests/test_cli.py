@@ -543,3 +543,21 @@ def test_train_rejects_bounds_before_training(dataset, tmp_path, capsys, bounds,
     assert code == 1
     assert message in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--eta", "nan"], "--eta must be >= 0, got nan"),
+    (["--eta", "-1"], "--eta must be >= 0, got -1.0"),
+    (["--regularizer", "l2", "--lambda", "nan"], "L2Penalty weight must be finite, got nan"),
+    (["--regularizer", "l2mean", "--lambda", "inf"],
+     "MeanAnchoredL2 weight must be finite, got inf"),
+])
+def test_prototype_rejects_bad_weights_by_name(model_path, dataset, tmp_path, capsys, flags,
+                                               message):
+    images, _ = dataset
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--class", "1", "--data", images,
+                 "--x0-index", "0", *flags, "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -317,3 +317,64 @@ def test_rule_config_rejects_unknown_names():
         relkit.rule_config(CONV_NET, explain.DEEP_TAYLOR, "box")
     with pytest.raises(ValueError, match="pixel input domain requires low/high"):
         relkit.rule_config(CONV_NET, explain.DEEP_TAYLOR, "pixel")
+
+
+def _filter_case(name):
+    """(network, config) for the filter tests: a conv net, a flatten-first dense
+    net, and a conv/maxpool net under winner-take-all."""
+    plans = {"conv": [("conv", 4, 3, 3, 1, 0), ("relu",), ("flatten",), ("dense", 3)],
+             "dense": [("flatten",), ("dense", 5), ("relu",), ("dense", 3)],
+             "maxpool": [("conv", 3, 3, 3, 1, 1), ("relu",), ("maxpool", 2, 2, 2, 0),
+                         ("flatten",), ("dense", 3)]}
+    net = relkit.random_network((1, 6, 6), plans[name], seed=211)
+    if name != "maxpool":
+        return net, relkit.deep_taylor_config(net, "pixel", low=0.0, high=1.0)
+    rules = [relkit.PoolWinnerTakeAll() if layer.kind == "MaxPool" else rule for layer, rule
+             in zip(net.layers, relkit.alphabeta_config(net, 1.0, 0.0).layer_rules)]
+    return net, relkit.RuleConfig(rules, name="wta")
+
+
+@pytest.mark.parametrize("name", ["conv", "dense", "maxpool"])
+def test_filter_all_ones_mask_equals_lrp_at_every_position(name):
+    net, config = _filter_case(name)
+    trace = relkit.forward(net, np.random.default_rng(223).random((1, 6, 6)))
+    plain = relkit.lrp(net, trace, 1, config).heatmap()
+    for position, tensor in enumerate((*trace.inputs, trace.logits)):
+        filtered = relkit.filter_relevance(net, trace, 1, config, position,
+                                           np.ones(tensor.shape))
+        assert np.array_equal(filtered.scores, plain.scores)
+        assert filtered.explained_value == plain.explained_value
+
+
+@pytest.mark.parametrize("name", ["conv", "dense", "maxpool"])
+def test_filter_masked_layer_total_is_the_kept_relevance(name):
+    net, config = _filter_case(name)
+    trace = relkit.forward(net, np.random.default_rng(227).random((1, 6, 6)))
+    rel = relkit.lrp(net, trace, 1, config)
+    for position, tensor in enumerate(rel.relevances):
+        unit = int(np.argmax(np.abs(tensor)))
+        mask = np.zeros(tensor.shape)
+        mask.flat[unit] = 1.0
+        filtered = relkit.filter_relevance(net, trace, 1, config, position, mask)
+        assert filtered.meta["masked_layer_total"] == tensor.flat[unit]
+
+
+def test_pool_rule_on_a_dense_layer_does_not_apply(max_network):
+    config = relkit.RuleConfig((relkit.PoolProportional(), relkit.PassThrough(),
+                                relkit.AlphaBeta(), relkit.PassThrough()))
+    trace = relkit.forward(max_network, [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^layer 0 \(Dense\): rule PoolProportional does "
+                                         r"not apply to this layer kind$"):
+        relkit.lrp(max_network, trace, 0, config)
+
+
+def test_zbounds_that_do_not_broadcast_name_the_layer_input_shape():
+    net = relkit.random_network((1, 6, 6), [("conv", 2, 3, 3, 1, 0), ("relu",),
+                                            ("flatten",), ("dense", 2)], seed=229)
+    rules = (relkit.ZBounds(0.0, np.ones((1, 5, 5))), relkit.PassThrough(),
+             relkit.PassThrough(), relkit.AlphaBeta())
+    trace = relkit.forward(net, np.zeros((1, 6, 6)))
+    with pytest.raises(ValueError, match=r"^layer 0 \(Conv2D\): ZBounds high has shape "
+                                         r"\(1, 5, 5\), which does not broadcast to the "
+                                         r"layer's input shape \(1, 6, 6\)$"):
+        relkit.lrp(net, trace, 0, relkit.RuleConfig(rules))

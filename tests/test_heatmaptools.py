@@ -250,3 +250,28 @@ def test_render_channel_pooling_and_determinism():
     second = relkit.render_heatmap(hm)
     assert first == second
     assert first.startswith(b"P6\n4 4\n255\n")
+
+
+@pytest.mark.parametrize("stride,message", [
+    (2.5, "stride must be an integer, got 2.5"),
+    (True, "stride must be an integer, got True"),
+    (0, "stride must be >= 1, got 0"),
+])
+def test_sliding_window_rejects_a_bad_stride(window_net, stride, message):
+    config = relkit.alphabeta_config(window_net, 1.0, 0.0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        relkit.sliding_window_explain(window_net, np.ones((1, 6, 6)), stride, config, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("draw", [
+    lambda hm: relkit.render_heatmap(hm, "diverging"),
+    lambda hm: relkit.render_heatmap(hm, "sequential"),
+    lambda hm: relkit.pattern(np.ones((2, 3)), hm)], ids=["diverging", "sequential", "pattern"])
+def test_non_finite_scores_never_become_an_image(draw, bad):
+    scores = np.ones((2, 3))
+    scores[1, 2] = bad
+    hm = relkit.Heatmap.from_scores(scores, 0.0, "lrp:demo")
+    with pytest.raises(ValueError, match=f"^lrp:demo heatmap scores must be finite, "
+                                         f"got {bad!r}$"):
+        draw(hm)

@@ -187,3 +187,16 @@ def test_am_options_accept_numpy_integers_and_zero_budgets():
     result = relkit.activation_maximize(identity_logits_network(), relkit.AmObjective(0),
                                         options)
     assert result.iterations == 0
+
+
+@pytest.mark.parametrize("cls,extra", [
+    (relkit.L2Penalty, ()), (relkit.MeanAnchoredL2, (np.zeros(2),)),
+    (relkit.Localization, (np.zeros(2),))], ids=["L2Penalty", "MeanAnchoredL2", "Localization"])
+def test_regularizer_weights_must_be_finite_and_non_negative(cls, extra):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"^{cls.__name__} weight must be finite, got {bad}$"):
+            cls(bad, *extra)
+    with pytest.raises(ValueError, match="weight must be non-negative"):
+        cls(-1.0, *extra)
+    assert cls(0.0, *extra).weight == 0.0
