@@ -164,7 +164,7 @@ def _explainer(args, model_file, class_index):
     return lambda net, x: gradient(net, x, class_index, mode)
 
 
-def _filter_mask(text, trace):
+def _filter_mask(text, network):
     """Parse --filter LAYER:INDEX into (layer, one-hot mask over the relevance at
     that layer's input; LAYER = layer count means the logits)."""
     layer_str, _, index_str = text.partition(":")
@@ -172,11 +172,10 @@ def _filter_mask(text, trace):
         layer_index, flat_index = int(layer_str), int(index_str)
     except ValueError:
         raise ValueError(f"--filter must be LAYER:INDEX with two integers, got {text!r}") from None
-    layers = len(trace.inputs)
+    layers = len(network.layers)
     if not 0 <= layer_index <= layers:
         raise ValueError(f"--filter layer {layer_index} out of range [0, {layers}]")
-    shape = trace.logits.shape if layer_index == layers else trace.inputs[layer_index].shape
-    mask = np.zeros(shape)
+    mask = np.zeros(network.activation_shapes[layer_index])
     if not 0 <= flat_index < mask.size:
         raise ValueError(f"--filter index {flat_index} out of range [0, {mask.size}) "
                          f"for layer {layer_index}")
@@ -214,7 +213,7 @@ def _cmd_explain(args):
             trace = netcore.forward(network, x)
             heatmap = explain.filter_relevance(network, trace, class_index,
                                                _rule_config(args, model_file),
-                                               *_filter_mask(args.filter, trace))
+                                               *_filter_mask(args.filter, network))
         else:
             heatmap = explainer(network, x)
 

@@ -15,11 +15,14 @@ itself). Dense and Conv2D layers differ only in their operator pair.
 W+, W-, W^2, the W^2 denominator and the z^B box offsets are computed once per
 layer on first use and live as long as the LayerSpec (and the ZBounds) does.
 The rules, the pool rule and the backward sweep work on (N, ...) batches over
-netcore's batch kernels. One checked single-sample pass serves `lrp`,
-`filter_relevance` and (through `lrp_heatmap`) sliding windows: it checks the
-rule config, runs the sweep as the N=1 batch and gives the metadata every LRP
-result carries. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
-`lrp_input_*`) also run one sample as the N=1 batch. Denominators smaller in
+netcore's batch kernels; the backward sweep is netcore's one reverse layer
+loop with each layer's rule, then the filter mask, as its step, so relevances
+are indexed by position like the activations. One checked single-sample pass
+serves `lrp`, `filter_relevance` and (through `lrp_heatmap`) sliding windows:
+it checks the rule config, runs the sweep as the N=1 batch and gives the
+metadata every LRP result carries. The single-layer entries (`lrp_pool`,
+`lrp_dense_*`, `lrp_input_*`) reject non-finite arrays, naming the argument,
+and also run one sample as the N=1 batch. Denominators smaller in
 magnitude than the stabilizer absorb their unit's relevance instead of being
 inflated; when the inhibitory branch of the alpha/beta rule is empty the unit
 falls back to purely excitatory redistribution so that layer conservation
@@ -35,8 +38,8 @@ import numpy as np
 
 from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
                       broadcasts_to, check_explained_output, class_output, forward,
-                      linear_pair, require_finite, window_columns, window_scatter,
-                      _layer_backward, _take, _value_and_gradient)
+                      linear_pair, require_finite, require_int, window_columns, window_scatter,
+                      _layer_backward, _reverse_sweep, _take, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,19 +237,19 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
 
 
 def _dense_rule(a, weights, bias, r_upper, rule, stabilizer=1e-9):
-    return _redistribute(DENSE_PAIR, np.asarray(a, dtype=np.float64)[None],
-                         np.asarray(weights, dtype=np.float64), bias,
-                         np.asarray(r_upper, dtype=np.float64)[None], rule, stabilizer)[0]
+    return _redistribute(DENSE_PAIR, a[None], as_tensor(weights, "weights"),
+                         bias, as_tensor(r_upper, "r_upper")[None], rule, stabilizer)[0]
 
 
 def lrp_dense_alphabeta(a, weights, r_upper, alpha, beta, stabilizer=1e-9):
     """Alpha/beta redistribution through one dense layer (bias excluded)."""
-    return _dense_rule(a, weights, None, r_upper, AlphaBeta(alpha, beta), stabilizer)
+    return _dense_rule(as_tensor(a, "a"), weights, None, r_upper, AlphaBeta(alpha, beta),
+                       stabilizer)
 
 
 def lrp_dense_epsilon(a, weights, bias, r_upper, epsilon):
     """Epsilon-stabilized redistribution; z includes the bias term."""
-    return _dense_rule(a, weights, np.asarray(bias, dtype=np.float64), r_upper,
+    return _dense_rule(as_tensor(a, "a"), weights, as_tensor(bias, "bias"), r_upper,
                        Epsilon(epsilon))
 
 
@@ -257,7 +260,7 @@ def lrp_input_wsquare(weights, r_upper):
 
 def lrp_input_zb(x, weights, r_upper, low, high, stabilizer=1e-9):
     """First-layer rule for inputs confined to [low, high] boxes."""
-    return _dense_rule(x, weights, None, r_upper, ZBounds(low, high), stabilizer)
+    return _dense_rule(as_tensor(x, "x"), weights, None, r_upper, ZBounds(low, high), stabilizer)
 
 
 def _pool_rule(layer, x, winner, r_upper, policy, stabilizer):
@@ -278,8 +281,8 @@ def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
     """Redistribute pooled relevance back over the pool windows."""
     if layer.kind not in POOL_KINDS:
         raise ValueError(f"lrp_pool applies to pooling layers, not {layer.kind}")
-    return _propagate_layer(layer, x, winner, np.asarray(r_upper, dtype=np.float64), policy,
-                            stabilizer)
+    return _propagate_layer(layer, as_tensor(x, "x"), winner, as_tensor(r_upper, "r_upper"),
+                            policy, stabilizer)
 
 
 def _first_weighted_index(network):
@@ -333,21 +336,20 @@ def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=N
                     mask=None):
     """Per-layer relevances of a batched forward (the layer `inputs`, MaxPool
     winner maps `aux` and `logits`, each (N, ...)) for one class of every row,
-    and the explained values; the relevance at position `mask_at` (a layer
-    input, or the logits at len(network.layers)) is multiplied by `mask`."""
+    and the explained values: netcore's reverse sweep with each layer's rule as
+    its step. The relevance at position `mask_at` (a layer input, or the logits
+    at len(network.layers)) is multiplied by `mask`."""
     value, _ = class_output(logits, class_index, config.explained_output)
     r = np.zeros_like(logits)
     r[:, class_index] = value
-    rels = []
-    for idx in reversed(range(len(network.layers) + 1)):
-        if idx < len(network.layers):
-            r = _propagate(network.layers[idx], inputs[idx], aux[idx], r,
-                           config.layer_rules[idx], config.stabilizer)
-        if idx == mask_at:
-            r = r * mask
-        rels.append(r)
-    rels.reverse()
-    return rels, value
+
+    def step(idx, r_upper):
+        r = _propagate(network.layers[idx], inputs[idx], aux[idx], r_upper,
+                       config.layer_rules[idx], config.stabilizer)
+        return r * mask if idx == mask_at else r
+
+    seed = r * mask if mask_at == len(network.layers) else r
+    return _reverse_sweep(network, inputs, aux, seed, step), value
 
 
 def _single_pass(network, trace, class_index, config, mask_at=None, mask=None):
@@ -387,10 +389,11 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
     the input of `layer_index` before propagation continues; passing
     len(network.layers) masks the logits themselves.
     """
+    require_int("layer_index", layer_index)
     if not 0 <= layer_index <= len(network.layers):
         raise ValueError(f"layer_index {layer_index} out of range")
     mask = as_tensor(mask, "mask")
-    expected = (*trace.inputs, trace.logits)[layer_index].shape
+    expected = network.activation_shapes[layer_index]
     if mask.shape != expected:
         raise ValueError(f"mask shape {mask.shape} does not match the layer's "
                          f"relevance shape {expected}")

@@ -67,28 +67,19 @@ def translation_average(explainer, network, image, shifts):
     the way back, so shifts should be small relative to the image content.
     """
     image = as_tensor(image, "image")
-    shifts = [tuple(int(v) for v in s) for s in shifts]
+    shifts = [tuple(require_int("shift component", v) for v in s) for s in shifts]
     if not shifts:
         raise ValueError("shift set is empty")
     if (0, 0) not in shifts:
         raise ValueError("shift set lacks the identity shift")
-    acc = None
-    value_sum = 0.0
-    first_meta = {}
-    tag = ""
-    for s in shifts:
-        hm = explainer(network, shift_image(image, s))
-        restored = shift_image(np.asarray(hm.scores, dtype=np.float64), (-s[0], -s[1]))
-        acc = restored if acc is None else acc + restored
-        value_sum += hm.explained_value
-        if not first_meta:
-            first_meta = dict(hm.meta)
-            tag = hm.method_tag
-    mean = acc / len(shifts)
-    meta = dict(first_meta)
+    maps = [explainer(network, shift_image(image, s)) for s in shifts]
+    restored = [shift_image(np.asarray(hm.scores, dtype=np.float64), (-dy, -dx))
+                for hm, (dy, dx) in zip(maps, shifts)]
+    meta = dict(maps[0].meta)
     meta["shifts"] = shifts
-    return Heatmap.from_scores(mean, value_sum / len(shifts),
-                               f"translation_average:{tag}", meta)
+    return Heatmap.from_scores(sum(restored[1:], restored[0]) / len(shifts),
+                               sum(hm.explained_value for hm in maps) / len(shifts),
+                               f"translation_average:{maps[0].method_tag}", meta)
 
 
 def sliding_window_explain(network, big_image, stride, rule_config, class_index):

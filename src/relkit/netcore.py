@@ -7,13 +7,16 @@ immutable after construction; every operation here is a pure function of
 its inputs, so independent calls are safe to run concurrently.
 
 Only this module tells Dense from Conv2D; the others work by layer family
-(WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). Input gradients and
-training share one reverse sweep, `_reverse_sweep`. One head, `class_output`,
-gives every consumer the explained value and its gradient at the logits, and
-rejects unknown output names and out-of-range classes. Every windowed layer
-reads its windows through one cached index map, `_window_index`, of flat
-positions in the zero-padded input plane: window columns are a gather over
-it, their adjoint and the MaxPool winner scatter are one `bincount` over it.
+(WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). One loop runs the layers
+each way: `_forward_rows` keeps one activation list (position 0 the input,
+position i + 1 layer i's output), and `_reverse_sweep`, which input gradients,
+training and LRP share, returns one value per position of that list, the
+logits last. One head, `class_output`, gives every consumer the explained
+value and its gradient at the logits, and rejects unknown output names and
+out-of-range or non-integer classes. Every windowed layer reads its windows
+through one cached index map, `_window_index`, of flat positions in the
+zero-padded input plane: window columns are a gather over it, their adjoint
+and the MaxPool winner scatter are one `bincount` over it.
 
 Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
@@ -74,7 +77,7 @@ class LayerSpec:
     Dense weights are (in, out) with one bias per output unit. Conv2D weights
     are (out_channels, in_channels, kh, kw) with one bias per output channel.
     `stride`/`padding` apply to Conv2D and pooling layers, `window` to pooling
-    layers only. Padding is always zero-fill.
+    layers only; all three hold integers. Padding is always zero-fill.
     """
 
     kind: str
@@ -87,11 +90,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.stride < 1:
-            raise ValueError("stride must be a positive integer")
-        if self.padding < 0:
-            raise ValueError("padding must be non-negative")
         if self.kind in WEIGHTED_KINDS:
+            if self.window is not None:
+                raise ValueError(f"{self.kind} takes no window")
             rank, bias_axis = _WEIGHT_LAYOUT[self.kind]
             w = _frozen_tensor(self.weights, f"{self.kind} weights")
             if w.ndim != rank:
@@ -109,13 +110,15 @@ class LayerSpec:
                 raise ValueError(f"{self.kind} takes no weights")
             if self.window is None:
                 raise ValueError(f"{self.kind} requires a pooling window")
-            window = tuple(int(v) for v in self.window)
+            window = tuple(require_int("pool window extent", v) for v in self.window)
             if len(window) != 2 or min(window) < 1:
                 raise ValueError("pool window must be two positive extents")
             object.__setattr__(self, "window", window)
         else:  # ReLU, Flatten
             if self.weights is not None or self.bias is not None or self.window is not None:
                 raise ValueError(f"{self.kind} takes no parameters")
+        require_int("stride", self.stride, 1)
+        require_int("padding", self.padding, 0)
 
 
 def dense(weights, bias=None):
@@ -135,7 +138,7 @@ def flatten():
 
 
 def _pool(kind, window, stride, padding):
-    window = tuple(int(v) for v in window)
+    window = tuple(window)
     if stride is None:
         if window[0] != window[1]:
             raise ValueError("stride required for non-square pool windows")
@@ -196,7 +199,8 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        object.__setattr__(self, "input_shape",
+                           tuple(require_int("input_shape extent", v) for v in self.input_shape))
         if min(self.input_shape, default=0) < 1:
             raise ValueError("input_shape extents must be positive")
         if self.class_count < 1:
@@ -404,19 +408,18 @@ def _layer_backward(layer, x, extra, g):
 
 
 def _forward_rows(network, x):
-    """Per-layer inputs, outputs and MaxPool winner maps of a validated
-    (N,) + input_shape batch, as three lists."""
-    inputs, outputs, aux = [], [], []
+    """Activations of a validated (N,) + input_shape batch at every position
+    (position 0 is the input, position i + 1 layer i's output) and the
+    MaxPool winner map of every layer (None for other kinds), as two lists."""
+    acts, aux = [x], []
     for i, layer in enumerate(network.layers):
         try:
-            y, extra = _layer_forward(layer, x)
+            y, extra = _layer_forward(layer, acts[-1])
         except ValueError as exc:
             raise ValueError(f"layer {i} ({layer.kind}): {exc}") from None
-        inputs.append(x)
-        outputs.append(y)
+        acts.append(y)
         aux.append(extra)
-        x = y
-    return inputs, outputs, aux
+    return acts, aux
 
 
 def _take(tensors, pick):
@@ -444,7 +447,8 @@ def forward_batch(network, x):
     if x.ndim == 0 or x.shape[1:] != network.input_shape or len(x) == 0:
         raise ValueError(f"input batch of shape {x.shape} is not one or more rows of the "
                          f"network input {network.input_shape}")
-    return ActivationTrace(*map(tuple, _forward_rows(network, x)))
+    acts, aux = _forward_rows(network, x)
+    return ActivationTrace(tuple(acts[:-1]), tuple(acts[1:]), tuple(aux))
 
 
 def forward(network, x):
@@ -454,22 +458,23 @@ def forward(network, x):
     if x.shape != network.input_shape:
         raise ValueError(f"input shape {x.shape} does not match network input "
                          f"{network.input_shape}")
-    _, outputs, aux = _forward_rows(network, x[None])
-    outputs = _take(outputs, 0)
-    # each layer's input is the previous layer's output
-    return ActivationTrace((x,) + outputs[:-1], outputs, _take(aux, 0))
+    acts, aux = _forward_rows(network, x[None])
+    acts = _take(acts, 0)
+    return ActivationTrace(acts[:-1], acts[1:], _take(aux, 0))
 
 
-def _reverse_sweep(network, inputs, aux, g):
-    """Yield the gradient of `g . logits` at the output of every layer, last
-    layer first, then at the network input, for the (N, ...) layer `inputs`
-    and winner maps `aux` of a batched forward. Lazy: a layer's backward step
-    runs only when the next gradient is asked for, so training uses each
-    gradient before that step and stops at the first weighted layer."""
-    for idx in reversed(range(len(network.layers))):
-        yield g
-        g = _layer_backward(network.layers[idx], inputs[idx], aux[idx], g)
-    yield g
+def _reverse_sweep(network, inputs, aux, seed, step=None, stop=0):
+    """The one backward layer loop, over the (N, ...) layer `inputs` and winner
+    maps `aux` of a batched forward. Returns the value at every position 0..L
+    (position i is layer i's input, position L the logits, where it is `seed`),
+    None below `stop`; position idx gets step(idx, value at idx + 1), by default
+    the gradient of `seed . logits` at layer idx's input."""
+    if step is None:
+        step = lambda idx, g: _layer_backward(network.layers[idx], inputs[idx], aux[idx], g)
+    values = [None] * len(network.layers) + [seed]
+    for idx in reversed(range(stop, len(network.layers))):
+        values[idx] = step(idx, values[idx + 1])
+    return values
 
 
 def seeded_gradient(network, trace, output_seed):
@@ -477,9 +482,8 @@ def seeded_gradient(network, trace, output_seed):
     g = as_tensor(output_seed, "output seed")
     if g.shape != (network.class_count,):
         raise ValueError(f"output seed must have shape ({network.class_count},)")
-    *_, input_grad = _reverse_sweep(network, _take(trace.inputs, None),
-                                    _take(trace.aux, None), g[None])
-    return input_grad[0]
+    return _reverse_sweep(network, _take(trace.inputs, None), _take(trace.aux, None),
+                          g[None])[0][0]
 
 
 def _value_and_gradient(network, x, class_index, explained_output="logit"):
@@ -525,9 +529,12 @@ def class_output(logits, class_index, explained_output="logit"):
         value, seed = class_output(logits[None], class_index, explained_output)
         return float(value[0]), seed[0]
     classes = logits.shape[-1]
-    if isinstance(class_index, (int, np.integer)):  # one class for every row
+    if isinstance(class_index, (int, np.integer)) and not isinstance(class_index, bool):
         pick, in_range = (slice(None), class_index), 0 <= class_index < classes
-    else:
+    else:  # one class per row
+        if np.asarray(class_index).dtype.kind not in "iu":
+            raise ValueError(f"class_index must be an integer or one integer per row, "
+                             f"got {class_index!r}")
         pick = (np.arange(len(logits)), class_index)
         in_range = all(0 <= c < classes for c in np.ravel(class_index).tolist())
     if not in_range:
@@ -548,13 +555,14 @@ def require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
-def require_int(name, value, minimum):
-    """Reject a `value` that is not an integer (bool and float are not) or is
-    below `minimum`, naming the field."""
+def require_int(name, value, minimum=None):
+    """`value` as an int; reject a `value` that is not an integer (bool and
+    float are not) or is below `minimum`, naming the field."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -573,30 +581,26 @@ class TrainConfig:
         require_int("seed", self.seed, 0)
 
 
-def _weight_grad(layer, x, g):
-    """Gradient of `sum_n g_n . output_n` with respect to the weights of a
-    weighted layer, over an (N, ...) batch of inputs `x`."""
+def _weight_and_bias_grad(layer, x, g):
+    """Gradients of `sum_n g_n . output_n` with respect to the weights and the
+    bias of a weighted layer, over an (N, ...) batch of inputs `x`."""
+    gb = g.reshape(len(x), len(layer.bias), -1).sum(axis=(0, 2))
     if layer.kind == "Dense":
-        return x.T @ g
+        return x.T @ g, gb
     cols, _ = window_columns(x, layer.weights.shape[2:], layer.stride, layer.padding)
     cols = cols.reshape(len(x), -1, cols.shape[-1])
     # one product per sample, summed over the batch in order
     gw = (g.reshape(len(x), len(layer.weights), -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
-    return gw.reshape(layer.weights.shape)
+    return gw.reshape(layer.weights.shape), gb
 
 
-def _param_grads(network, inputs, aux, seed, weighted):
+def _param_grads(network, acts, aux, seed, weighted):
     """{idx: (weight gradient, bias gradient)} of `sum_n seed_n . logits_n` for
-    the layers in `weighted`, from one reverse sweep of a batched forward that
-    stops at the first of them."""
-    grads = {}
-    down_to_first_weighted = range(len(network.layers) - 1, min(weighted, default=0) - 1, -1)
-    for idx, g in zip(down_to_first_weighted, _reverse_sweep(network, inputs, aux, seed)):
-        if idx in weighted:
-            layer = network.layers[idx]
-            grads[idx] = (_weight_grad(layer, inputs[idx], g),
-                          g.reshape(len(g), len(layer.bias), -1).sum(axis=(0, 2)))
-    return grads
+    the layers in `weighted`, from one reverse sweep over the activations `acts`
+    of a batched forward that stops above the first of them."""
+    grads = _reverse_sweep(network, acts, aux, seed, stop=min(weighted, default=0) + 1)
+    return {idx: _weight_and_bias_grad(network.layers[idx], acts[idx], grads[idx + 1])
+            for idx in weighted}
 
 
 def _with_params(network, params):
@@ -618,7 +622,7 @@ def train_sgd(network, inputs, labels, config, verbose=False):
     if data.shape[1:] != network.input_shape:
         raise ValueError(f"dataset samples have shape {data.shape[1:]}, "
                          f"network expects {network.input_shape}")
-    if targets.shape != (data.shape[0],):
+    if targets.shape != (data.shape[0],) or targets.dtype.kind not in "iu":
         raise ValueError("labels must be one integer per sample")
     if targets.min() < 0 or targets.max() >= network.class_count:
         raise ValueError(f"labels must lie in [0, {network.class_count})")
@@ -633,10 +637,10 @@ def train_sgd(network, inputs, labels, config, verbose=False):
         losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            layer_inputs, outputs, aux = _forward_rows(net, data[batch])
-            logp, seed = class_output(outputs[-1], targets[batch], "log_probability")
+            acts, aux = _forward_rows(net, data[batch])
+            logp, seed = class_output(acts[-1], targets[batch], "log_probability")
             losses.extend(-logp)
-            grads = _param_grads(net, layer_inputs, aux, -seed, params)
+            grads = _param_grads(net, acts, aux, -seed, params)
             scale = config.learning_rate / len(batch)
             for idx, (gw, gb) in grads.items():
                 gw *= scale  # in place: one weight-sized temporary fewer

@@ -1,5 +1,7 @@
 """Gradient explainers and the relevance-propagation engine."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -378,3 +380,29 @@ def test_zbounds_that_do_not_broadcast_name_the_layer_input_shape():
                                          r"\(1, 5, 5\), which does not broadcast to the "
                                          r"layer's input shape \(1, 6, 6\)$"):
         relkit.lrp(net, trace, 0, relkit.RuleConfig(rules))
+
+
+@pytest.mark.parametrize("layer_index", [1.0, True, "1", np.float64(2.0)])
+def test_filter_layer_index_must_be_an_integer(max_network, layer_index):
+    # 1.0 used to die with a TypeError, and True ran as layer 1
+    trace = relkit.forward(max_network, [2.0, 1.0])
+    config = relkit.deep_taylor_config(max_network, "relu")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"layer_index must be an integer, got {layer_index!r}")):
+        relkit.filter_relevance(max_network, trace, 0, config, layer_index, np.ones(3))
+
+
+@pytest.mark.parametrize("layer_index", [-1, 5])
+def test_filter_layer_index_out_of_range_keeps_its_message(max_network, layer_index):
+    trace = relkit.forward(max_network, [2.0, 1.0])
+    config = relkit.deep_taylor_config(max_network, "relu")
+    with pytest.raises(ValueError, match=f"^layer_index {layer_index} out of range$"):
+        relkit.filter_relevance(max_network, trace, 0, config, layer_index, np.ones(3))
+
+
+def test_filter_accepts_a_numpy_integer_layer_index(max_network):
+    trace = relkit.forward(max_network, [2.0, 1.0])
+    config = relkit.deep_taylor_config(max_network, "relu")
+    plain = relkit.filter_relevance(max_network, trace, 0, config, 2, np.ones(3))
+    numpy = relkit.filter_relevance(max_network, trace, 0, config, np.int64(2), np.ones(3))
+    assert np.array_equal(plain.scores, numpy.scores)

@@ -275,3 +275,39 @@ def test_non_finite_scores_never_become_an_image(draw, bad):
     with pytest.raises(ValueError, match=f"^lrp:demo heatmap scores must be finite, "
                                          f"got {bad!r}$"):
         draw(hm)
+
+
+@pytest.mark.parametrize("shifts,message", [
+    ([(0, 0), (0.7, 0)], "shift component must be an integer, got 0.7"),
+    ([(0, 0), (1, True)], "shift component must be an integer, got True"),
+    ([(0.0, 0)], "shift component must be an integer, got 0.0"),
+])
+def test_translation_shift_components_must_be_integers(shifts, message):
+    # (0.7, 0) used to be truncated to a second identity shift
+    calls = []
+    net = relkit.random_network((1, 4, 4), [("flatten",), ("dense", 2)], seed=11)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        relkit.translation_average(lambda n, x: calls.append(x) or tagged(x), net,
+                                   np.zeros((1, 4, 4)), shifts)
+    assert not calls
+
+
+def test_translation_takes_meta_and_tag_from_the_first_heatmap():
+    # without metadata the tag used to come from the last heatmap, and the
+    # metadata from the first heatmap that had any
+    net = relkit.random_network((1, 4, 4), [("flatten",), ("dense", 2)], seed=11)
+    maps = iter([relkit.Heatmap.from_scores(np.zeros((1, 4, 4)), 0.0, "first"),
+                 relkit.Heatmap.from_scores(np.zeros((1, 4, 4)), 0.0, "second", {"k": 1})])
+    averaged = relkit.translation_average(lambda n, x: next(maps), net, np.zeros((1, 4, 4)),
+                                          [(0, 0), (1, 0)])
+    assert averaged.method_tag == "translation_average:first"
+    assert averaged.meta == {"shifts": [(0, 0), (1, 0)]}
+
+
+def test_translation_sum_keeps_the_sign_of_zeros():
+    # the restored scores are summed from the first array, so an all -0.0 map
+    # averages to -0.0, not to 0.0 + -0.0 = 0.0
+    net = relkit.random_network((1, 2, 2), [("flatten",), ("dense", 2)], seed=11)
+    averaged = relkit.translation_average(lambda n, x: tagged(np.full((1, 2, 2), -0.0)), net,
+                                          np.ones((1, 2, 2)), [(0, 0)])
+    assert np.array_equal(np.signbit(averaged.scores), np.ones((1, 2, 2), bool))

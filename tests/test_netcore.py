@@ -1,6 +1,7 @@
 """Forward traces, gradients, log-softmax, the class-output head, and the SGD trainer."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ def test_train_rejects_bad_labels():
                          relkit.TrainConfig())
 
 
+@pytest.mark.parametrize("labels", [[0.0, 1.0, 1.0, 0.0], [True, False, False, True]])
+def test_train_rejects_non_integer_labels(labels):
+    # float and bool labels died inside NumPy while indexing the logits
+    net = relkit.random_network((2,), [("dense", 2)], seed=0)
+    with pytest.raises(ValueError, match="^labels must be one integer per sample$"):
+        relkit.train_sgd(net, np.zeros((4, 2)), np.array(labels), relkit.TrainConfig())
+
+
 def test_train_nonpositive_bias_projection():
     data, labels = two_blob_data(80, seed=5)
     net = relkit.random_network((2,), [("dense", 4), ("relu",), ("dense", 2)], seed=6)
@@ -310,3 +319,63 @@ def test_train_config_counts_must_be_integers(field, value):
 def test_train_config_accepts_numpy_integers():
     config = relkit.TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.uint8(3))
     assert (config.epochs, config.batch_size, config.seed) == (1, 4, 3)
+
+
+@pytest.mark.parametrize("class_index", [True, False, 1.0, np.float64(0.0), [0.0, 1.0],
+                                         np.array([True, False])])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_class_index_must_be_an_integer(class_index, rows):
+    # True died inside NumPy with a TypeError and 1.0 with an IndexError
+    logits = np.arange(3.0 * rows).reshape(rows, 3)
+    with pytest.raises(ValueError, match="^class_index must be an integer or one integer per row"):
+        class_output(logits[0] if rows == 1 else logits, class_index)
+
+
+def test_class_index_accepts_numpy_integers_and_per_row_integer_arrays():
+    logits = np.array([[0.0, 1.0, 2.0], [5.0, 4.0, 3.0]])
+    value, seed = class_output(logits[1], np.int64(2))
+    assert value == 3.0 and np.array_equal(seed, [0.0, 0.0, 1.0])
+    values, seeds = class_output(logits, np.array([2, 0]))
+    assert np.array_equal(values, [2.0, 5.0])
+    assert np.array_equal(seeds, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(class_output(logits, [2, 0], "log_probability")[0],
+                          class_output(logits, np.array([2, 0], np.uint8), "log_probability")[0])
+
+
+_CONV_W = np.ones((1, 1, 2, 2))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: relkit.conv2d(_CONV_W, stride=2.0), "stride must be an integer, got 2.0"),
+    (lambda: relkit.conv2d(_CONV_W, stride=True), "stride must be an integer, got True"),
+    (lambda: relkit.conv2d(_CONV_W, padding=True), "padding must be an integer, got True"),
+    (lambda: relkit.conv2d(_CONV_W, padding=0.5), "padding must be an integer, got 0.5"),
+    (lambda: relkit.conv2d(_CONV_W, stride=0), "stride must be >= 1, got 0"),
+    (lambda: relkit.conv2d(_CONV_W, padding=-1), "padding must be >= 0, got -1"),
+    (lambda: relkit.max_pool((2.7, 2.7)), "pool window extent must be an integer, got 2.7"),
+    (lambda: relkit.sum_pool((2, True), stride=2),
+     "pool window extent must be an integer, got True"),
+    (lambda: relkit.avg_pool((2, 2), stride=1.5), "stride must be an integer, got 1.5"),
+    (lambda: relkit.max_pool((0, 2), stride=1), "pool window must be two positive extents"),
+    (lambda: relkit.LayerSpec("Conv2D", _CONV_W, window=(2, 2)), "Conv2D takes no window"),
+    (lambda: relkit.LayerSpec("Dense", np.ones((2, 2)), window=(1, 1)), "Dense takes no window"),
+    (lambda: relkit.Network((relkit.relu(),), (2.9,), 2),
+     "input_shape extent must be an integer, got 2.9"),
+    (lambda: relkit.Network((relkit.relu(),), (True,), 1),
+     "input_shape extent must be an integer, got True"),
+    (lambda: relkit.Network((relkit.relu(),), (0,), 1), "input_shape extents must be positive"),
+])
+def test_layer_and_network_integer_fields_must_be_integers(build, message):
+    # stride 2.0 built a net with (1, 2.0, 2.0) activation shapes, padding True ran
+    # as 1, a (2.7, 2.7) pool window ran as (2, 2), a Conv2D kept an unread window,
+    # and input_shape (2.9,) became (2,)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_integer_fields_accept_numpy_integers():
+    pool = relkit.max_pool((np.int64(2), np.int32(2)), stride=np.int64(2), padding=np.int8(0))
+    net = relkit.Network((pool, relkit.flatten()), (np.int64(1), 4, 4), 4)
+    assert pool.window == (2, 2) and type(pool.window[0]) is int
+    assert net.input_shape == (1, 4, 4) and type(net.input_shape[0]) is int
+    assert net.activation_shapes[1] == (1, 2, 2)

@@ -305,3 +305,36 @@ def test_conv_spanning_its_input_equals_dense(rule_name):
 def test_bad_rule_parameters_are_rejected_by_name(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _nan_at(shape, index):
+    values = np.full(shape, 0.5)
+    values[index] = np.nan
+    return values
+
+
+_W, _A, _R = np.array([[1.0, -0.5, 2.0], [0.5, 1.0, -1.0]]), np.array([1.0, 2.0]), np.ones(3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lrp_dense_alphabeta(_A, _nan_at((2, 3), (0, 0)), _R, 1.0, 0.0),
+     "weights contains non-finite values"),
+    (lambda: lrp_dense_alphabeta(_nan_at(2, 1), _W, _R, 2.0, 1.0), "a contains non-finite"),
+    (lambda: lrp_dense_alphabeta(_A, _W, _nan_at(3, 2), 1.0, 0.0), "r_upper contains non-finite"),
+    (lambda: lrp_dense_epsilon(_A, _W, _nan_at(3, 0), _R, 1e-9), "bias contains non-finite"),
+    (lambda: lrp_dense_epsilon(np.array([np.inf, 1.0]), _W, np.zeros(3), _R, 1e-9),
+     "a contains non-finite"),
+    (lambda: lrp_input_wsquare(_nan_at((2, 3), (1, 2)), _R), "weights contains non-finite"),
+    (lambda: lrp_input_zb(_nan_at(2, 0), _W, _R, 0.0, 1.0), "x contains non-finite"),
+    (lambda: lrp_input_zb(_A, _W, _nan_at(3, 1), 0.0, 1.0), "r_upper contains non-finite"),
+    (lambda: lrp_pool(_pool_layer("SumPool"), _nan_at((1, 1, 2), (0, 0, 1)), None,
+                      np.ones((1, 1, 1)), relkit.PoolProportional()), "x contains non-finite"),
+    (lambda: lrp_pool(_pool_layer("SumPool"), np.ones((1, 1, 2)), None,
+                      np.full((1, 1, 1), np.nan), relkit.PoolProportional()),
+     "r_upper contains non-finite"),
+])
+def test_single_layer_rules_reject_non_finite_arrays_by_name(call, message):
+    # a NaN weight used to come back as [nan, 0.333, 0.333], a NaN bias or upper
+    # relevance as all NaN, without an error
+    with pytest.raises(ValueError, match=message):
+        call()
