@@ -341,7 +341,7 @@ def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=N
     at len(network.layers)) is multiplied by `mask`."""
     value, _ = class_output(logits, class_index, config.explained_output)
     r = np.zeros_like(logits)
-    r[:, class_index] = value
+    r[np.arange(len(r)), class_index] = value
 
     def step(idx, r_upper):
         r = _propagate(network.layers[idx], inputs[idx], aux[idx], r_upper,

@@ -119,6 +119,8 @@ class LayerSpec:
                 raise ValueError(f"{self.kind} takes no parameters")
         require_int("stride", self.stride, 1)
         require_int("padding", self.padding, 0)
+        if self.kind not in WINDOWED_KINDS and (self.stride, self.padding) != (1, 0):
+            raise ValueError(f"{self.kind} takes no stride or padding")
 
 
 def dense(weights, bias=None):
@@ -274,6 +276,17 @@ def _window_index(geom):
     return index
 
 
+@lru_cache(maxsize=64)
+def _window_inverse(geom):
+    """Read-only (pad_h*pad_w, kh*kw) inverse of _window_index: the output cell
+    whose window cell k reads padded position q, or out_h*out_w if none does."""
+    index = _window_index(geom)
+    inverse = np.full((geom.pad_h * geom.pad_w, len(index)), index.shape[1])
+    inverse[index, np.arange(len(index))[:, None]] = np.arange(index.shape[1])
+    inverse.setflags(write=False)
+    return inverse
+
+
 def window_columns(x, window, stride, padding):
     """Extract pooling/convolution windows of a (..., C, H, W) tensor.
 
@@ -355,6 +368,26 @@ def linear_pair(layer, in_shape):
             lambda w, s: _conv_T(w, s, stride, padding, in_shape))
 
 
+def sparse_response(layer, in_shape, entries, values):
+    """Bias-free response of a weighted layer to sparse input changes: row r of
+    (R, E) flat positions `entries` in `in_shape` and `values` gives row r of the
+    (R,) + output batch apply(W, sum_e values[r, e] * unit(entries[r, e])). Dense
+    scales rows of W; Conv2D is one bincount through the inverse window index."""
+    w, rows = layer.weights, len(entries)
+    if layer.kind == "Dense":
+        return (values[:, None, :] @ w[entries])[:, 0]
+    f, c, kh, kw = w.shape
+    geom = _window_geometry(tuple(in_shape), (kh, kw), layer.stride, layer.padding)
+    channel, y, x = np.unravel_index(entries, in_shape)
+    p, cells = geom.padding, geom.out_h * geom.out_w
+    cell = _window_inverse(geom)[(y + p) * geom.pad_w + x + p][:, :, None]  # (R, E, 1, kh*kw)
+    planes = np.arange(0, rows * f * cells, cells).reshape(rows, 1, f, 1)
+    flat = np.where(cell < cells, cell + planes, rows * f * cells)  # the last slot is a dump
+    scaled = values[..., None, None] * w.reshape(f, c, -1).transpose(1, 0, 2)[channel]
+    z = np.bincount(flat.ravel(), scaled.ravel(), minlength=rows * f * cells + 1)
+    return z[:-1].reshape(rows, f, geom.out_h, geom.out_w)
+
+
 def add_bias(z, bias):
     """Add one bias per output unit (Dense) or per output channel (Conv2D) to
     a fresh (N, ...) batch `z`, in place."""
@@ -407,12 +440,12 @@ def _layer_backward(layer, x, extra, g):
                           geom)
 
 
-def _forward_rows(network, x):
-    """Activations of a validated (N,) + input_shape batch at every position
-    (position 0 is the input, position i + 1 layer i's output) and the
-    MaxPool winner map of every layer (None for other kinds), as two lists."""
+def _forward_rows(network, x, start=0):
+    """Activations of a validated (N, ...) batch `x` at position `start` and
+    every later one (position 0 is the input, position i + 1 layer i's output)
+    and the MaxPool winner map of every layer from `start` on, as two lists."""
     acts, aux = [x], []
-    for i, layer in enumerate(network.layers):
+    for i, layer in enumerate(network.layers[start:], start):
         try:
             y, extra = _layer_forward(layer, acts[-1])
         except ValueError as exc:
@@ -428,15 +461,22 @@ def _take(tensors, pick):
     return tuple([None if t is None else t[pick] for t in tensors])
 
 
-def sample_bytes(network):
-    """Bytes of the widest tensor one sample makes in a forward pass: an
-    activation, or the window columns of a windowed layer."""
-    widest = max(int(np.prod(shape)) for shape in network.activation_shapes)
-    for layer, shape in zip(network.layers, network.activation_shapes):
+def sample_bytes(network, start=0, entries=0):
+    """Bytes of the widest tensor one sample makes in a forward pass from
+    position `start`: an activation, a windowed layer's window columns, or the
+    sparse_response of layer start - 1 to `entries` > 0 entries (their rows of
+    Dense W, or F*kh*kw Conv2D weights each)."""
+    shapes = network.activation_shapes[start:]
+    widest = max(int(np.prod(shape)) for shape in shapes)
+    for layer, shape in zip(network.layers[start:], shapes):
         if layer.kind in WINDOWED_KINDS:
             window = layer.weights.shape[2:] if layer.kind == "Conv2D" else layer.window
             g = _window_geometry(shape, window, layer.stride, layer.padding)
             widest = max(widest, g.channels * g.kh * g.kw * g.out_h * g.out_w)
+    if entries:
+        layer = network.layers[start - 1]
+        w = layer.weights[0] if layer.kind == "Dense" else layer.weights[:, 0]
+        widest = max(widest, entries * w.size)
     return 8 * widest
 
 
@@ -662,7 +702,7 @@ def random_network(input_shape, plan, seed):
     The final layer must produce a 1-D vector, which becomes the logits.
     """
     rng = np.random.default_rng(seed)
-    shape = tuple(int(v) for v in input_shape)
+    shape = in_shape = tuple(require_int("input_shape extent", v) for v in input_shape)
     layers = []
     for item in plan:
         head = item[0]
@@ -670,11 +710,12 @@ def random_network(input_shape, plan, seed):
             if len(shape) != 1:
                 raise ValueError(f"dense layer needs a flat input, got {shape} "
                                  "(insert a flatten first)")
-            out = int(item[1])
+            out = require_int("dense out", item[1])
             w = rng.standard_normal((shape[0], out)) * np.sqrt(2.0 / shape[0])
             layers.append(dense(w))
         elif head == "conv":
-            out_ch, kh, kw, stride, padding = (int(v) for v in item[1:])
+            out_ch, kh, kw, stride, padding = (require_int(f"conv {name}", v) for name, v in zip(
+                ("out_ch", "kh", "kw", "stride", "padding"), item[1:], strict=True))
             if len(shape) != 3:
                 raise ValueError(f"conv layer needs a (c, h, w) input, got {shape}")
             fan_in = shape[0] * kh * kw
@@ -685,7 +726,8 @@ def random_network(input_shape, plan, seed):
         elif head == "flatten":
             layers.append(flatten())
         elif head in ("maxpool", "sumpool", "avgpool"):
-            ph, pw, stride, padding = (int(v) for v in item[1:])
+            ph, pw, stride, padding = (require_int(f"{head} {name}", v) for name, v in zip(
+                ("ph", "pw", "stride", "padding"), item[1:], strict=True))
             kind = {"maxpool": max_pool, "sumpool": sum_pool, "avgpool": avg_pool}[head]
             layers.append(kind((ph, pw), stride=stride, padding=padding))
         else:
@@ -693,4 +735,4 @@ def random_network(input_shape, plan, seed):
         shape = layer_output_shape(layers[-1], shape)
     if len(shape) != 1:
         raise ValueError("plan must end with a 1-D logit vector")
-    return Network(tuple(layers), tuple(int(v) for v in input_shape), shape[0])
+    return Network(tuple(layers), in_shape, shape[0])

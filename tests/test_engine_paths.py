@@ -2,6 +2,9 @@
 first-layer rules, winner-take-all through the engine, logit-level filtering,
 and rank-2 sliding windows."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,14 @@ def test_rule_config_rejects_bad_explained_output(max_network):
 def test_rule_config_rejects_nonpositive_stabilizer():
     with pytest.raises(ValueError, match="stabilizer"):
         relkit.RuleConfig((), stabilizer=0.0)
+
+
+def test_only_netcore_names_the_weighted_layer_kinds():
+    # every other module works by layer family (WEIGHTED_KINDS, POOL_KINDS, ...),
+    # so a kind-specific kernel cannot grow outside netcore
+    package = Path(relkit.__file__).parent
+    literal = re.compile(r"""["'](Dense|Conv2D)["']""")
+    offenders = [f"{path.relative_to(package)}: {match.group(0)}"
+                 for path in sorted(package.rglob("*.py")) if path.name != "netcore.py"
+                 for match in literal.finditer(path.read_text(encoding="utf-8"))]
+    assert offenders == []

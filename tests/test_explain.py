@@ -155,6 +155,23 @@ def test_lrp_nonpredicted_class_initializes_with_value_as_is():
     assert rel.explained_value == logits[weakest]
 
 
+def test_batched_sweep_seeds_each_row_with_its_own_class():
+    # Integer weights and inputs, and one weighted layer, keep every sum exact,
+    # so a batched product and a per-row one agree bitwise whatever their order.
+    net = linear_net([[1.0, -2.0, 3.0], [2.0, 1.0, -1.0], [-3.0, 2.0, 1.0]])
+    xs = np.array([[1.0, 2.0, 0.0], [3.0, -1.0, 2.0]])
+    classes = np.array([0, 2])
+    config = relkit.alphabeta_config(net, 1.0, 0.0)
+    batch = relkit.forward_batch(net, xs)
+    rels, values = explain._backward_sweep(net, batch.inputs, batch.aux, batch.logits,
+                                           classes, config)
+    for row, (x, c) in enumerate(zip(xs, classes)):
+        single = relkit.lrp(net, relkit.forward(net, x), int(c), config)
+        assert values[row] == single.explained_value
+        for got, want in zip(rels, single.relevances):
+            assert np.array_equal(got[row], want)
+
+
 def test_conv_network_conservation():
     rng = np.random.default_rng(41)
     net = relkit.random_network(

@@ -359,16 +359,29 @@ _CONV_W = np.ones((1, 1, 2, 2))
     (lambda: relkit.max_pool((0, 2), stride=1), "pool window must be two positive extents"),
     (lambda: relkit.LayerSpec("Conv2D", _CONV_W, window=(2, 2)), "Conv2D takes no window"),
     (lambda: relkit.LayerSpec("Dense", np.ones((2, 2)), window=(1, 1)), "Dense takes no window"),
+    (lambda: relkit.LayerSpec("Dense", np.ones((2, 2)), stride=3, padding=1),
+     "Dense takes no stride or padding"),
+    (lambda: relkit.LayerSpec("ReLU", stride=3, padding=2), "ReLU takes no stride or padding"),
+    (lambda: relkit.LayerSpec("Flatten", padding=1), "Flatten takes no stride or padding"),
     (lambda: relkit.Network((relkit.relu(),), (2.9,), 2),
      "input_shape extent must be an integer, got 2.9"),
     (lambda: relkit.Network((relkit.relu(),), (True,), 1),
      "input_shape extent must be an integer, got True"),
     (lambda: relkit.Network((relkit.relu(),), (0,), 1), "input_shape extents must be positive"),
+    (lambda: relkit.random_network((2.9,), [("dense", 2)], 0),
+     "input_shape extent must be an integer, got 2.9"),
+    (lambda: relkit.random_network((2,), [("dense", 2.5)], 0),
+     "dense out must be an integer, got 2.5"),
+    (lambda: relkit.random_network((1, 4, 4), [("conv", 1, 2.0, 2, 1, 0)], 0),
+     "conv kh must be an integer, got 2.0"),
+    (lambda: relkit.random_network((1, 4, 4), [("maxpool", 2, 2, 2, 0.5)], 0),
+     "maxpool padding must be an integer, got 0.5"),
 ])
 def test_layer_and_network_integer_fields_must_be_integers(build, message):
     # stride 2.0 built a net with (1, 2.0, 2.0) activation shapes, padding True ran
     # as 1, a (2.7, 2.7) pool window ran as (2, 2), a Conv2D kept an unread window,
-    # and input_shape (2.9,) became (2,)
+    # a Dense, ReLU or Flatten an unread stride and padding, and input_shape (2.9,)
+    # became (2,), also through random_network, whose dense out of 2.5 became 2
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 

@@ -408,10 +408,25 @@ def test_batched_forward_rows_equal_single_sample_forwards(arch, rows):
 
 
 @st.composite
+def flip_entry_nets(draw):
+    """(input_shape, plan, seed, class): a (C, H, W) input that reaches a dense
+    ReLU head through Flatten alone, as in the benchmark's dense net, or
+    through a leading ReLU or pool first."""
+    lead = draw(st.sampled_from(["relu", "pool", "flatten"]))
+    in_shape = (draw(st.integers(1, 2)), draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    plan = [(draw(st.sampled_from(["maxpool", "sumpool", "avgpool"])), 2, 2,
+             draw(st.integers(1, 2)), draw(st.integers(0, 1)))] if lead == "pool" else []
+    plan += [("relu",)] if lead == "relu" else []
+    classes = draw(st.integers(1, 3))
+    plan += [("flatten",), ("dense", draw(st.integers(1, 4))), ("relu",), ("dense", classes)]
+    return in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1))
+
+
+@st.composite
 def flip_cases(draw):
     """(arch, patch, chunk rows, max_steps, fill, explained output). Patch 2
-    rounds a conv net's input extents up to even ones."""
-    in_shape, plan, seed, c = draw(generated_nets())
+    rounds a (C, H, W) input's extents up to even ones."""
+    in_shape, plan, seed, c = draw(st.one_of(generated_nets(), flip_entry_nets()))
     patch = draw(st.sampled_from([1, 2])) if len(in_shape) == 3 else 1
     if patch == 2:
         in_shape = (in_shape[0],) + tuple(e + e % 2 for e in in_shape[1:])
