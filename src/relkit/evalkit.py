@@ -99,7 +99,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         raise ValueError(f"heatmap shape {scores.shape} does not match input {x.shape}")
     if "class_index" not in heatmap.meta:
         raise ValueError("heatmap metadata lacks class_index")
-    class_index = int(heatmap.meta["class_index"])
+    class_index = require_int("class_index", heatmap.meta["class_index"])
     mode = heatmap.meta.get("explained_output", "logit")
     trace = forward(network, x)
     values = [class_output(trace.logits, class_index, mode)[0]]
@@ -112,7 +112,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     layers = network.layers
     first = next((i for i, layer in enumerate(layers) if layer.kind != "Flatten"), len(layers))
     if first < len(layers) and layers[first].kind in WEIGHTED_KINDS:
-        start, z = first + 1, trace.outputs[first]
+        start, z = first + 1, trace.activations[first + 1]
         change = config.fill - x.ravel()[removed]
         width = sample_bytes(network, start, removed.shape[1])
     else:
@@ -131,7 +131,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         else:
             batch = np.where(removed_at <= np.arange(lo, hi)[:, None], config.fill, x.ravel())
             batch = batch.reshape((-1,) + x.shape)
-        values.extend(class_output(_forward_rows(network, batch, start)[0][-1],
+        values.extend(class_output(_forward_rows(network, batch, start).logits,
                                    class_index, mode)[0])
     meta = {"auc_normalization": "step-averaged trapezoid over unit-spaced removals",
             "patch": config.patch,
@@ -161,6 +161,8 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)
     probes = [as_tensor(p, "probe") for p in probes]
+    if not probes:
+        raise ValueError("probes must hold at least one probe")
     base = [_heatmap_scores(explainer(network, p)) for p in probes]
     rng = np.random.default_rng(seed)
     best = 0.0

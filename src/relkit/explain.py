@@ -357,12 +357,13 @@ def _single_pass(network, trace, class_index, config, mask_at=None, mask=None):
     _backward_sweep on `trace` as the N=1 batch, and return the per-layer
     relevances, the explained value and the metadata of every LRP result."""
     _check_rules(network, config)
-    rels, value = _backward_sweep(network, _take(trace.inputs, None), _take(trace.aux, None),
-                                  trace.logits[None], class_index, config, mask_at, mask)
+    batch = _take(trace, None)
+    rels, value = _backward_sweep(network, batch.activations, batch.aux, batch.logits,
+                                  class_index, config, mask_at, mask)
     meta = {"class_index": class_index,
             "explained_output": config.explained_output,
             "rules": config.name}
-    return _take(rels, 0), float(value[0]), meta
+    return tuple([r[0] for r in rels]), float(value[0]), meta
 
 
 def lrp(network, trace, class_index, config):

@@ -8,13 +8,13 @@ its inputs, so independent calls are safe to run concurrently.
 
 Only this module tells Dense from Conv2D; the others work by layer family
 (WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). One loop runs the layers
-each way: `_forward_rows` keeps one activation list (position 0 the input,
-position i + 1 layer i's output), and `_reverse_sweep`, which input gradients,
-training and LRP share, returns one value per position of that list, the
-logits last. One head, `class_output`, gives every consumer the explained
-value and its gradient at the logits, and rejects unknown output names and
-out-of-range or non-integer classes. Every windowed layer reads its windows
-through one cached index map, `_window_index`, of flat positions in the
+each way, by position (0 the input, i + 1 layer i's output, the logits last):
+`_forward_rows` returns the ActivationTrace every caller reads, and
+`_reverse_sweep`, which input gradients, training and LRP share, returns one
+value per position. One head, `class_output`, gives every consumer the
+explained value and its gradient at the logits, and rejects unknown output
+names and out-of-range or non-integer classes. Every windowed layer reads its
+windows through one cached index map, `_window_index`, of flat positions in the
 zero-padded input plane: window columns are a gather over it, their adjoint
 and the MaxPool winner scatter are one `bincount` over it.
 
@@ -24,10 +24,10 @@ sweep and the weight gradient. `window_columns` and `window_scatter` take any
 leading axes before (C, H, W), and only the scatter folds them into planes;
 all planes share the one index map. Conv2D multiplies all N column tensors in
 one stacked product whose slice n is bitwise the product for sample n alone.
-`forward_batch` runs N inputs; `forward`, `seeded_gradient`, `conv_apply` and
-`conv_transpose_apply` are N=1 views that add and drop the batch axis, so one
-input gives bitwise the same result either way. Training runs one batched
-forward and one reverse sweep per minibatch.
+`forward_batch` returns the trace of N inputs; `forward`, `seeded_gradient`,
+`conv_apply` and `conv_transpose_apply` are N=1 views that add and drop the
+batch axis, so one input gives bitwise the same result either way. Training
+runs one batched forward and one reverse sweep per minibatch.
 """
 
 from __future__ import annotations
@@ -219,26 +219,21 @@ class Network:
         object.__setattr__(self, "activation_shapes", tuple(shapes))
 
 
-@dataclass(frozen=True, eq=False)
-class ActivationTrace:
-    """Recorded activations of one forward pass.
-
-    `inputs[i]`/`outputs[i]` are the tensors entering/leaving layer i; `aux[i]`
-    holds the MaxPool winner-index map (flat index into the padded plane per
-    output cell) and None for every other layer kind.
+class ActivationTrace(NamedTuple):
+    """Recorded activations of one forward pass, by position as in
+    `Network.activation_shapes`: 0 the input, i + 1 layer i's output, the
+    logits last, None below the position a pass started at. `aux[i]` holds
+    layer i's MaxPool winner-index map (flat index into the padded plane per
+    output cell) and None for every other layer kind. `inputs` and `outputs`
+    (the tensors entering and leaving each layer), `input` and `logits` are views.
     """
 
-    inputs: tuple
-    outputs: tuple
+    activations: tuple
     aux: tuple
-
-    @property
-    def input(self):
-        return self.inputs[0]
-
-    @property
-    def logits(self):
-        return self.outputs[-1]
+    inputs = property(lambda self: self.activations[:-1])
+    outputs = property(lambda self: self.activations[1:])
+    input = property(lambda self: self.activations[0])
+    logits = property(lambda self: self.activations[-1])
 
 
 class WindowGeom(NamedTuple):
@@ -441,10 +436,10 @@ def _layer_backward(layer, x, extra, g):
 
 
 def _forward_rows(network, x, start=0):
-    """Activations of a validated (N, ...) batch `x` at position `start` and
-    every later one (position 0 is the input, position i + 1 layer i's output)
-    and the MaxPool winner map of every layer from `start` on, as two lists."""
-    acts, aux = [x], []
+    """The trace of a validated (N, ...) batch `x` entering at position
+    `start`: every activation and MaxPool winner map from there on, and None
+    below it, so an index always names the same position."""
+    acts, aux = [None] * start + [x], [None] * start
     for i, layer in enumerate(network.layers[start:], start):
         try:
             y, extra = _layer_forward(layer, acts[-1])
@@ -452,13 +447,14 @@ def _forward_rows(network, x, start=0):
             raise ValueError(f"layer {i} ({layer.kind}): {exc}") from None
         acts.append(y)
         aux.append(extra)
-    return acts, aux
+    return ActivationTrace(tuple(acts), tuple(aux))
 
 
-def _take(tensors, pick):
-    """`t[pick]` of every tensor (None stays None): pick 0 drops an N=1 batch
-    axis, pick None adds one."""
-    return tuple([None if t is None else t[pick] for t in tensors])
+def _take(trace, pick):
+    """The trace of `t[pick]` of every tensor (None stays None): pick 0 drops
+    an N=1 batch axis, pick None adds one."""
+    return ActivationTrace(tuple([None if t is None else t[pick] for t in trace.activations]),
+                           tuple([None if t is None else t[pick] for t in trace.aux]))
 
 
 def sample_bytes(network, start=0, entries=0):
@@ -487,8 +483,7 @@ def forward_batch(network, x):
     if x.ndim == 0 or x.shape[1:] != network.input_shape or len(x) == 0:
         raise ValueError(f"input batch of shape {x.shape} is not one or more rows of the "
                          f"network input {network.input_shape}")
-    acts, aux = _forward_rows(network, x)
-    return ActivationTrace(tuple(acts[:-1]), tuple(acts[1:]), tuple(aux))
+    return _forward_rows(network, x)
 
 
 def forward(network, x):
@@ -498,17 +493,15 @@ def forward(network, x):
     if x.shape != network.input_shape:
         raise ValueError(f"input shape {x.shape} does not match network input "
                          f"{network.input_shape}")
-    acts, aux = _forward_rows(network, x[None])
-    acts = _take(acts, 0)
-    return ActivationTrace(acts[:-1], acts[1:], _take(aux, 0))
+    return _take(_forward_rows(network, x[None]), 0)
 
 
 def _reverse_sweep(network, inputs, aux, seed, step=None, stop=0):
-    """The one backward layer loop, over the (N, ...) layer `inputs` and winner
-    maps `aux` of a batched forward. Returns the value at every position 0..L
-    (position i is layer i's input, position L the logits, where it is `seed`),
-    None below `stop`; position idx gets step(idx, value at idx + 1), by default
-    the gradient of `seed . logits` at layer idx's input."""
+    """The one backward layer loop, over the (N, ...) layer `inputs` (or a trace's
+    activations) and winner maps `aux` of a batched forward. Returns the value at
+    every position 0..L (position i is layer i's input, position L the logits,
+    where it is `seed`), None below `stop`; position idx gets step(idx, value at
+    idx + 1), by default the gradient of `seed . logits` at layer idx's input."""
     if step is None:
         step = lambda idx, g: _layer_backward(network.layers[idx], inputs[idx], aux[idx], g)
     values = [None] * len(network.layers) + [seed]
@@ -522,8 +515,8 @@ def seeded_gradient(network, trace, output_seed):
     g = as_tensor(output_seed, "output seed")
     if g.shape != (network.class_count,):
         raise ValueError(f"output seed must have shape ({network.class_count},)")
-    return _reverse_sweep(network, _take(trace.inputs, None), _take(trace.aux, None),
-                          g[None])[0][0]
+    batch = _take(trace, None)
+    return _reverse_sweep(network, batch.activations, batch.aux, g[None])[0][0]
 
 
 def _value_and_gradient(network, x, class_index, explained_output="logit"):
@@ -634,11 +627,12 @@ def _weight_and_bias_grad(layer, x, g):
     return gw.reshape(layer.weights.shape), gb
 
 
-def _param_grads(network, acts, aux, seed, weighted):
+def _param_grads(network, trace, seed, weighted):
     """{idx: (weight gradient, bias gradient)} of `sum_n seed_n . logits_n` for
-    the layers in `weighted`, from one reverse sweep over the activations `acts`
-    of a batched forward that stops above the first of them."""
-    grads = _reverse_sweep(network, acts, aux, seed, stop=min(weighted, default=0) + 1)
+    the layers in `weighted`, from one reverse sweep over the batched `trace`
+    that stops above the first of them."""
+    acts = trace.activations
+    grads = _reverse_sweep(network, acts, trace.aux, seed, stop=min(weighted, default=0) + 1)
     return {idx: _weight_and_bias_grad(network.layers[idx], acts[idx], grads[idx + 1])
             for idx in weighted}
 
@@ -657,8 +651,8 @@ def train_sgd(network, inputs, labels, config, verbose=False):
     """
     data = as_tensor(inputs, "inputs")
     targets = np.asarray(labels)
-    if data.shape[0] == 0:
-        raise ValueError("empty dataset")
+    if data.ndim == 0 or len(data) == 0:
+        raise ValueError(f"inputs must be a non-empty array of samples, got shape {data.shape}")
     if data.shape[1:] != network.input_shape:
         raise ValueError(f"dataset samples have shape {data.shape[1:]}, "
                          f"network expects {network.input_shape}")
@@ -677,10 +671,10 @@ def train_sgd(network, inputs, labels, config, verbose=False):
         losses = []
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            acts, aux = _forward_rows(net, data[batch])
-            logp, seed = class_output(acts[-1], targets[batch], "log_probability")
+            trace = _forward_rows(net, data[batch])
+            logp, seed = class_output(trace.logits, targets[batch], "log_probability")
             losses.extend(-logp)
-            grads = _param_grads(net, acts, aux, -seed, params)
+            grads = _param_grads(net, trace, -seed, params)
             scale = config.learning_rate / len(batch)
             for idx, (gw, gb) in grads.items():
                 gw *= scale  # in place: one weight-sized temporary fewer

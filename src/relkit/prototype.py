@@ -137,6 +137,13 @@ def _penalize(value, grad, weight, d):
     return value - weight * float(np.sum(d * d)), grad - 2.0 * weight * d
 
 
+def _from_anchor(x, anchor, name):
+    """x - anchor, for an `anchor` of exactly the input's shape."""
+    if anchor.shape != x.shape:
+        raise ValueError(f"{name} has shape {anchor.shape}, not the input's {x.shape}")
+    return x - anchor
+
+
 def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
     x = np.asarray(x, dtype=np.float64)
@@ -146,7 +153,7 @@ def am_objective(network, objective, x):
     if isinstance(reg, L2Penalty):
         value, grad = _penalize(value, grad, reg.weight, x)
     elif isinstance(reg, MeanAnchoredL2):
-        value, grad = _penalize(value, grad, reg.weight, x - reg.mean)
+        value, grad = _penalize(value, grad, reg.weight, _from_anchor(x, reg.mean, "anchor mean"))
     elif isinstance(reg, ExpertPrior):
         density, dgrad = rbm_log_density(reg.expert, x.reshape(-1))
         value += density
@@ -156,7 +163,8 @@ def am_objective(network, objective, x):
 
     loc = objective.localization
     if loc is not None:
-        value, grad = _penalize(value, grad, loc.weight, x - loc.reference)
+        d = _from_anchor(x, loc.reference, "localization reference")
+        value, grad = _penalize(value, grad, loc.weight, d)
     return value, grad
 
 

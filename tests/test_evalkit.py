@@ -110,6 +110,23 @@ def test_heatmap_without_class_meta_is_rejected():
         relkit.pixel_flip(net, np.ones(2), bare)
 
 
+@pytest.mark.parametrize("class_index", [1.9, True, "2", None])
+def test_heatmap_class_index_must_be_an_integer(class_index):
+    # int() used to truncate: 1.9 and True flipped class 1, "2" flipped class 2
+    net = relkit.random_network((3,), [("dense", 3)], seed=0)
+    heatmap = tagged_heatmap(np.ones(3), class_index)
+    with pytest.raises(ValueError, match="^class_index must be an integer, got "):
+        relkit.pixel_flip(net, np.ones(3), heatmap)
+
+
+def test_heatmap_class_index_accepts_numpy_integers():
+    net = relkit.random_network((3,), [("dense", 3)], seed=0)
+    x = np.array([1.0, -2.0, 0.5])
+    got = relkit.pixel_flip(net, x, tagged_heatmap(x, np.int64(2)))
+    want = relkit.pixel_flip(net, x, tagged_heatmap(x, 2))
+    assert got.values == want.values and got.meta["class_index"] == 2
+
+
 def test_continuity_constant_explainer_is_zero():
     net = linear_net([1.0, 1.0])
 
@@ -226,6 +243,12 @@ def test_continuity_rejects_bad_arguments():
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], 0.0, 1, 0)
     with pytest.raises(ValueError, match="trials"):
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], 0.1, 0, 0)
+
+
+def test_continuity_rejects_an_empty_probe_list():
+    # an empty list used to give the estimate 0.0, as if the explainer were constant
+    with pytest.raises(ValueError, match="^probes must hold at least one probe$"):
+        relkit.continuity_estimate(lambda n, x: x, linear_net([1.0]), [], 0.1, 1, 0)
 
 
 @pytest.mark.parametrize("delta,trials,seed,message", [

@@ -202,6 +202,14 @@ def test_train_rejects_empty_dataset():
                          relkit.TrainConfig())
 
 
+def test_train_rejects_a_zero_dimensional_input():
+    # used to raise "IndexError: tuple index out of range"
+    net = relkit.random_network((2,), [("dense", 2)], seed=0)
+    with pytest.raises(ValueError, match=r"^inputs must be a non-empty array of samples, "
+                                         r"got shape \(\)$"):
+        relkit.train_sgd(net, np.float64(1.0), np.array([0]), relkit.TrainConfig())
+
+
 def test_train_rejects_bad_labels():
     net = relkit.random_network((2,), [("dense", 2)], seed=0)
     with pytest.raises(ValueError, match="labels"):

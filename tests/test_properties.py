@@ -17,7 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 import relkit
 from relkit import evalkit
 from relkit.modelio import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ModelFormatError
-from relkit.netcore import layer_output_shape, sample_bytes, window_columns, window_scatter
+from relkit.netcore import (_forward_rows, layer_output_shape, sample_bytes, window_columns,
+                            window_scatter)
 
 from conftest import central_difference, with_random_biases
 from test_modelio import HAND_MODEL
@@ -396,8 +397,10 @@ def test_batched_forward_rows_equal_single_sample_forwards(arch, rows):
     net, rng, _ = _built(arch)
     xs = rng.standard_normal((rows,) + net.input_shape)
     batch = relkit.forward_batch(net, xs)
+    _assert_position_indexed(batch, [(rows,) + shape for shape in net.activation_shapes])
     for i, x in enumerate(xs):
         single = relkit.forward(net, x)
+        _assert_position_indexed(single, net.activation_shapes)
         for got, want in zip(batch.outputs, single.outputs):
             assert got.shape == (rows,) + want.shape
             assert _close(got[i], want)
@@ -405,6 +408,26 @@ def test_batched_forward_rows_equal_single_sample_forwards(arch, rows):
             assert (got is None) == (want is None)
             if want is not None:  # MaxPool winner maps
                 assert np.array_equal(got[i], want)
+    # a pass restarted at position k from the batch's activation there holds
+    # None below k and bitwise the batch's tensors from k on, logits included
+    for k, a in enumerate(batch.activations):
+        rest = _forward_rows(net, a, k)
+        assert rest.activations[:k] == (None,) * k and rest.aux[:k] == (None,) * k
+        for got, want in zip(rest.activations[k:], batch.activations[k:]):
+            assert np.array_equal(got, want)
+        for got, want in zip(rest.aux[k:], batch.aux[k:]):
+            assert (got is None) == (want is None) and (want is None or np.array_equal(got, want))
+
+
+def _assert_position_indexed(trace, shapes):
+    """activations[i] has the shape of position i; the four views are slices of it."""
+    acts = trace.activations
+    assert [a.shape for a in acts] == list(shapes)
+    assert len(trace.aux) == len(acts) - 1
+    assert len(trace.inputs) == len(trace.outputs) == len(acts) - 1
+    assert all(got is want for got, want in zip(trace.inputs, acts[:-1]))
+    assert all(got is want for got, want in zip(trace.outputs, acts[1:]))
+    assert trace.input is acts[0] and trace.logits is acts[-1]
 
 
 @st.composite

@@ -189,6 +189,20 @@ def test_am_options_accept_numpy_integers_and_zero_budgets():
     assert result.iterations == 0
 
 
+@pytest.mark.parametrize("objective,field", [
+    (relkit.AmObjective(0, relkit.MeanAnchoredL2(0.1, np.zeros((2, 6, 6)))), "anchor mean"),
+    (relkit.AmObjective(0, relkit.MeanAnchoredL2(0.1, np.zeros((6, 6)))), "anchor mean"),
+    (relkit.AmObjective(0, None, relkit.Localization(0.1, np.zeros(6))),
+     "localization reference"),
+    (relkit.AmObjective(0, None, relkit.Localization(0.1, 0.0)), "localization reference")])
+def test_anchor_must_have_the_input_shape(objective, field):
+    # a wrong-shaped anchor used to broadcast: a (2, 6, 6) mean gave a
+    # (2, 6, 6) gradient, and a (6,) reference was accepted
+    net = relkit.random_network((1, 6, 6), [("flatten",), ("dense", 2)], seed=0)
+    with pytest.raises(ValueError, match=rf"^{field} has shape .*, not the input's \(1, 6, 6\)$"):
+        relkit.am_objective(net, objective, np.zeros((1, 6, 6)))
+
+
 @pytest.mark.parametrize("cls,extra", [
     (relkit.L2Penalty, ()), (relkit.MeanAnchoredL2, (np.zeros(2),)),
     (relkit.Localization, (np.zeros(2),))], ids=["L2Penalty", "MeanAnchoredL2", "Localization"])
