@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (WEIGHTED_KINDS, _forward_rows, as_tensor, class_output, forward,
-                      require_int, sample_bytes, sparse_response, window_columns)
-
-# Bytes one chunk of removal steps may spend on its widest tensor (an activation,
-# window columns or a first-layer sparse update), so memory per chunk stays flat.
-# 1 MiB (28 rows of the README conv net, 436 of a 784-300-100-10 dense net at
-# patch 1) was at or near the fastest flip on both nets among 128 KiB to 2 MiB.
-_CHUNK_BYTES = 1 << 20
+from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, as_tensor, class_output,
+                      forward, require_int, sample_bytes, sparse_response, window_columns)
 
 
 @dataclass(frozen=True)

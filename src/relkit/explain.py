@@ -17,16 +17,16 @@ layer on first use and live as long as the LayerSpec (and the ZBounds) does.
 The rules, the pool rule and the backward sweep work on (N, ...) batches over
 netcore's batch kernels; the backward sweep is netcore's one reverse layer
 loop with each layer's rule, then the filter mask, as its step, so relevances
-are indexed by position like the activations. One checked single-sample pass
-serves `lrp`, `filter_relevance` and (through `lrp_heatmap`) sliding windows:
-it checks the rule config, runs the sweep as the N=1 batch and gives the
-metadata every LRP result carries. The single-layer entries (`lrp_pool`,
-`lrp_dense_*`, `lrp_input_*`) reject non-finite arrays, naming the argument,
-and also run one sample as the N=1 batch. Denominators smaller in
-magnitude than the stabilizer absorb their unit's relevance instead of being
-inflated; when the inhibitory branch of the alpha/beta rule is empty the unit
-falls back to purely excitatory redistribution so that layer conservation
-survives.
+are indexed by position like the activations. The sweep is the one checked
+pass: it checks the rule config and explains N rows, one class each, over the
+row-stable operator pairs. `lrp`, `filter_relevance` and `lrp_heatmap` run it
+as the N=1 batch; sliding windows run in chunks of rows, bitwise equal to one
+window at a time. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
+`lrp_input_*`) reject non-finite arrays, naming the argument, and also run one
+sample as the N=1 batch. Denominators smaller in magnitude than the stabilizer
+absorb their unit's relevance instead of being inflated; when the inhibitory
+branch of the alpha/beta rule is empty the unit falls back to purely
+excitatory redistribution so that layer conservation survives.
 """
 
 from __future__ import annotations
@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import (DENSE_PAIR, POOL_KINDS, WEIGHTED_KINDS, add_bias, as_tensor,
-                      broadcasts_to, check_explained_output, class_output, forward,
-                      linear_pair, require_finite, require_int, window_columns, window_scatter,
-                      _layer_backward, _reverse_sweep, _take, _value_and_gradient)
+from .netcore import (DENSE_ROW_PAIR, POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias,
+                      as_tensor, broadcasts_to, check_explained_output, class_output,
+                      linear_pair, require_finite, require_int, sample_bytes, window_columns,
+                      window_scatter, _as_input, _forward_rows, _layer_backward,
+                      _reverse_sweep, _take, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +238,7 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
 
 
 def _dense_rule(a, weights, bias, r_upper, rule, stabilizer=1e-9):
-    return _redistribute(DENSE_PAIR, a[None], as_tensor(weights, "weights"),
+    return _redistribute(DENSE_ROW_PAIR, a[None], as_tensor(weights, "weights"),
                          bias, as_tensor(r_upper, "r_upper")[None], rule, stabilizer)[0]
 
 
@@ -319,8 +320,8 @@ def _check_rules(network, config):
 def _propagate(layer, x, extra, r_upper, rule, stabilizer):
     """Relevance at the (N, ...) input `x` of one layer under its rule."""
     if layer.kind in WEIGHTED_KINDS:
-        return _redistribute(linear_pair(layer, x.shape[1:]), x, layer.weights, layer.bias,
-                             r_upper, rule, stabilizer, layer)
+        return _redistribute(linear_pair(layer, x.shape[1:], row_stable=True), x,
+                             layer.weights, layer.bias, r_upper, rule, stabilizer, layer)
     if layer.kind in POOL_KINDS:
         return _pool_rule(layer, x, extra, r_upper, rule, stabilizer)
     return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through
@@ -332,13 +333,15 @@ def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
     return _propagate(layer, x[None], extra, r_upper[None], rule, stabilizer)[0]
 
 
-def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=None,
-                    mask=None):
-    """Per-layer relevances of a batched forward (the layer `inputs`, MaxPool
-    winner maps `aux` and `logits`, each (N, ...)) for one class of every row,
-    and the explained values: netcore's reverse sweep with each layer's rule as
-    its step. The relevance at position `mask_at` (a layer input, or the logits
-    at len(network.layers)) is multiplied by `mask`."""
+def _backward_sweep(network, batch, class_index, config, mask_at=None, mask=None):
+    """The one checked LRP pass: check `config` against the network, then give the
+    (N, ...) per-layer relevances of the batched trace `batch` for one class per
+    row (or one for every row) and the (N,) explained values, from netcore's
+    reverse sweep with each layer's rule as its step. The relevance at position
+    `mask_at` (a layer input, or the logits at len(network.layers)) is
+    multiplied by `mask`."""
+    _check_rules(network, config)
+    inputs, aux, logits = batch.activations, batch.aux, batch.logits
     value, _ = class_output(logits, class_index, config.explained_output)
     r = np.zeros_like(logits)
     r[np.arange(len(r)), class_index] = value
@@ -352,18 +355,20 @@ def _backward_sweep(network, inputs, aux, logits, class_index, config, mask_at=N
     return _reverse_sweep(network, inputs, aux, seed, step), value
 
 
-def _single_pass(network, trace, class_index, config, mask_at=None, mask=None):
-    """The one single-sample LRP pass: check `config` against the network, run
-    _backward_sweep on `trace` as the N=1 batch, and return the per-layer
-    relevances, the explained value and the metadata of every LRP result."""
-    _check_rules(network, config)
-    batch = _take(trace, None)
-    rels, value = _backward_sweep(network, batch.activations, batch.aux, batch.logits,
-                                  class_index, config, mask_at, mask)
+def _single_pass(network, batch, class_index, config, mask_at=None, mask=None):
+    """_backward_sweep of an N=1 `batch` as its row: the per-layer relevances, the
+    explained value and the metadata of every LRP result."""
+    rels, value = _backward_sweep(network, batch, class_index, config, mask_at, mask)
     meta = {"class_index": class_index,
             "explained_output": config.explained_output,
             "rules": config.name}
     return tuple([r[0] for r in rels]), float(value[0]), meta
+
+
+def _lrp_trace(network, batch, class_index, config):
+    rels, value, meta = _single_pass(network, batch, class_index, config)
+    meta["stabilizer"] = config.stabilizer
+    return RelevanceTrace(rels, value, class_index, f"lrp:{config.name}", meta)
 
 
 def lrp(network, trace, class_index, config):
@@ -372,15 +377,26 @@ def lrp(network, trace, class_index, config):
     The output layer starts with the explained value at `class_index` and zero
     elsewhere; every layer is then propagated by its assigned rule.
     """
-    rels, value, meta = _single_pass(network, trace, class_index, config)
-    meta["stabilizer"] = config.stabilizer
-    return RelevanceTrace(rels, value, class_index, f"lrp:{config.name}", meta)
+    return _lrp_trace(network, _take(trace, None), class_index, config)
 
 
 def lrp_heatmap(network, x, class_index, config):
     """Forward pass plus relevance propagation, packaged as a Heatmap."""
-    trace = forward(network, x)
-    return lrp(network, trace, class_index, config).heatmap()
+    batch = _forward_rows(network, _as_input(network, x)[None], row_stable=True)
+    return _lrp_trace(network, batch, class_index, config).heatmap()
+
+
+def _lrp_rows(network, x, class_index, config):
+    """Input relevances and explained values of an (N,) + input batch `x`, one
+    class per row (or one for every row), by row-stable chunks of the byte budget:
+    row n is bitwise lrp_heatmap(network, x[n], c_n, config)'s."""
+    rows, parts = max(1, _CHUNK_BYTES // sample_bytes(network)), []
+    for lo in range(0, len(x), rows):
+        c = class_index if np.ndim(class_index) == 0 else np.asarray(class_index)[lo:lo + rows]
+        batch = _forward_rows(network, x[lo:lo + rows], row_stable=True)
+        parts.append(_backward_sweep(network, batch, c, config))
+    return (np.concatenate([rels[0] for rels, _ in parts]),
+            np.concatenate([value for _, value in parts]))
 
 
 def filter_relevance(network, trace, class_index, config, layer_index, mask):
@@ -400,7 +416,8 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
                          f"relevance shape {expected}")
     if mask.min() < 0 or mask.max() > 1:
         raise ValueError("mask entries must lie in [0, 1]")
-    rels, value, meta = _single_pass(network, trace, class_index, config, layer_index, mask)
+    rels, value, meta = _single_pass(network, _take(trace, None), class_index, config,
+                                     layer_index, mask)
     masked_total = float(np.sum(rels[layer_index]))
     meta.update(filter_layer=layer_index, masked_layer_total=masked_total)
     hm = Heatmap.from_scores(rels[0], value, f"lrp-filtered:{config.name}", meta)
@@ -422,8 +439,8 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     The unexplained part explained_value - total is reported under the
     "residual" metadata key (zero only in the homogeneous case).
     """
-    trace, value, g = _value_and_gradient(network, x, class_index, explained_output)
-    scores = g * trace.input
+    x, value, g = _value_and_gradient(network, x, class_index, explained_output)
+    scores = g * x
     hm = Heatmap.from_scores(scores, value, "simple_taylor",
                              {"class_index": class_index,
                               "explained_output": explained_output})

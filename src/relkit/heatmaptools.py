@@ -7,8 +7,8 @@ import warnings
 
 import numpy as np
 
-from .explain import Heatmap, lrp_heatmap
-from .netcore import as_tensor, require_finite, require_int
+from .explain import Heatmap, _lrp_rows
+from .netcore import as_tensor, require_finite, require_int, window_columns
 
 
 def pool_relevance(heatmap, partition):
@@ -49,7 +49,7 @@ def quadrant_partition(shape):
 
 def shift_image(image, shift):
     """Shift the last two axes by integer (dy, dx), filling with zeros."""
-    dy, dx = (int(v) for v in shift)
+    dy, dx = (require_int("shift component", v) for v in shift)
     out = np.zeros_like(image)
     h, w = image.shape[-2], image.shape[-1]
     src_r = slice(max(0, -dy), min(h, h - dy))
@@ -88,7 +88,9 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     The network's input shape is slid over the image at the given stride;
     every window is explained independently and the heatmaps are added, so
     the result decomposes the sum of the per-window outputs. Metadata carries
-    the per-pixel coverage counts for an optional normalized display.
+    the per-pixel coverage counts for an optional normalized display. Windows
+    run as row-stable batches, each bitwise its own lrp_heatmap, and add back
+    one slice per window in window order.
     """
     big = as_tensor(big_image, "image")
     window = network.input_shape
@@ -104,23 +106,23 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     if h < wh or w < ww:
         raise ValueError(f"image {big.shape} is smaller than the network window {window}")
 
+    cols, geom = window_columns(big.reshape((-1, h, w)), (wh, ww), stride, 0)
+    scores, values = _lrp_rows(network, np.moveaxis(cols, -1, 0).reshape((-1,) + window),
+                               class_index, rule_config)
     acc = np.zeros_like(big)
     coverage = np.zeros(big.shape, dtype=np.int64)
     total_value = 0.0
-    count = 0
-    for top in range(0, h - wh + 1, stride):
-        for left in range(0, w - ww + 1, stride):
-            region = (..., slice(top, top + wh), slice(left, left + ww))
-            hm = lrp_heatmap(network, big[region], class_index, rule_config)
-            acc[region] += hm.scores
-            coverage[region] += 1
-            total_value += hm.explained_value
-            count += 1
+    for k, (window_scores, value) in enumerate(zip(scores, values.tolist())):
+        top, left = (stride * v for v in divmod(k, geom.out_w))
+        region = (..., slice(top, top + wh), slice(left, left + ww))
+        acc[region] += window_scores
+        coverage[region] += 1
+        total_value += value
     meta = {"class_index": class_index,
             "explained_output": rule_config.explained_output,
             "rules": rule_config.name,
             "stride": stride,
-            "windows": count,
+            "windows": len(scores),
             "coverage": coverage}
     return Heatmap.from_scores(acc, total_value, f"sliding_window:{rule_config.name}", meta)
 

@@ -22,8 +22,8 @@ Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
 sweep and the weight gradient. `window_columns` and `window_scatter` take any
 leading axes before (C, H, W), and only the scatter folds them into planes;
-all planes share the one index map. Conv2D multiplies all N column tensors in
-one stacked product whose slice n is bitwise the product for sample n alone.
+all planes share the one index map. Conv2D, and Dense with `row_stable`, multiply
+in one stacked product whose slice n is bitwise the product for sample n alone.
 `forward_batch` returns the trace of N inputs; `forward`, `seeded_gradient`,
 `conv_apply` and `conv_transpose_apply` are N=1 views that add and drop the
 batch axis, so one input gives bitwise the same result either way. Training
@@ -345,19 +345,23 @@ def conv_transpose_apply(weights, s, stride, padding, in_shape):
     return _conv_T(weights, s[None], stride, padding, in_shape)[0]
 
 
-# (apply, apply_T) of a Dense layer: weights are (in, out)
+# (apply, apply_T) of a Dense layer, weights (in, out): the GEMM, and a stacked product
+# whose row n is bitwise row n's alone; GEMM rows may differ in last bits (not at N=1)
 DENSE_PAIR = (lambda w, a: a @ w, lambda w, s: (w @ s.T).T)
+DENSE_ROW_PAIR = (lambda w, a: (a[:, None, :] @ w)[:, 0],
+                  lambda w, s: (w @ s[:, :, None])[..., 0])
 
 
-def linear_pair(layer, in_shape):
+def linear_pair(layer, in_shape, row_stable=False):
     """Bias-free linear operator pair (apply, apply_T) of a weighted layer.
 
     apply(w, a) maps an (N,) + `in_shape` batch through weights `w` shaped
     like layer.weights (or any elementwise transform of them); apply_T(w, s)
     is its adjoint, pushing an output-shaped batch back to (N,) + `in_shape`.
+    Dense takes the GEMM, or with `row_stable` the stacked per-row product.
     """
     if layer.kind == "Dense":
-        return DENSE_PAIR
+        return DENSE_ROW_PAIR if row_stable else DENSE_PAIR
     stride, padding = layer.stride, layer.padding
     return (lambda w, a: _conv(w, a, stride, padding),
             lambda w, s: _conv_T(w, s, stride, padding, in_shape))
@@ -390,12 +394,12 @@ def add_bias(z, bias):
     return z
 
 
-def _layer_forward(layer, x):
+def _layer_forward(layer, x, row_stable=False):
     """Output of `layer` on an (N, ...) batch, and the MaxPool winner map
     (None for every other kind)."""
     kind = layer.kind
     if kind in WEIGHTED_KINDS:
-        apply, _ = linear_pair(layer, x.shape[1:])
+        apply, _ = linear_pair(layer, x.shape[1:], row_stable)
         return add_bias(apply(layer.weights, x), layer.bias), None
     if kind == "ReLU":
         return np.maximum(x, 0.0), None
@@ -435,14 +439,15 @@ def _layer_backward(layer, x, extra, g):
                           geom)
 
 
-def _forward_rows(network, x, start=0):
+def _forward_rows(network, x, start=0, row_stable=False):
     """The trace of a validated (N, ...) batch `x` entering at position
     `start`: every activation and MaxPool winner map from there on, and None
-    below it, so an index always names the same position."""
+    below it, so an index always names the same position. With `row_stable`,
+    row n is bitwise the trace of row n alone."""
     acts, aux = [None] * start + [x], [None] * start
     for i, layer in enumerate(network.layers[start:], start):
         try:
-            y, extra = _layer_forward(layer, acts[-1])
+            y, extra = _layer_forward(layer, acts[-1], row_stable)
         except ValueError as exc:
             raise ValueError(f"layer {i} ({layer.kind}): {exc}") from None
         acts.append(y)
@@ -455,6 +460,12 @@ def _take(trace, pick):
     an N=1 batch axis, pick None adds one."""
     return ActivationTrace(tuple([None if t is None else t[pick] for t in trace.activations]),
                            tuple([None if t is None else t[pick] for t in trace.aux]))
+
+
+# Bytes a chunk of rows of pixel_flip or batched explain may spend on one row's
+# widest tensor (sample_bytes), so memory per chunk stays flat. 1 MiB was at or near
+# the fastest flip of the README conv net and a 784-300-100-10 dense net.
+_CHUNK_BYTES = 1 << 20
 
 
 def sample_bytes(network, start=0, entries=0):
@@ -486,14 +497,19 @@ def forward_batch(network, x):
     return _forward_rows(network, x)
 
 
-def forward(network, x):
-    """Run the network on one input, recording every intermediate activation.
-    This is the N=1 batch, returned without the batch axis."""
+def _as_input(network, x):
+    """One input as a float64 tensor, checked against the network input shape."""
     x = as_tensor(x, "input")
     if x.shape != network.input_shape:
         raise ValueError(f"input shape {x.shape} does not match network input "
                          f"{network.input_shape}")
-    return _take(_forward_rows(network, x[None]), 0)
+    return x
+
+
+def forward(network, x):
+    """Run the network on one input, recording every intermediate activation.
+    This is the N=1 batch, returned without the batch axis."""
+    return _take(_forward_rows(network, _as_input(network, x)[None]), 0)
 
 
 def _reverse_sweep(network, inputs, aux, seed, step=None, stop=0):
@@ -520,11 +536,12 @@ def seeded_gradient(network, trace, output_seed):
 
 
 def _value_and_gradient(network, x, class_index, explained_output="logit"):
-    """(trace, f_c, df_c/dx) of one input: its forward trace, the explained
-    value of class c and its gradient at the input."""
-    trace = forward(network, x)
+    """(x, f_c, df_c/dx) of one input: the checked input, the explained value
+    of class c and its gradient at the input, from one N=1 batch."""
+    x = _as_input(network, x)
+    trace = _forward_rows(network, x[None])
     value, seed = class_output(trace.logits, class_index, explained_output)
-    return trace, value, seeded_gradient(network, trace, seed)
+    return x, float(value[0]), _reverse_sweep(network, trace.activations, trace.aux, seed)[0][0]
 
 
 def gradient(network, x, class_index=0):

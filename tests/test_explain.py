@@ -163,8 +163,7 @@ def test_batched_sweep_seeds_each_row_with_its_own_class():
     classes = np.array([0, 2])
     config = relkit.alphabeta_config(net, 1.0, 0.0)
     batch = relkit.forward_batch(net, xs)
-    rels, values = explain._backward_sweep(net, batch.inputs, batch.aux, batch.logits,
-                                           classes, config)
+    rels, values = explain._backward_sweep(net, batch, classes, config)
     for row, (x, c) in enumerate(zip(xs, classes)):
         single = relkit.lrp(net, relkit.forward(net, x), int(c), config)
         assert values[row] == single.explained_value

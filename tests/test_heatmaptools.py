@@ -71,6 +71,12 @@ def test_shift_and_inverse_restore_interior_content():
     assert np.array_equal(restored, image)
 
 
+@pytest.mark.parametrize("shift", [(1.9, 0), (True, 0), ("2", 0), (0, 1.0)])
+def test_shift_image_rejects_non_integer_components(shift):
+    with pytest.raises(ValueError, match="shift component must be an integer"):
+        relkit.shift_image(np.ones((3, 3)), shift)
+
+
 def test_translation_identity_set_is_bit_identical(max_network):
     def explainer(network, x):
         return relkit.simple_taylor(network, x, 0)
@@ -180,6 +186,28 @@ def test_sliding_window_overlaps_sum_per_window_scores(window_net):
     assert slid.explained_value == pytest.approx(total, abs=1e-12)
     assert abs(slid.total - total) <= 1e-6 * max(abs(total), 1e-9)
     assert slid.meta["coverage"].max() == 3  # middle columns sit in 3 windows
+
+
+@pytest.mark.parametrize("rule", relkit.explain.LRP_RULES)
+def test_sliding_window_overlaps_equal_window_order_accumulation_bitwise(rule):
+    # a dense head wide enough that a GEMM over the windows would move last bits
+    net = relkit.random_network((1, 8, 8), [("flatten",), ("dense", 40), ("relu",),
+                                            ("dense", 30), ("relu",), ("dense", 3)], seed=23)
+    image = np.random.default_rng(197).random((1, 20, 17))
+    config = relkit.rule_config(net, rule, "pixel", 0.0, 1.0)
+    slid = relkit.sliding_window_explain(net, image, 3, config, 2)
+    manual, coverage, total = np.zeros_like(image), np.zeros(image.shape, dtype=np.int64), 0.0
+    for top in range(0, 13, 3):
+        for left in range(0, 10, 3):
+            region = (..., slice(top, top + 8), slice(left, left + 8))
+            hm = relkit.lrp_heatmap(net, image[region], 2, config)
+            manual[region] += hm.scores
+            coverage[region] += 1
+            total += hm.explained_value
+    assert slid.meta["windows"] == 20
+    assert np.array_equal(slid.scores, manual)
+    assert slid.explained_value == total
+    assert np.array_equal(slid.meta["coverage"], coverage)
 
 
 def test_sliding_window_rejects_small_image(window_net):

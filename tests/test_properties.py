@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 import relkit
-from relkit import evalkit
+from relkit import evalkit, explain, netcore
 from relkit.modelio import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ModelFormatError
 from relkit.netcore import (_forward_rows, layer_output_shape, sample_bytes, window_columns,
                             window_scatter)
@@ -417,6 +417,37 @@ def test_batched_forward_rows_equal_single_sample_forwards(arch, rows):
             assert np.array_equal(got, want)
         for got, want in zip(rest.aux[k:], batch.aux[k:]):
             assert (got is None) == (want is None) and (want is None or np.array_equal(got, want))
+
+
+def _rule_stacks(net, explained_output):
+    """Every LRP_RULES x INPUT_DOMAINS stack, and for a net with a MaxPool each
+    stack again with the winner-take-all pool policy."""
+    stacks = [relkit.rule_config(net, rule, domain, -3.0, 3.0,
+                                 explained_output=explained_output)
+              for rule in explain.LRP_RULES for domain in explain.INPUT_DOMAINS]
+    if any(layer.kind == "MaxPool" for layer in net.layers):
+        stacks += [dataclasses.replace(config, layer_rules=[
+            relkit.PoolWinnerTakeAll() if layer.kind == "MaxPool" else rule
+            for layer, rule in zip(net.layers, config.layer_rules)]) for config in stacks]
+    return stacks
+
+
+@BATCHED
+@given(generated_nets(), st.integers(1, 7), st.integers(1, 3),
+       st.sampled_from(netcore.EXPLAINED_OUTPUTS))
+def test_batched_lrp_rows_equal_single_image_lrp_bitwise(arch, rows, chunk, explained_output):
+    net, rng, _ = _built(arch)
+    xs = rng.standard_normal((rows,) + net.input_shape)
+    classes = rng.integers(0, net.class_count, rows)  # one class per row
+    for config in _rule_stacks(net, explained_output):
+        # chunks of `chunk` rows, so most batches cross a chunk boundary
+        with mock.patch.object(explain, "_CHUNK_BYTES", chunk * sample_bytes(net)):
+            scores, values = explain._lrp_rows(net, xs, classes, config)
+        assert scores.shape == (rows,) + net.input_shape and values.shape == (rows,)
+        for x, c, got, value in zip(xs, classes, scores, values):
+            want = relkit.lrp(net, relkit.forward(net, x), int(c), config)
+            assert np.array_equal(got, want.relevances[0])
+            assert value == want.explained_value
 
 
 def _assert_position_indexed(trace, shapes):
