@@ -387,16 +387,15 @@ def lrp_heatmap(network, x, class_index, config):
 
 
 def _lrp_rows(network, x, class_index, config):
-    """Input relevances and explained values of an (N,) + input batch `x`, one
-    class per row (or one for every row), by row-stable chunks of the byte budget:
-    row n is bitwise lrp_heatmap(network, x[n], c_n, config)'s."""
-    rows, parts = max(1, _CHUNK_BYTES // sample_bytes(network)), []
+    """Yield (input relevance, explained value) for each of the N inputs `x`,
+    one class per input (or one for all), from row-stable chunks of the byte
+    budget: row n is bitwise lrp_heatmap(network, x[n], c_n, config)'s."""
+    rows = max(1, _CHUNK_BYTES // sample_bytes(network))
     for lo in range(0, len(x), rows):
         c = class_index if np.ndim(class_index) == 0 else np.asarray(class_index)[lo:lo + rows]
-        batch = _forward_rows(network, x[lo:lo + rows], row_stable=True)
-        parts.append(_backward_sweep(network, batch, c, config))
-    return (np.concatenate([rels[0] for rels, _ in parts]),
-            np.concatenate([value for _, value in parts]))
+        batch = _forward_rows(network, np.stack(x[lo:lo + rows]), row_stable=True)
+        rels, values = _backward_sweep(network, batch, c, config)
+        yield from zip(rels[0], values.tolist())
 
 
 def filter_relevance(network, trace, class_index, config, layer_index, mask):

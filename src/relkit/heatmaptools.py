@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 from .explain import Heatmap, _lrp_rows
-from .netcore import as_tensor, require_finite, require_int, window_columns
+from .netcore import as_tensor, require_finite, require_int
 
 
 def pool_relevance(heatmap, partition):
@@ -106,15 +106,13 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
     if h < wh or w < ww:
         raise ValueError(f"image {big.shape} is smaller than the network window {window}")
 
-    cols, geom = window_columns(big.reshape((-1, h, w)), (wh, ww), stride, 0)
-    scores, values = _lrp_rows(network, np.moveaxis(cols, -1, 0).reshape((-1,) + window),
-                               class_index, rule_config)
+    regions = [(..., slice(top, top + wh), slice(left, left + ww))
+               for top in range(0, h - wh + 1, stride) for left in range(0, w - ww + 1, stride)]
     acc = np.zeros_like(big)
     coverage = np.zeros(big.shape, dtype=np.int64)
     total_value = 0.0
-    for k, (window_scores, value) in enumerate(zip(scores, values.tolist())):
-        top, left = (stride * v for v in divmod(k, geom.out_w))
-        region = (..., slice(top, top + wh), slice(left, left + ww))
+    windows = _lrp_rows(network, [big[region] for region in regions], class_index, rule_config)
+    for region, (window_scores, value) in zip(regions, windows):
         acc[region] += window_scores
         coverage[region] += 1
         total_value += value
@@ -122,7 +120,7 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
             "explained_output": rule_config.explained_output,
             "rules": rule_config.name,
             "stride": stride,
-            "windows": len(scores),
+            "windows": len(regions),
             "coverage": coverage}
     return Heatmap.from_scores(acc, total_value, f"sliding_window:{rule_config.name}", meta)
 

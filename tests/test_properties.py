@@ -442,9 +442,9 @@ def test_batched_lrp_rows_equal_single_image_lrp_bitwise(arch, rows, chunk, expl
     for config in _rule_stacks(net, explained_output):
         # chunks of `chunk` rows, so most batches cross a chunk boundary
         with mock.patch.object(explain, "_CHUNK_BYTES", chunk * sample_bytes(net)):
-            scores, values = explain._lrp_rows(net, xs, classes, config)
-        assert scores.shape == (rows,) + net.input_shape and values.shape == (rows,)
-        for x, c, got, value in zip(xs, classes, scores, values):
+            got_rows = list(explain._lrp_rows(net, xs, classes, config))
+        assert len(got_rows) == rows
+        for x, c, (got, value) in zip(xs, classes, got_rows):
             want = relkit.lrp(net, relkit.forward(net, x), int(c), config)
             assert np.array_equal(got, want.relevances[0])
             assert value == want.explained_value
