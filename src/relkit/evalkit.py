@@ -5,8 +5,10 @@ descending order of their heatmap relevance, the model output is re-recorded
 after every removal, and the area under the resulting curve summarizes how
 fast the output collapses (lower is more selective). A curve's first value is
 bitwise the forward value; the rest lie within 1e-12 of max |f| of a forward
-per removal step. continuity_estimate probes how violently an explanation can
-change under small input perturbations.
+per removal step, as each step runs only the net's nonlinear middle: a running
+sum stands for the first weighted layer, one product for the affine layers
+after the last ReLU or MaxPool. continuity_estimate probes how violently an
+explanation can change under small input perturbations.
 """
 
 from __future__ import annotations
@@ -15,8 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, as_tensor, class_output,
-                      forward, require_int, sample_bytes, sparse_response, window_columns)
+from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep, as_tensor,
+                      class_output, forward, require_finite, require_int, sample_bytes,
+                      sparse_response, window_columns)
+
+
+def _finite_number(value):
+    """True for a finite int or float (NumPy scalars too), False for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return bool(np.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -35,8 +45,7 @@ class FlipConfig:
         require_int("patch", self.patch, 1)
         if self.max_steps is not None:
             require_int("max_steps", self.max_steps, 0)
-        number = isinstance(self.fill, (int, float, np.integer, np.floating))
-        if isinstance(self.fill, bool) or not number or not np.isfinite(self.fill):
+        if not _finite_number(self.fill):
             raise ValueError(f"fill must be a finite number, got {self.fill!r}")
 
 
@@ -83,12 +92,15 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     linear index) and never re-derived from the mutated input. The explained
     class and output mode are taken from the heatmap metadata. values[0] is
     bitwise the forward value, values[1:] within 1e-12 of max |f| of a forward
-    per step: where the input reaches the first weighted layer unchanged or only
-    flattened, that layer's pre-activation after k removals is z_0 plus a running
-    sum of sparse_response updates, and only the layers above it run, in batches.
+    per step. Only the nonlinear middle of the net runs, in batches. Below it,
+    where the input reaches the first weighted layer unchanged or only flattened,
+    that layer's pre-activation after k removals is z_0 plus a running sum of
+    sparse_response updates. Above it, past the last ReLU or MaxPool, the layers
+    are affine, so the logits are one product a @ M + offset with M (the logits'
+    Jacobian there) and offset (the logits of a zero activation) found once.
     """
     x = as_tensor(x, "input")
-    scores = np.asarray(heatmap.scores, dtype=np.float64)
+    scores = _heatmap_scores(heatmap)
     if scores.shape != x.shape:
         raise ValueError(f"heatmap shape {scores.shape} does not match input {x.shape}")
     if "class_index" not in heatmap.meta:
@@ -113,6 +125,14 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         start, removed_at = 0, np.full(x.size, steps)  # the row of `removed`; steps: never
         removed_at[removed] = np.arange(steps)[:, None]
         width = sample_bytes(network)
+    # past the last ReLU or MaxPool the net is affine: logits = (activation at tail) @ m + offset,
+    # m the logits' Jacobian there: one backward sweep over a copy of the trace per class
+    tail = max([start] + [i + 1 for i, layer in enumerate(layers)
+                          if layer.kind in ("ReLU", "MaxPool")])
+    eye = np.eye(network.class_count)
+    wide = [None] * tail + [a[None].repeat(len(eye), axis=0) for a in trace.inputs[tail:]]
+    m = _reverse_sweep(network, wide, trace.aux, eye, stop=tail)[tail].reshape(len(eye), -1).T
+    offset = _forward_rows(network, np.zeros((1,) + network.activation_shapes[tail]), tail).logits
     rows = max(1, _CHUNK_BYTES // width)
     for lo in range(0, steps, rows):
         hi = min(lo + rows, steps)
@@ -125,8 +145,8 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         else:
             batch = np.where(removed_at <= np.arange(lo, hi)[:, None], config.fill, x.ravel())
             batch = batch.reshape((-1,) + x.shape)
-        values.extend(class_output(_forward_rows(network, batch, start).logits,
-                                   class_index, mode)[0])
+        a = _forward_rows(network, batch, start, stop=tail).activations[tail]
+        values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
     meta = {"auc_normalization": "step-averaged trapezoid over unit-spaced removals",
             "patch": config.patch,
             "fill": config.fill,
@@ -139,7 +159,10 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
 
 
 def _heatmap_scores(result):
-    return np.asarray(getattr(result, "scores", result), dtype=np.float64)
+    """An explainer's scores (a Heatmap's or a bare array) as float64; rejects non-finite ones."""
+    scores = np.asarray(getattr(result, "scores", result), dtype=np.float64)
+    require_finite(f"{getattr(result, 'method_tag', 'explainer')} heatmap scores", scores)
+    return scores
 
 
 def continuity_estimate(explainer, network, probes, delta, trials, seed):
@@ -150,7 +173,7 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
     Deterministic for a fixed seed; trials are drawn in an outer loop so a
     longer run extends (never reshuffles) the sample stream.
     """
-    if not np.isfinite(delta) or delta <= 0:
+    if not _finite_number(delta) or delta <= 0:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)

@@ -439,13 +439,14 @@ def _layer_backward(layer, x, extra, g):
                           geom)
 
 
-def _forward_rows(network, x, start=0, row_stable=False):
+def _forward_rows(network, x, start=0, row_stable=False, stop=None):
     """The trace of a validated (N, ...) batch `x` entering at position
     `start`: every activation and MaxPool winner map from there on, and None
-    below it, so an index always names the same position. With `row_stable`,
-    row n is bitwise the trace of row n alone."""
+    below it, so an index always names the same position. With `stop`, the
+    pass ends at position `stop`, whose activation is then the last one (not
+    the logits). With `row_stable`, row n is bitwise the trace of row n alone."""
     acts, aux = [None] * start + [x], [None] * start
-    for i, layer in enumerate(network.layers[start:], start):
+    for i, layer in enumerate(network.layers[start:stop], start):
         try:
             y, extra = _layer_forward(layer, acts[-1], row_stable)
         except ValueError as exc:

@@ -255,6 +255,9 @@ def test_continuity_rejects_an_empty_probe_list():
     (np.nan, 1, 0, "delta must be finite and > 0, got nan"),
     (np.inf, 1, 0, "delta must be finite and > 0, got inf"),
     (-0.1, 1, 0, "delta must be finite and > 0, got -0.1"),
+    ("0.1", 1, 0, "delta must be finite and > 0, got '0.1'"),
+    (None, 1, 0, "delta must be finite and > 0, got None"),
+    (True, 1, 0, "delta must be finite and > 0, got True"),
     (0.1, 2.5, 0, "trials must be an integer, got 2.5"),
     (0.1, True, 0, "trials must be an integer, got True"),
     (0.1, 0, 0, "trials must be >= 1, got 0"),
@@ -265,6 +268,30 @@ def test_continuity_names_the_bad_argument(delta, trials, seed, message):
     net = linear_net([1.0])
     with pytest.raises(ValueError, match=re.escape(message)):
         relkit.continuity_estimate(lambda n, x: x, net, [np.zeros(1)], delta, trials, seed)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_continuity_rejects_non_finite_heatmap_scores(bad):
+    # max(0.0, nan) is 0.0: NaN heatmaps used to score as a constant explainer
+    def explainer(network, x):
+        return relkit.Heatmap.from_scores(np.where(x > 0, bad, x), 0.0, "broken")
+
+    net = linear_net([1.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(f"broken heatmap scores must be finite, "
+                                                   f"got {bad!r}")):
+        relkit.continuity_estimate(explainer, net, [np.array([1.0, -1.0])], 0.1, 2, 0)
+    with pytest.raises(ValueError, match="explainer heatmap scores must be finite"):
+        relkit.continuity_estimate(lambda n, x: np.full(x.shape, bad), net, [np.ones(2)],
+                                   0.1, 1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pixel_flip_rejects_non_finite_heatmap_scores(bad):
+    # a NaN score used to be ranked last and a curve came back without complaint
+    heatmap = relkit.Heatmap.from_scores([1.0, bad, 2.0], 0.0, "broken", {"class_index": 0})
+    with pytest.raises(ValueError, match=re.escape(f"broken heatmap scores must be finite, "
+                                                   f"got {bad!r}")):
+        relkit.pixel_flip(linear_net([1.0, 2.0, 3.0]), np.ones(3), heatmap)
 
 
 def test_unknown_explained_output_in_heatmap_meta_is_rejected():

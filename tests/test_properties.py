@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import relkit
 from relkit import evalkit, explain, netcore
@@ -523,6 +523,74 @@ def test_pixel_flip_equals_a_per_step_forward_reference(case):
         curve = relkit.pixel_flip(net, x, heatmap,
                                   relkit.FlipConfig(patch=patch, fill=fill, max_steps=max_steps))
     order, values = _reference_flip(net, x, scores, c, mode, patch, fill, max_steps)
+    assert curve.order == tuple(order)
+    assert curve.values[0] == values[0]
+    assert len(curve.values) == len(values)
+    assert np.abs(np.array(curve.values) - values).max() <= 1e-12 * np.abs(values).max()
+
+
+@st.composite
+def affine_tail_nets(draw):
+    """(input_shape, plan, seed, class): nets whose affine layers past the last
+    ReLU or MaxPool can be more than one Dense layer. An optional Sum or Avg pool
+    leads into a conv, then come an optional ReLU and an optional MaxPool, then
+    an optional Sum or Avg pool, an optional second conv, Flatten and one or two
+    Dense layers. The README net's shape (conv, ReLU, SumPool, Flatten, Dense) is
+    among them, and so are nets with no ReLU or MaxPool at all."""
+    channels, extent = draw(st.integers(1, 2)), draw(st.integers(4, 7))
+    in_shape, plan = (channels, extent, extent), []
+
+    def windowed(head, most=3):  # a window that fits the current extent
+        nonlocal extent
+        padding, stride = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+        k = draw(st.integers(1, min(most, extent + 2 * padding)))
+        extent = (extent + 2 * padding - k) // stride + 1
+        filters = (draw(st.integers(1, 3)),) if head == "conv" else ()
+        plan.append((head,) + filters + (k, k, stride, padding))
+
+    lead, last, pool = (draw(st.sampled_from(choices)) for choices in (
+        [None, "sumpool", "avgpool"], ["relu", "maxpool", "relu/maxpool", None],
+        [None, "sumpool", "avgpool"]))
+    if lead:
+        windowed(lead, most=2)
+    windowed("conv")
+    plan += [("relu",)] if last in ("relu", "relu/maxpool") else []
+    if last in ("maxpool", "relu/maxpool"):
+        windowed("maxpool", most=2)
+    if pool:
+        windowed(pool)
+    if draw(st.booleans()):
+        windowed("conv")
+    classes = draw(st.integers(1, 3))
+    plan += [("flatten",)] + [("dense", draw(st.integers(1, 4)))] * draw(st.booleans())
+    plan += [("dense", classes)]
+    return in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1))
+
+
+README_SHAPED = ((1, 6, 6), [("conv", 2, 3, 3, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0),
+                             ("flatten",), ("dense", 2)], 0, 1)
+
+
+@settings(BATCHED, max_examples=48)  # and the two README-shaped examples: 50
+@given(affine_tail_nets(), st.sampled_from([1, 2]), st.integers(1, 5),
+       st.sampled_from([0.0, 0.5, -1.0]), st.sampled_from(relkit.netcore.EXPLAINED_OUTPUTS))
+@example(README_SHAPED, 1, 3, 0.0, "logit")
+@example(README_SHAPED, 2, 2, 0.5, "log_probability")
+def test_pixel_flip_through_an_affine_tail_equals_a_per_step_forward(arch, patch, rows, fill,
+                                                                     mode):
+    in_shape, plan, seed, c = arch
+    if patch == 2:  # even extents; every window still fits the larger input
+        in_shape = (in_shape[0],) + tuple(e + e % 2 for e in in_shape[1:])
+    net, rng, c = _built((in_shape, plan, seed, c))
+    x = rng.standard_normal(net.input_shape)
+    scores = rng.integers(-2, 3, net.input_shape).astype(float)
+    heatmap = relkit.Heatmap.from_scores(scores, 1.0, "t",
+                                         {"class_index": c, "explained_output": mode})
+    # chunks of exactly `rows` removal steps, so most curves cross chunk boundaries
+    with mock.patch.object(evalkit, "_CHUNK_BYTES", rows), \
+            mock.patch.object(evalkit, "sample_bytes", lambda *args: 1):
+        curve = relkit.pixel_flip(net, x, heatmap, relkit.FlipConfig(patch=patch, fill=fill))
+    order, values = _reference_flip(net, x, scores, c, mode, patch, fill, None)
     assert curve.order == tuple(order)
     assert curve.values[0] == values[0]
     assert len(curve.values) == len(values)
