@@ -17,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .explain import _term
 from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep, as_tensor,
-                      class_output, forward, require_finite, require_int, sample_bytes,
-                      sparse_response, window_columns)
-
-
-def _finite_number(value):
-    """True for a finite int or float (NumPy scalars too), False for a bool or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    return bool(np.isfinite(value))
+                      class_output, finite_number, forward, require_finite, require_int,
+                      sample_bytes, sparse_response, window_columns)
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class FlipConfig:
         require_int("patch", self.patch, 1)
         if self.max_steps is not None:
             require_int("max_steps", self.max_steps, 0)
-        if not _finite_number(self.fill):
+        if not finite_number(self.fill):
             raise ValueError(f"fill must be a finite number, got {self.fill!r}")
 
 
@@ -97,7 +91,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     that layer's pre-activation after k removals is z_0 plus a running sum of
     sparse_response updates. Above it, past the last ReLU or MaxPool, the layers
     are affine, so the logits are one product a @ M + offset with M (the logits'
-    Jacobian there) and offset (the logits of a zero activation) found once.
+    Jacobian there) and offset (the logits of a zero activation) found once per net.
     """
     x = as_tensor(x, "input")
     scores = _heatmap_scores(heatmap)
@@ -125,14 +119,9 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
         start, removed_at = 0, np.full(x.size, steps)  # the row of `removed`; steps: never
         removed_at[removed] = np.arange(steps)[:, None]
         width = sample_bytes(network)
-    # past the last ReLU or MaxPool the net is affine: logits = (activation at tail) @ m + offset,
-    # m the logits' Jacobian there: one backward sweep over a copy of the trace per class
     tail = max([start] + [i + 1 for i, layer in enumerate(layers)
                           if layer.kind in ("ReLU", "MaxPool")])
-    eye = np.eye(network.class_count)
-    wide = [None] * tail + [a[None].repeat(len(eye), axis=0) for a in trace.inputs[tail:]]
-    m = _reverse_sweep(network, wide, trace.aux, eye, stop=tail)[tail].reshape(len(eye), -1).T
-    offset = _forward_rows(network, np.zeros((1,) + network.activation_shapes[tail]), tail).logits
+    m, offset = _term((network,), ("affine tail", tail), lambda: _affine_tail(network, tail))
     rows = max(1, _CHUNK_BYTES // width)
     for lo in range(0, steps, rows):
         hi = min(lo + rows, steps)
@@ -158,6 +147,18 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
                      auc(values), meta)
 
 
+def _affine_tail(network, tail):
+    """(m, offset) of the affine layers from `tail` on: logits = a @ m + offset, offset
+    the logits of a zero activation, m their Jacobian, swept back from the identity
+    over the zero trace broadcast to one row per class (affine adjoints read shapes)."""
+    eye = np.eye(network.class_count)
+    zero = _forward_rows(network, np.zeros((1,) + network.activation_shapes[tail]), tail)
+    wide = [None if a is None else np.broadcast_to(a, eye.shape[:1] + a.shape[1:])
+            for a in zero.activations]
+    m = _reverse_sweep(network, wide, zero.aux, eye, stop=tail)[tail]
+    return m.reshape(len(eye), -1).T, zero.logits
+
+
 def _heatmap_scores(result):
     """An explainer's scores (a Heatmap's or a bare array) as float64; rejects non-finite ones."""
     scores = np.asarray(getattr(result, "scores", result), dtype=np.float64)
@@ -173,7 +174,7 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
     Deterministic for a fixed seed; trials are drawn in an outer loop so a
     longer run extends (never reshuffles) the sample stream.
     """
-    if not _finite_number(delta) or delta <= 0:
+    if not finite_number(delta) or delta <= 0:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)

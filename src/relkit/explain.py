@@ -182,8 +182,8 @@ _TERMS = weakref.WeakKeyDictionary()  # the cached rule terms, see _term
 
 
 def _term(owners, key, make):
-    """make(), computed once per `key` and `owners` (a LayerSpec, or a ZBounds rule
-    then a LayerSpec) in weak dictionaries nested by owner, so the entry dies with
+    """make(), computed once per `key` and `owners` (a LayerSpec or a Network, or a ZBounds
+    rule then a LayerSpec) in weak dictionaries nested by owner, so the entry dies with
     either owner; a None owner (raw weights, no layer) computes it afresh."""
     if None in owners:
         return make()

@@ -14,9 +14,9 @@ each way, by position (0 the input, i + 1 layer i's output, the logits last):
 value per position. One head, `class_output`, gives every consumer the
 explained value and its gradient at the logits, and rejects unknown output
 names and out-of-range or non-integer classes. Every windowed layer reads its
-windows through one cached index map, `_window_index`, of flat positions in the
-zero-padded input plane: window columns are a gather over it, their adjoint
-and the MaxPool winner scatter are one `bincount` over it.
+windows as `window_columns`, a copy of one strided view of the zero-padded
+input plane; one cached index map, `_window_index`, of flat positions in that
+plane gives their adjoint and the MaxPool winner scatter as one `bincount`.
 
 Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
@@ -27,7 +27,7 @@ in one stacked product whose slice n is bitwise the product for sample n alone.
 `forward_batch` returns the trace of N inputs; `forward`, `seeded_gradient`,
 `conv_apply` and `conv_transpose_apply` are N=1 views that add and drop the
 batch axis, so one input gives bitwise the same result either way. Training
-runs one batched forward and one reverse sweep per minibatch.
+runs one batched forward and one reverse sweep per minibatch, in place.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ class Network:
 class ActivationTrace(NamedTuple):
     """Recorded activations of one forward pass, by position as in
     `Network.activation_shapes`: 0 the input, i + 1 layer i's output, the
-    logits last, None below the position a pass started at. `aux[i]` holds
-    layer i's MaxPool winner-index map (flat index into the padded plane per
-    output cell) and None for every other layer kind. `inputs` and `outputs`
+    logits last, None below the position a pass started at. `aux[i]` holds a
+    Conv2D layer i's input window columns, a MaxPool's winner map (flat index into
+    the padded plane per output cell), and None for other kinds. `inputs` and `outputs`
     (the tensors entering and leaving each layer), `input` and `logits` are views.
     """
 
@@ -262,7 +262,7 @@ def _window_geometry(in_shape, window, stride, padding):
 def _window_index(geom):
     """Flat position in the padded (pad_h, pad_w) plane that window cell k of
     output cell j reads, as a read-only (kh*kw, out_h*out_w) array with the
-    window axis row-major. The one place that knows how windows tile a plane."""
+    window axis row-major; the map of the scatters and the MaxPool winners."""
     rows = np.arange(geom.kh)[:, None] + geom.stride * np.arange(geom.out_h)
     cols = np.arange(geom.kw)[:, None] + geom.stride * np.arange(geom.out_w)
     index = rows[:, None, :, None] * geom.pad_w + cols[None, :, None, :]
@@ -290,10 +290,12 @@ def window_columns(x, window, stride, padding):
     inside the window; `geom` describes one (C, H, W) sample.
     """
     geom = _window_geometry(x.shape[-3:], tuple(window), stride, padding)
-    p = geom.padding
-    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p))) if p else x
-    # np.take, unlike xp[..., index], returns the gather C-contiguous
-    return np.take(xp.reshape(x.shape[:-2] + (-1,)), _window_index(geom), axis=-1), geom
+    p, s = geom.padding, geom.stride
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p))) if p else np.ascontiguousarray(x)
+    sh, sw = xp.strides[-2:]  # one (..., C, kh, kw, out_h, out_w) view of the padded planes
+    view = np.ndarray(xp.shape[:-2] + (geom.kh, geom.kw, geom.out_h, geom.out_w), xp.dtype, xp,
+                      strides=xp.strides[:-2] + (sh, sw, s * sh, s * sw))
+    return view.copy().reshape(x.shape[:-2] + (geom.kh * geom.kw, -1)), geom
 
 
 def _scatter(values, index, geom):
@@ -319,12 +321,12 @@ def window_scatter(cols, geom):
 
 
 def _conv(weights, x, stride, padding):
-    """Cross-correlate (F, C, kh, kw) weights with (N, C, H, W) tensors: one
-    stacked product whose slice n is the product for sample n alone."""
+    """Cross-correlate (F, C, kh, kw) weights with (N, C, H, W) tensors: one stacked
+    product whose slice n is the product for sample n alone, and the columns it read."""
     f = len(weights)
     cols, geom = window_columns(x, weights.shape[2:], stride, padding)
     z = weights.reshape(f, -1) @ cols.reshape(len(x), -1, cols.shape[-1])
-    return z.reshape(len(x), f, geom.out_h, geom.out_w)
+    return z.reshape(len(x), f, geom.out_h, geom.out_w), cols
 
 
 def _conv_T(weights, s, stride, padding, in_shape):
@@ -337,7 +339,7 @@ def _conv_T(weights, s, stride, padding, in_shape):
 
 def conv_apply(weights, x, stride, padding):
     """Cross-correlate (out_ch, in_ch, kh, kw) weights with a (C, H, W) tensor (no bias)."""
-    return _conv(weights, x[None], stride, padding)[0]
+    return _conv(weights, x[None], stride, padding)[0][0]
 
 
 def conv_transpose_apply(weights, s, stride, padding, in_shape):
@@ -363,7 +365,7 @@ def linear_pair(layer, in_shape, row_stable=False):
     if layer.kind == "Dense":
         return DENSE_ROW_PAIR if row_stable else DENSE_PAIR
     stride, padding = layer.stride, layer.padding
-    return (lambda w, a: _conv(w, a, stride, padding),
+    return (lambda w, a: _conv(w, a, stride, padding)[0],
             lambda w, s: _conv_T(w, s, stride, padding, in_shape))
 
 
@@ -395,10 +397,13 @@ def add_bias(z, bias):
 
 
 def _layer_forward(layer, x, row_stable=False):
-    """Output of `layer` on an (N, ...) batch, and the MaxPool winner map
-    (None for every other kind)."""
+    """Output of `layer` on an (N, ...) batch, and its trace `aux` entry: the
+    window columns of a Conv2D, the winner map of a MaxPool, None otherwise."""
     kind = layer.kind
-    if kind in WEIGHTED_KINDS:
+    if kind == "Conv2D":
+        z, cols = _conv(layer.weights, x, layer.stride, layer.padding)
+        return add_bias(z, layer.bias), cols
+    if kind == "Dense":
         apply, _ = linear_pair(layer, x.shape[1:], row_stable)
         return add_bias(apply(layer.weights, x), layer.bias), None
     if kind == "ReLU":
@@ -441,7 +446,7 @@ def _layer_backward(layer, x, extra, g):
 
 def _forward_rows(network, x, start=0, row_stable=False, stop=None):
     """The trace of a validated (N, ...) batch `x` entering at position
-    `start`: every activation and MaxPool winner map from there on, and None
+    `start`: every activation and `aux` entry from there on, and None
     below it, so an index always names the same position. With `stop`, the
     pass ends at position `stop`, whose activation is then the last one (not
     the logits). With `row_stable`, row n is bitwise the trace of row n alone."""
@@ -606,6 +611,13 @@ def require_finite(name, value):
         raise ValueError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def finite_number(value):
+    """True for a finite int or float (NumPy scalars too), False for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return bool(np.isfinite(value))
+
+
 def require_int(name, value, minimum=None):
     """`value` as an int; reject a `value` that is not an integer (bool and
     float are not) or is below `minimum`, naming the field."""
@@ -625,21 +637,22 @@ class TrainConfig:
     nonpositive_bias: bool = False
 
     def __post_init__(self):
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not finite_number(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate!r}")
+        if not isinstance(self.nonpositive_bias, (bool, np.bool_)):
+            raise ValueError(f"nonpositive_bias must be a bool, got {self.nonpositive_bias!r}")
         require_int("epochs", self.epochs, 0)
         require_int("batch_size", self.batch_size, 1)
         require_int("seed", self.seed, 0)
 
 
 def _weight_and_bias_grad(layer, x, g):
-    """Gradients of `sum_n g_n . output_n` with respect to the weights and the
-    bias of a weighted layer, over an (N, ...) batch of inputs `x`."""
+    """Gradients of `sum_n g_n . output_n` with respect to the weights and the bias of a
+    weighted layer, over an (N, ...) batch `x`: its inputs, or for Conv2D their window columns."""
     gb = g.reshape(len(x), len(layer.bias), -1).sum(axis=(0, 2))
     if layer.kind == "Dense":
         return x.T @ g, gb
-    cols, _ = window_columns(x, layer.weights.shape[2:], layer.stride, layer.padding)
-    cols = cols.reshape(len(x), -1, cols.shape[-1])
+    cols = x.reshape(len(x), -1, x.shape[-1])
     # one product per sample, summed over the batch in order
     gw = (g.reshape(len(x), len(layer.weights), -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
     return gw.reshape(layer.weights.shape), gb
@@ -649,13 +662,14 @@ def _param_grads(network, trace, seed, weighted):
     """{idx: (weight gradient, bias gradient)} of `sum_n seed_n . logits_n` for
     the layers in `weighted`, from one reverse sweep over the batched `trace`
     that stops above the first of them."""
-    acts = trace.activations
-    grads = _reverse_sweep(network, acts, trace.aux, seed, stop=min(weighted, default=0) + 1)
-    return {idx: _weight_and_bias_grad(network.layers[idx], acts[idx], grads[idx + 1])
-            for idx in weighted}
+    acts, aux = trace.activations, trace.aux
+    grads = _reverse_sweep(network, acts, aux, seed, stop=min(weighted, default=0) + 1)
+    return {idx: _weight_and_bias_grad(network.layers[idx], acts[idx] if aux[idx] is None
+                                       else aux[idx], grads[idx + 1]) for idx in weighted}
 
 
 def _with_params(network, params):
+    """A validated Network with read-only copies of `params`, {idx: (weights, bias)}."""
     layers = [replace(layer, weights=params[idx][0], bias=params[idx][1])
               if idx in params else layer for idx, layer in enumerate(network.layers)]
     return Network(tuple(layers), network.input_shape, network.class_count)
@@ -679,10 +693,13 @@ def train_sgd(network, inputs, labels, config, verbose=False):
     if targets.min() < 0 or targets.max() >= network.class_count:
         raise ValueError(f"labels must lie in [0, {network.class_count})")
 
-    params = {idx: [np.array(layer.weights), np.array(layer.bias)]
-              for idx, layer in enumerate(network.layers) if layer.kind in WEIGHTED_KINDS}
+    # one working network, updated in place: its layers' own weight copies, made writable
+    net = Network(tuple(map(replace, network.layers)), network.input_shape, network.class_count)
+    params = {idx: (layer.weights, layer.bias) for idx, layer in enumerate(net.layers)
+              if layer.kind in WEIGHTED_KINDS}
+    for array in (a for pair in params.values() for a in pair):
+        array.setflags(write=True)
     rng = np.random.default_rng(config.seed)
-    net = _with_params(network, params)
     n = data.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -690,20 +707,22 @@ def train_sgd(network, inputs, labels, config, verbose=False):
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             trace = _forward_rows(net, data[batch])
+            if not np.isfinite(trace.logits).all():
+                _with_params(network, params)  # names the layer whose weights went non-finite
             logp, seed = class_output(trace.logits, targets[batch], "log_probability")
             losses.extend(-logp)
             grads = _param_grads(net, trace, -seed, params)
             scale = config.learning_rate / len(batch)
             for idx, (gw, gb) in grads.items():
+                w, b = params[idx]
                 gw *= scale  # in place: one weight-sized temporary fewer
-                params[idx][0] -= gw
-                params[idx][1] -= scale * gb
+                w -= gw
+                b -= scale * gb
                 if config.nonpositive_bias:
-                    params[idx][1] = np.minimum(params[idx][1], 0.0)
-            net = _with_params(network, params)
+                    np.minimum(b, 0.0, out=b)
         if verbose:
             print(f"epoch {epoch + 1}/{config.epochs}: mean loss {np.mean(losses):.6f}")
-    return net
+    return _with_params(network, params)
 
 
 def random_network(input_shape, plan, seed):

@@ -1,13 +1,16 @@
 """Pixel-flipping selectivity, AUC arithmetic, and continuity estimation."""
 
+import gc
 import itertools
 import re
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import relkit
-from relkit import explain
+from relkit import evalkit, explain
 
 from conftest import random_dense_network
 
@@ -81,6 +84,28 @@ def test_flip_curve_is_deterministic():
     second = relkit.pixel_flip(net, x, heatmap)
     assert first.values == second.values
     assert first.order == second.order
+
+
+def test_affine_tail_is_computed_once_per_network_and_dies_with_it():
+    plan = [("conv", 2, 3, 3, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0), ("flatten",),
+            ("dense", 3)]
+    net = relkit.random_network((1, 6, 6), plan, seed=4)
+    twin = relkit.Network(net.layers, net.input_shape, net.class_count)
+    rng = np.random.default_rng(7)
+    images = rng.random((3, 1, 6, 6))
+    calls = []
+    real = evalkit._affine_tail
+    spy = lambda network, tail: calls.append(tail) or real(network, tail)
+    with mock.patch.object(evalkit, "_affine_tail", spy):
+        curves = [relkit.pixel_flip(net, x, relkit.simple_taylor(net, x, 1)) for x in images]
+        assert calls == [2]
+        fresh = relkit.pixel_flip(twin, images[-1], relkit.simple_taylor(twin, images[-1], 1))
+        assert calls == [2, 2]
+    assert fresh.values == curves[-1].values
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
 
 
 def test_patch_flipping_tiles_and_pools():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import relkit
+from relkit import netcore
 from relkit.netcore import class_output, window_columns
 
 from conftest import (central_difference, random_dense_network, two_blob_data,
@@ -310,7 +312,10 @@ def test_class_index_outside_the_logits_is_rejected(consumer, class_index):
 @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -3),
                                          ("epochs", -1), ("learning_rate", -0.1),
                                          ("learning_rate", float("nan")),
-                                         ("learning_rate", float("inf"))])
+                                         ("learning_rate", float("inf")),
+                                         ("learning_rate", "0.1"), ("learning_rate", None),
+                                         ("learning_rate", True), ("nonpositive_bias", "no"),
+                                         ("nonpositive_bias", 1), ("nonpositive_bias", None)])
 def test_train_config_rejects_bad_values_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         relkit.TrainConfig(**{field: value})
@@ -327,6 +332,61 @@ def test_train_config_counts_must_be_integers(field, value):
 def test_train_config_accepts_numpy_integers():
     config = relkit.TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.uint8(3))
     assert (config.epochs, config.batch_size, config.seed) == (1, 4, 3)
+
+
+def test_train_config_accepts_numpy_scalar_rates_and_flags():
+    config = relkit.TrainConfig(learning_rate=np.float32(0.5), nonpositive_bias=np.bool_(True))
+    assert config.learning_rate == 0.5 and config.nonpositive_bias
+    assert relkit.TrainConfig(learning_rate=1).learning_rate == 1
+
+
+WINDOWED_NET = ((2, 7, 7), [("conv", 3, 3, 3, 2, 1), ("relu",), ("maxpool", 2, 2, 1, 0),
+                            ("conv", 2, 2, 2, 1, 0), ("sumpool", 2, 2, 1, 1), ("flatten",),
+                            ("dense", 4), ("relu",), ("dense", 3)])
+
+
+def test_train_sgd_updates_one_working_copy_and_returns_a_frozen_one():
+    rng = np.random.default_rng(5)
+    net = with_random_biases(relkit.random_network(*WINDOWED_NET, seed=6), rng)
+    before = [(layer.weights.copy(), layer.bias.copy()) for layer in net.layers
+              if layer.weights is not None]
+    data, labels = rng.standard_normal((10,) + net.input_shape), rng.integers(0, 3, 10)
+    config = relkit.TrainConfig(learning_rate=0.1, epochs=2, batch_size=4, seed=1,
+                                nonpositive_bias=True)
+    forwards, gathers = [], []
+    spy_forward = lambda network, *a, **k: forwards.append(network) or real_forward(
+        network, *a, **k)
+    spy_gather = lambda *a, **k: gathers.append(a[1:]) or real_gather(*a, **k)
+    real_forward, real_gather = netcore._forward_rows, netcore.window_columns
+    with mock.patch.object(netcore, "_forward_rows", spy_forward), \
+            mock.patch.object(netcore, "window_columns", spy_gather):
+        trained = relkit.train_sgd(net, data, labels, config)
+    # one working network for the whole run, never the caller's or the result
+    working = forwards[0]
+    assert len(forwards) == 6 and all(n is working for n in forwards)
+    weighted = [i for i, layer in enumerate(net.layers) if layer.weights is not None]
+    for i, (w, b) in zip(weighted, before):
+        given, work, out = net.layers[i], working.layers[i], trained.layers[i]
+        assert np.array_equal(given.weights, w) and np.array_equal(given.bias, b)
+        assert np.array_equal(out.weights, work.weights) and np.array_equal(out.bias, work.bias)
+        assert not out.weights.flags.writeable and not out.bias.flags.writeable
+        assert (out.bias <= 0).all()
+        for a in (work.weights, work.bias):
+            assert not any(np.shares_memory(a, other) for other in (
+                out.weights, out.bias, given.weights, given.bias))
+    # each minibatch reads each windowed layer's windows once: the Conv2D weight
+    # gradients read the columns the forward kept
+    assert len(gathers) == 6 * 4
+
+
+def test_train_sgd_overflow_names_the_non_finite_weights():
+    rng = np.random.default_rng(0)
+    net = relkit.random_network(*WINDOWED_NET, seed=1)
+    data, labels = rng.standard_normal((20,) + net.input_shape), rng.integers(0, 3, 20)
+    config = relkit.TrainConfig(learning_rate=1.7e308, epochs=3, batch_size=4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"(Dense|Conv2D) weights contains non-finite values"):
+        relkit.train_sgd(net, data, labels, config)
 
 
 @pytest.mark.parametrize("class_index", [True, False, 1.0, np.float64(0.0), [0.0, 1.0],

@@ -654,3 +654,75 @@ def test_train_sgd_epoch_equals_a_per_sample_gradient_reference(arch, samples, b
     for i, (w, b) in _per_sample_sgd_epoch(net, data, labels, config).items():
         assert _close(trained.layers[i].weights, w)
         assert _close(trained.layers[i].bias, b)
+
+
+def _rebuilding_sgd(net, data, labels, config):
+    """train_sgd as a minibatch loop that rebuilds a validated Network from the
+    parameters before every step and gathers each Conv2D layer's window columns
+    again, one sample at a time, for its weight gradient."""
+    params = {i: (layer.weights, layer.bias) for i, layer in enumerate(net.layers)
+              if layer.weights is not None}
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            current = relkit.Network([dataclasses.replace(layer, weights=params[i][0],
+                                                          bias=params[i][1])
+                                      if i in params else layer
+                                      for i, layer in enumerate(net.layers)],
+                                     net.input_shape, net.class_count)
+            trace = _forward_rows(current, data[batch])
+            _, seed = netcore.class_output(trace.logits, labels[batch], "log_probability")
+            grads = netcore._reverse_sweep(current, trace.activations, trace.aux, -seed,
+                                           stop=min(params) + 1)
+            scale = config.learning_rate / len(batch)
+            for i, (w, b) in params.items():
+                layer, x, g = current.layers[i], trace.inputs[i], grads[i + 1]
+                if layer.kind == "Dense":
+                    gw = x.T @ g
+                else:
+                    cols = np.stack([_offset_columns(a, w.shape[2:], layer.stride, layer.padding)
+                                     for a in x]).reshape(len(x), -1, g[0, 0].size)
+                    gw = (g.reshape(len(x), len(w), -1) @ cols.transpose(0, 2, 1)).sum(axis=0)
+                b = b - scale * g.reshape(len(x), len(b), -1).sum(axis=(0, 2))
+                params[i] = (w - gw.reshape(w.shape) * scale,
+                             np.minimum(b, 0.0) if config.nonpositive_bias else b)
+    return params
+
+
+@BATCHED
+@given(generated_nets(), st.integers(1, 9), st.integers(1, 4), st.integers(1, 2), st.booleans())
+def test_train_sgd_equals_a_minibatch_loop_that_rebuilds_the_network_bitwise(
+        arch, samples, batch_size, epochs, nonpositive_bias):
+    net, rng, _ = _built(arch)
+    data = rng.standard_normal((samples,) + net.input_shape)
+    labels = rng.integers(0, net.class_count, samples)
+    config = relkit.TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=batch_size,
+                                seed=int(rng.integers(2 ** 16)),
+                                nonpositive_bias=nonpositive_bias)
+    trained = relkit.train_sgd(net, data, labels, config)
+    for i, (w, b) in _rebuilding_sgd(net, data, labels, config).items():
+        assert np.array_equal(trained.layers[i].weights, w)
+        assert np.array_equal(trained.layers[i].bias, b)
+
+
+@BATCHED
+@given(windowed_architectures(), st.integers(1, 4))
+def test_forward_keeps_each_conv_layers_window_columns(arch, rows):
+    net, rng, _ = _built(arch[:3] + (0,))
+    trace = relkit.forward_batch(net, rng.standard_normal((rows,) + net.input_shape))
+    for layer, x, extra in zip(net.layers, trace.inputs, trace.aux):
+        if layer.kind in ("Conv2D", "MaxPool"):
+            window = layer.weights.shape[2:] if layer.kind == "Conv2D" else layer.window
+            cols = np.stack([_offset_columns(a, window, layer.stride, layer.padding) for a in x])
+        if layer.kind == "Conv2D":  # the columns its product read, a copy of its input's
+            assert np.array_equal(extra, window_columns(x, window, layer.stride,
+                                                        layer.padding)[0])
+            assert np.array_equal(extra, cols) and not np.shares_memory(extra, x)
+        elif layer.kind == "MaxPool":  # the padded-plane position of each window's first max
+            geom = netcore._window_geometry(x.shape[1:], window, layer.stride, layer.padding)
+            winner = netcore._window_index(geom)[cols.argmax(axis=-2), np.arange(cols.shape[-1])]
+            assert np.array_equal(extra, winner.reshape(extra.shape))
+        else:
+            assert extra is None
