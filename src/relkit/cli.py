@@ -231,6 +231,8 @@ def _cmd_explain(args):
 
 
 def _cmd_prototype(args):
+    if args.clip and not (np.isfinite(args.clip).all() and args.clip[0] <= args.clip[1]):
+        raise ValueError("--clip needs finite LOW <= HIGH, got {!r} {!r}".format(*args.clip))
     network = modelio.load_model(args.model)
 
     data_mean = None

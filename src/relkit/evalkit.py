@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import _term
+from .explain import _heatmap_scores, _term
 from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep, as_tensor,
-                      class_output, finite_number, forward, require_finite, require_int,
-                      sample_bytes, sparse_response, window_columns)
+                      class_output, finite_number, forward, require_int, sample_bytes,
+                      sparse_response, window_columns)
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,6 @@ def _affine_tail(network, tail):
             for a in zero.activations]
     m = _reverse_sweep(network, wide, zero.aux, eye, stop=tail)[tail]
     return m.reshape(len(eye), -1).T, zero.logits
-
-
-def _heatmap_scores(result):
-    """An explainer's scores (a Heatmap's or a bare array) as float64; rejects non-finite ones."""
-    scores = np.asarray(getattr(result, "scores", result), dtype=np.float64)
-    require_finite(f"{getattr(result, 'method_tag', 'explainer')} heatmap scores", scores)
-    return scores
 
 
 def continuity_estimate(explainer, network, probes, delta, trials, seed):

@@ -40,7 +40,7 @@ from .netcore import (DENSE_ROW_PAIR, POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, 
                       as_tensor, broadcasts_to, check_explained_output, class_output,
                       linear_pair, require_finite, require_int, sample_bytes, window_columns,
                       window_scatter, _as_input, _forward_rows, _layer_backward,
-                      _reverse_sweep, _take, _value_and_gradient)
+                      _require_real, _reverse_sweep, _take, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +60,13 @@ class Heatmap:
                    method_tag, dict(meta or {}))
 
 
+def _heatmap_scores(result):
+    """An explainer's scores (a Heatmap's or a bare array) as float64; rejects non-finite ones."""
+    scores = np.asarray(getattr(result, "scores", result), dtype=np.float64)
+    require_finite(f"{getattr(result, 'method_tag', 'explainer')} heatmap scores", scores)
+    return scores
+
+
 @dataclass(frozen=True)
 class AlphaBeta:
     """Split redistribution into excitatory/inhibitory parts; alpha - beta = 1."""
@@ -68,6 +75,8 @@ class AlphaBeta:
     beta: float = 0.0
 
     def __post_init__(self):
+        _require_real("AlphaBeta alpha", self.alpha)
+        _require_real("AlphaBeta beta", self.beta)
         if abs(self.alpha - self.beta - 1.0) > 1e-12:
             raise ValueError("AlphaBeta requires alpha - beta = 1")
         if self.beta < 0:
@@ -83,7 +92,7 @@ class Epsilon:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if _require_real("Epsilon epsilon", self.epsilon) <= 0:
             raise ValueError("Epsilon requires a positive epsilon")
         require_finite("Epsilon epsilon", self.epsilon)
 
@@ -145,7 +154,7 @@ class RuleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_rules", tuple(self.layer_rules))
-        if self.stabilizer <= 0:
+        if _require_real("RuleConfig stabilizer", self.stabilizer) <= 0:
             raise ValueError("stabilizer must be positive")
         require_finite("RuleConfig stabilizer", self.stabilizer)
         check_explained_output(self.explained_output)

@@ -1,5 +1,7 @@
 """Heatmap post-processing: region pooling, translation averaging, sliding
-window explanation of oversized images, pattern masking, and PPM rendering."""
+window explanation of oversized images, pattern masking, and PPM rendering.
+Scores are read through explain._heatmap_scores, so a non-finite score is a
+ValueError naming the heatmap's method tag, never a NaN sum, average or image."""
 
 from __future__ import annotations
 
@@ -7,8 +9,8 @@ import warnings
 
 import numpy as np
 
-from .explain import Heatmap, _lrp_rows
-from .netcore import as_tensor, require_finite, require_int
+from .explain import Heatmap, _heatmap_scores, _lrp_rows
+from .netcore import as_tensor, require_int
 
 
 def pool_relevance(heatmap, partition):
@@ -18,7 +20,7 @@ def pool_relevance(heatmap, partition):
     must have the heatmap's shape. Returns an array indexed by region id.
     """
     ids = np.asarray(partition)
-    scores = np.asarray(heatmap.scores, dtype=np.float64)
+    scores = _heatmap_scores(heatmap)
     if ids.shape != scores.shape:
         raise ValueError(f"partition shape {ids.shape} does not cover the "
                          f"heatmap shape {scores.shape}")
@@ -73,7 +75,7 @@ def translation_average(explainer, network, image, shifts):
     if (0, 0) not in shifts:
         raise ValueError("shift set lacks the identity shift")
     maps = [explainer(network, shift_image(image, s)) for s in shifts]
-    restored = [shift_image(np.asarray(hm.scores, dtype=np.float64), (-dy, -dx))
+    restored = [shift_image(_heatmap_scores(hm), (-dy, -dx))
                 for hm, (dy, dx) in zip(maps, shifts)]
     meta = dict(maps[0].meta)
     meta["shifts"] = shifts
@@ -133,8 +135,7 @@ def pattern(image, heatmap, normalization="clip", percentile=99.0):
     directly. The result stays inside the image's value range.
     """
     image = as_tensor(image, "image")
-    scores = np.asarray(heatmap.scores, dtype=np.float64)
-    require_finite(f"{heatmap.method_tag} heatmap scores", scores)
+    scores = _heatmap_scores(heatmap)
     if scores.shape != image.shape:
         raise ValueError(f"heatmap shape {scores.shape} does not match image {image.shape}")
     if normalization not in ("rescale", "clip"):
@@ -154,11 +155,9 @@ def render_heatmap(heatmap, colormap="diverging"):
 
     The diverging map is symmetric around zero (positive red, negative blue,
     zero white), so negating the heatmap swaps the red and blue channels
-    exactly. The sequential map runs black to red over [min, max]. Non-finite
-    scores are a ValueError naming the heatmap's method tag.
+    exactly. The sequential map runs black to red over [min, max].
     """
-    scores = np.asarray(heatmap.scores, dtype=np.float64)
-    require_finite(f"{heatmap.method_tag} heatmap scores", scores)
+    scores = _heatmap_scores(heatmap)
     if scores.ndim == 3:
         scores = scores.sum(axis=0)
     if scores.ndim != 2:

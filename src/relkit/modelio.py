@@ -3,8 +3,11 @@ formats used for heatmaps, prototypes, and flip curves.
 
 Model files are UTF-8 JSON with sorted keys and round-trip-exact decimal
 floats, so saving is deterministic and loading reproduces forward outputs
-bit-exactly. Datasets use the IDX binary container (big-endian header,
-unsigned bytes rescaled to [0, 1]).
+bit-exactly. Loading checks the JSON structure here and leaves the values to
+the constructors (LayerSpec, Network, RbmExpert, ZBounds); any error is a
+ModelFormatError that starts with where in the file it happened. Metadata
+JSON writes NumPy arrays and scalars as lists and numbers. Datasets use the
+IDX binary container (big-endian header, unsigned bytes rescaled to [0, 1]).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 import reprlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +66,10 @@ def save_model(network, path, expert=None, input_bounds=None):
            "class_count": network.class_count,
            "layers": [_layer_doc(layer) for layer in network.layers]}
     if expert is not None:
-        doc["expert"] = {"factor_weights": expert.factor_weights.tolist(),
-                         "factor_biases": expert.factor_biases.tolist(),
-                         "precision": expert.precision.tolist()}
+        doc["expert"] = {f.name: getattr(expert, f.name).tolist() for f in fields(expert)}
     if input_bounds is not None:
         low, high = check_input_bounds(*input_bounds)
-        doc["input_bounds"] = {"low": np.asarray(low, dtype=np.float64).tolist(),
-                               "high": np.asarray(high, dtype=np.float64).tolist()}
+        doc["input_bounds"] = {"low": low.tolist(), "high": high.tolist()}
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
 
@@ -125,6 +125,15 @@ def _numbers(value, where):
     return value
 
 
+def _built(where, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError it raises as a ModelFormatError
+    that starts with `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
+
+
 def _read_utf8(path, error):
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -146,18 +155,12 @@ def _parse_layer(doc, index):
     if kind in WINDOWED_KINDS:
         fields["stride"] = _integer(doc.get("stride", 1), f"{where}: 'stride'")
         fields["padding"] = _integer(doc.get("padding", 0), f"{where}: 'padding'")
-    try:
-        return LayerSpec(kind, **fields)
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+    return _built(where, LayerSpec, kind, **fields)
 
 
 def load_model_file(path):
     """Load a full model document (network, optional expert and bounds)."""
-    try:
-        doc = json.loads(_read_utf8(path, ModelFormatError))
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"malformed JSON in {path}: {exc}") from None
+    doc = _built(f"malformed JSON in {path}", json.loads, _read_utf8(path, ModelFormatError))
     version = _require(doc, "format_version", str(path))
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format_version {version!r} "
@@ -168,38 +171,25 @@ def load_model_file(path):
     layers = [_parse_layer(layer_doc, i) for i, layer_doc in enumerate(layer_docs)]
     input_shape = _integers(_require(doc, "input_shape", str(path)), "'input_shape'")
     class_count = _integer(_require(doc, "class_count", str(path)), "'class_count'")
-    try:
-        network = Network(tuple(layers), tuple(input_shape), class_count)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc)) from None
+    network = _built(path, Network, tuple(layers), tuple(input_shape), class_count)
 
     expert = None
     if "expert" in doc:
-        params = [_numbers(_require(doc["expert"], key, "expert"), f"expert: '{key}'")
-                  for key in ("factor_weights", "factor_biases", "precision")]
-        try:
-            expert = RbmExpert(*params)
-        except ValueError as exc:
-            raise ModelFormatError(f"expert: {exc}") from None
+        params = [_numbers(_require(doc["expert"], f.name, "expert"), f"expert: '{f.name}'")
+                  for f in fields(RbmExpert)]
+        expert = _built("expert", RbmExpert, *params)
     low = high = None
     if "input_bounds" in doc:
-        b = doc["input_bounds"]
-        low = _input_bound(b, "low", network.input_shape)
-        high = _input_bound(b, "high", network.input_shape)
-        try:
-            check_input_bounds(low, high, f"{path}: input_bounds")
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from None
+        low, high = (_input_bound(doc["input_bounds"], key, network.input_shape)
+                     for key in ("low", "high"))
+        _built(path, check_input_bounds, low, high)
     return ModelFile(network, expert, low, high)
 
 
 def _input_bound(doc, key, input_shape):
     where = f"input_bounds.{key}"
     values = _numbers(_require(doc, key, "input_bounds"), where)
-    try:
-        bound = as_tensor(values, "bound")
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+    bound = _built(where, as_tensor, values, "bound")
     if not broadcasts_to(bound.shape, input_shape):
         raise ModelFormatError(f"{where}: shape {bound.shape} does not broadcast to the "
                                f"input shape {input_shape}")
@@ -260,18 +250,11 @@ def save_idx_labels(path, labels):
     Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())
 
 
-def _jsonable_meta(meta):
-    clean = {}
-    for key, value in meta.items():
-        if isinstance(value, np.ndarray):
-            clean[key] = value.tolist()
-        elif isinstance(value, (np.integer,)):
-            clean[key] = int(value)
-        elif isinstance(value, (np.floating,)):
-            clean[key] = float(value)
-        else:
-            clean[key] = value
-    return clean
+def _plain(value):
+    """A NumPy array or scalar in metadata as the list or number json writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_tensor_csv(path, array, meta):
@@ -279,7 +262,7 @@ def save_tensor_csv(path, array, meta):
     arr = np.asarray(array, dtype=np.float64)
     lines = ["# relkit-tensor v1",
              "# shape: " + ",".join(str(v) for v in arr.shape),
-             "# meta: " + json.dumps(_jsonable_meta(meta), sort_keys=True)]
+             "# meta: " + json.dumps(meta, sort_keys=True, default=_plain)]
     lines.extend(repr(float(v)) for v in arr.ravel())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -346,7 +329,7 @@ def load_heatmap_csv(path):
 def save_curve_csv(path, curve):
     """Write a flip curve as (step, value) rows with metadata comments."""
     lines = ["# relkit-flipcurve v1",
-             "# meta: " + json.dumps(_jsonable_meta(curve.meta), sort_keys=True),
+             "# meta: " + json.dumps(curve.meta, sort_keys=True, default=_plain),
              "# auc: " + repr(float(curve.auc)),
              "# order: " + ",".join(str(i) for i in curve.order),
              "step,value"]

@@ -205,8 +205,7 @@ class Network:
                            tuple(require_int("input_shape extent", v) for v in self.input_shape))
         if min(self.input_shape, default=0) < 1:
             raise ValueError("input_shape extents must be positive")
-        if self.class_count < 1:
-            raise ValueError("class_count must be positive")
+        object.__setattr__(self, "class_count", require_int("class_count", self.class_count, 1))
         shapes = [self.input_shape]
         for i, layer in enumerate(self.layers):
             try:
@@ -618,6 +617,14 @@ def finite_number(value):
     return bool(np.isfinite(value))
 
 
+def _require_real(name, value):
+    """`value`, unless it is not a real number (a bool is not one): then a ValueError
+    naming the field. NaN and Inf pass, for the caller's own range and finite checks."""
+    if not (finite_number(value) or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def require_int(name, value, minimum=None):
     """`value` as an int; reject a `value` that is not an integer (bool and
     float are not) or is below `minimum`, naming the field."""
@@ -668,13 +675,6 @@ def _param_grads(network, trace, seed, weighted):
                                        else aux[idx], grads[idx + 1]) for idx in weighted}
 
 
-def _with_params(network, params):
-    """A validated Network with read-only copies of `params`, {idx: (weights, bias)}."""
-    layers = [replace(layer, weights=params[idx][0], bias=params[idx][1])
-              if idx in params else layer for idx, layer in enumerate(network.layers)]
-    return Network(tuple(layers), network.input_shape, network.class_count)
-
-
 def train_sgd(network, inputs, labels, config, verbose=False):
     """Minibatch SGD on cross-entropy over log-softmax; returns a new Network.
 
@@ -704,11 +704,15 @@ def train_sgd(network, inputs, labels, config, verbose=False):
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size), 1):
             batch = order[start:start + config.batch_size]
             trace = _forward_rows(net, data[batch])
             if not np.isfinite(trace.logits).all():
-                _with_params(network, params)  # names the layer whose weights went non-finite
+                bad = (f"layer {idx} {net.layers[idx].kind} {name}" for idx, pair in params.items()
+                       for name, a in zip(("weights", "bias"), pair) if not np.isfinite(a).all())
+                raise ValueError(f"training diverged in epoch {epoch + 1}, minibatch {step} at "
+                                 f"learning_rate {config.learning_rate!r}: "
+                                 f"{next(bad, 'logits')} contains non-finite values")
             logp, seed = class_output(trace.logits, targets[batch], "log_probability")
             losses.extend(-logp)
             grads = _param_grads(net, trace, -seed, params)
@@ -722,7 +726,8 @@ def train_sgd(network, inputs, labels, config, verbose=False):
                     np.minimum(b, 0.0, out=b)
         if verbose:
             print(f"epoch {epoch + 1}/{config.epochs}: mean loss {np.mean(losses):.6f}")
-    return _with_params(network, params)
+    # the trained layers, validated, with read-only copies of their weights
+    return Network(tuple(map(replace, net.layers)), network.input_shape, network.class_count)
 
 
 def random_network(input_shape, plan, seed):

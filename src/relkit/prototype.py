@@ -1,9 +1,11 @@
 """Class prototypes by gradient ascent on the class log-probability.
 
-The objective is log p(class | x) plus an optional regularizer: a plain or
-mean-anchored squared-norm penalty, or the log-density of a Gaussian-RBM
-data model ("expert") with given parameters. A localization penalty pulls
-the search toward a reference point. The optimizer is fixed-step ascent
+The objective is log p(class | x) plus up to two terms: a regularizer and a
+localization penalty. Three of the terms are one squared-distance penalty,
+weight * ||x - anchor||^2, anchored at the origin (L2Penalty), at a data mean
+(MeanAnchoredL2) or at a reference point that keeps the search local
+(Localization). The fourth, ExpertPrior, adds the log-density of a Gaussian-RBM
+data model ("expert") with given parameters. The optimizer is fixed-step ascent
 with step halving whenever a step would decrease the objective, so the
 recorded trajectory is non-decreasing and the whole search is deterministic.
 """
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (as_tensor, forward, require_finite, require_int, softmax,
-                      _value_and_gradient)
+from .netcore import (as_tensor, finite_number, forward, require_finite, require_int, softmax,
+                      _frozen_tensor, _require_real, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +34,9 @@ class RbmExpert:
     precision: np.ndarray       # (dim, dim)
 
     def __post_init__(self):
-        w = as_tensor(self.factor_weights, "factor weights")
-        b = as_tensor(self.factor_biases, "factor biases")
-        p = as_tensor(self.precision, "precision")
+        w = _frozen_tensor(self.factor_weights, "factor weights")
+        b = _frozen_tensor(self.factor_biases, "factor biases")
+        p = _frozen_tensor(self.precision, "precision")
         if w.ndim != 2 or b.shape != (w.shape[0],):
             raise ValueError("factor weights must be (factors, dim) with one bias per factor")
         if p.shape != (w.shape[1], w.shape[1]):
@@ -45,8 +47,6 @@ class RbmExpert:
             np.linalg.cholesky(p)
         except np.linalg.LinAlgError:
             raise ValueError("precision matrix must be positive definite") from None
-        for arr in (w, b, p):
-            arr.setflags(write=False)
         object.__setattr__(self, "factor_weights", w)
         object.__setattr__(self, "factor_biases", b)
         object.__setattr__(self, "precision", p)
@@ -72,32 +72,45 @@ def rbm_log_density(expert, x):
     return value, grad
 
 
+class _SquaredDistance:
+    """weight * ||x - anchor||^2, subtracted from the objective; the anchor is the
+    origin or the input-shaped array in the field `_anchor` names."""
+
+    _anchor = None  # (field, its name in messages)
+
+    def __post_init__(self):
+        name = f"{type(self).__name__} weight"
+        if _require_real(name, self.weight) < 0:
+            raise ValueError(f"{name} must be non-negative")
+        require_finite(name, self.weight)
+        if self._anchor:
+            key, label = self._anchor
+            object.__setattr__(self, key, _frozen_tensor(getattr(self, key), label))
+
+    def _add(self, value, grad, x):
+        d = x
+        if self._anchor:
+            anchor, label = getattr(self, self._anchor[0]), self._anchor[1]
+            if anchor.shape != x.shape:
+                raise ValueError(f"{label} has shape {anchor.shape}, not the input's {x.shape}")
+            d = x - anchor
+        return value - self.weight * float(np.sum(d * d)), grad - 2.0 * self.weight * d
+
+
 @dataclass(frozen=True)
-class L2Penalty:
+class L2Penalty(_SquaredDistance):
     """Subtract weight * ||x||^2 from the objective."""
 
     weight: float
 
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("penalty weight must be non-negative")
-        require_finite(f"{type(self).__name__} weight", self.weight)
-
 
 @dataclass(frozen=True, eq=False)
-class MeanAnchoredL2:
+class MeanAnchoredL2(_SquaredDistance):
     """Subtract weight * ||x - mean||^2, anchoring the search at a data mean."""
 
     weight: float
     mean: np.ndarray
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("penalty weight must be non-negative")
-        require_finite(f"{type(self).__name__} weight", self.weight)
-        mean = as_tensor(self.mean, "anchor mean")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
+    _anchor = ("mean", "anchor mean")
 
 
 @dataclass(frozen=True)
@@ -106,21 +119,18 @@ class ExpertPrior:
 
     expert: RbmExpert
 
+    def _add(self, value, grad, x):
+        density, dgrad = rbm_log_density(self.expert, x.reshape(-1))
+        return value + density, grad + dgrad.reshape(x.shape)
+
 
 @dataclass(frozen=True, eq=False)
-class Localization:
+class Localization(_SquaredDistance):
     """Subtract weight * ||x - reference||^2 to keep the prototype local."""
 
     weight: float
     reference: np.ndarray
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("localization weight must be non-negative")
-        require_finite(f"{type(self).__name__} weight", self.weight)
-        ref = as_tensor(self.reference, "localization reference")
-        ref.setflags(write=False)
-        object.__setattr__(self, "reference", ref)
+    _anchor = ("reference", "localization reference")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,39 +142,13 @@ class AmObjective:
     localization: Localization | None = None
 
 
-def _penalize(value, grad, weight, d):
-    """Subtract the penalty weight * ||d||^2 (d = x - anchor) and its gradient."""
-    return value - weight * float(np.sum(d * d)), grad - 2.0 * weight * d
-
-
-def _from_anchor(x, anchor, name):
-    """x - anchor, for an `anchor` of exactly the input's shape."""
-    if anchor.shape != x.shape:
-        raise ValueError(f"{name} has shape {anchor.shape}, not the input's {x.shape}")
-    return x - anchor
-
-
 def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
     x = np.asarray(x, dtype=np.float64)
     _, value, grad = _value_and_gradient(network, x, objective.class_index, "log_probability")
-
-    reg = objective.regularizer
-    if isinstance(reg, L2Penalty):
-        value, grad = _penalize(value, grad, reg.weight, x)
-    elif isinstance(reg, MeanAnchoredL2):
-        value, grad = _penalize(value, grad, reg.weight, _from_anchor(x, reg.mean, "anchor mean"))
-    elif isinstance(reg, ExpertPrior):
-        density, dgrad = rbm_log_density(reg.expert, x.reshape(-1))
-        value += density
-        grad = grad + dgrad.reshape(x.shape)
-    elif reg is not None:
-        raise ValueError(f"unknown regularizer {reg!r}")
-
-    loc = objective.localization
-    if loc is not None:
-        d = _from_anchor(x, loc.reference, "localization reference")
-        value, grad = _penalize(value, grad, loc.weight, d)
+    for term in (objective.regularizer, objective.localization):
+        if term is not None:
+            value, grad = term._add(value, grad, x)
     return value, grad
 
 
@@ -176,12 +160,12 @@ class AmOptions:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.step_size) or self.step_size <= 0:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not finite_number(self.step_size) or self.step_size <= 0:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
         require_int("max_iterations", self.max_iterations, 0)
-        if not np.isfinite(self.gradient_tolerance) or self.gradient_tolerance < 0:
+        if not finite_number(self.gradient_tolerance) or self.gradient_tolerance < 0:
             raise ValueError(f"gradient_tolerance must be finite and >= 0, "
-                             f"got {self.gradient_tolerance}")
+                             f"got {self.gradient_tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

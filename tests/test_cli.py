@@ -561,3 +561,15 @@ def test_prototype_rejects_bad_weights_by_name(model_path, dataset, tmp_path, ca
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", [("1", "0"), ("nan", "1"), ("0", "inf")])
+def test_prototype_rejects_a_bad_clip_range(model_path, tmp_path, capsys, bounds):
+    # --clip 1 0 used to write an all-zero prototype and exit 0
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--class", "1", "--clip", *bounds,
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--clip needs finite LOW <= HIGH, got" in captured.err
+    assert captured.out == "" and not out.exists()

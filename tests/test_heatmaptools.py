@@ -339,3 +339,19 @@ def test_translation_sum_keeps_the_sign_of_zeros():
     averaged = relkit.translation_average(lambda n, x: tagged(np.full((1, 2, 2), -0.0)), net,
                                           np.ones((1, 2, 2)), [(0, 0)])
     assert np.array_equal(np.signbit(averaged.scores), np.ones((1, 2, 2), bool))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("read", [
+    lambda hm: relkit.pool_relevance(hm, np.zeros((1, 4, 4), dtype=int)),
+    lambda hm: relkit.translation_average(
+        lambda n, x: hm, relkit.random_network((1, 4, 4), [("flatten",), ("dense", 2)], seed=11),
+        np.ones((1, 4, 4)), [(0, 0), (1, 0)])], ids=["pool_relevance", "translation_average"])
+def test_non_finite_scores_never_become_region_sums_or_an_average(read, bad):
+    # both used to pass a NaN straight into the region sums and the averaged heatmap
+    scores = np.ones((1, 4, 4))
+    scores[0, 1, 2] = bad
+    hm = relkit.Heatmap.from_scores(scores, 0.0, "lrp:demo")
+    with pytest.raises(ValueError, match=f"^lrp:demo heatmap scores must be finite, "
+                                         f"got {bad!r}$"):
+        read(hm)

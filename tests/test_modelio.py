@@ -446,3 +446,37 @@ def test_stored_bounds_the_box_rule_cannot_use_are_a_format_error(max_network, t
     with pytest.raises(ModelFormatError,
                        match=r"model\.json: input_bounds: ZBounds requires low <= 0 <= high"):
         relkit.load_model_file(path)
+
+
+def test_class_count_is_an_integer_and_round_trips(tmp_path):
+    # a float class_count used to build a net whose saved file did not load, and
+    # a NumPy integer one a net that could not be saved
+    layers = (relkit.dense(np.ones((3, 2))),)
+    with pytest.raises(ValueError, match=r"^class_count must be an integer, got 2\.0$"):
+        relkit.Network(layers, (3,), 2.0)
+    net = relkit.Network(layers, (3,), np.int64(2))
+    assert type(net.class_count) is int
+    path = tmp_path / "model.json"
+    relkit.save_model(net, path)
+    loaded = relkit.load_model(path)
+    assert loaded.class_count == 2
+    assert np.array_equal(relkit.forward(loaded, np.ones(3)).logits,
+                          relkit.forward(net, np.ones(3)).logits)
+
+
+def test_metadata_writes_numpy_values_anywhere_and_rejects_other_objects(tmp_path):
+    path = tmp_path / "t.csv"
+    meta = {"a": np.int64(3), "b": np.float32(0.5), "c": np.arange(2), "d": [np.int32(1)]}
+    relkit.save_tensor_csv(path, np.zeros(2), meta)
+    assert relkit.load_tensor_csv(path)[1] == {"a": 3, "b": 0.5, "c": [0, 1], "d": [1]}
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        relkit.save_tensor_csv(path, np.zeros(2), {"bad": object()})
+
+
+def test_a_network_error_in_a_model_file_starts_with_the_file(tmp_path):
+    doc = {"format_version": 1, "input_shape": [2], "class_count": 3,
+           "layers": [{"kind": "Dense", "weights": [[1.0], [1.0]], "bias": [0.0]}]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"^\S*model\.json: network output shape"):
+        relkit.load_model(path)

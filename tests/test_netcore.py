@@ -460,3 +460,17 @@ def test_integer_fields_accept_numpy_integers():
     assert pool.window == (2, 2) and type(pool.window[0]) is int
     assert net.input_shape == (1, 4, 4) and type(net.input_shape[0]) is int
     assert net.activation_shapes[1] == (1, 2, 2)
+
+
+@pytest.mark.parametrize("rate", [1e30, 1e300])
+def test_train_sgd_divergence_names_training_and_the_learning_rate(rate):
+    # the weights stay finite but huge, and the next forward's logits overflow:
+    # this used to surface as "logits contains non-finite values" from log_softmax
+    rng = np.random.default_rng(0)
+    net = random_dense_network(rng, [6, 5, 3], zero_bias=False)
+    data, labels = rng.standard_normal((20, 6)), rng.integers(0, 3, 20)
+    config = relkit.TrainConfig(learning_rate=rate, epochs=3, batch_size=4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=(
+            rf"^training diverged in epoch \d+, minibatch \d+ at learning_rate "
+            rf"{re.escape(repr(rate))}: ")):
+        relkit.train_sgd(net, data, labels, config)

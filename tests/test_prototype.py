@@ -214,3 +214,19 @@ def test_regularizer_weights_must_be_finite_and_non_negative(cls, extra):
     with pytest.raises(ValueError, match="weight must be non-negative"):
         cls(-1.0, *extra)
     assert cls(0.0, *extra).weight == 0.0
+
+
+@pytest.mark.parametrize("bad", ["0.1", None, True])
+@pytest.mark.parametrize("build,message", [
+    (lambda v: relkit.AmOptions(step_size=v), "step_size must be finite and > 0"),
+    (lambda v: relkit.AmOptions(gradient_tolerance=v),
+     "gradient_tolerance must be finite and >= 0"),
+    (lambda v: relkit.L2Penalty(v), "L2Penalty weight must be a real number"),
+    (lambda v: relkit.MeanAnchoredL2(v, np.zeros(2)),
+     "MeanAnchoredL2 weight must be a real number"),
+    (lambda v: relkit.Localization(v, np.zeros(2)), "Localization weight must be a real number")],
+    ids=["step_size", "gradient_tolerance", "L2Penalty", "MeanAnchoredL2", "Localization"])
+def test_search_settings_and_weights_must_be_real_numbers(build, message, bad):
+    # "0.1" and None died with a TypeError from a comparison, and True counted as 1
+    with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
+        build(bad)

@@ -338,3 +338,16 @@ def test_single_layer_rules_reject_non_finite_arrays_by_name(call, message):
     # relevance as all NaN, without an error
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("bad", ["0.1", None, True])
+@pytest.mark.parametrize("build,field", [
+    (lambda v: relkit.Epsilon(v), "Epsilon epsilon"),
+    (lambda v: relkit.AlphaBeta(v, 0.0), "AlphaBeta alpha"),
+    (lambda v: relkit.AlphaBeta(1.0, v), "AlphaBeta beta"),
+    (lambda v: relkit.RuleConfig((), stabilizer=v), "RuleConfig stabilizer")],
+    ids=["epsilon", "alpha", "beta", "stabilizer"])
+def test_rule_settings_must_be_real_numbers(build, field, bad):
+    # "0.1" and None died with a TypeError from a comparison, and True counted as 1
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {bad!r}$"):
+        build(bad)
