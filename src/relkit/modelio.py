@@ -49,10 +49,10 @@ class ModelFile:
 def _layer_doc(layer):
     doc = {"kind": layer.kind}
     if layer.kind in WEIGHTED_KINDS:
-        doc["weights"] = layer.weights.tolist()
-        doc["bias"] = layer.bias.tolist()
+        doc["weights"] = layer.weights
+        doc["bias"] = layer.bias
     if layer.kind in POOL_KINDS:
-        doc["window"] = list(layer.window)
+        doc["window"] = layer.window
     if layer.kind in WINDOWED_KINDS:
         doc["stride"] = layer.stride
         doc["padding"] = layer.padding
@@ -62,16 +62,34 @@ def _layer_doc(layer):
 def save_model(network, path, expert=None, input_bounds=None):
     """Write the network (and optional expert / input bounds) as JSON."""
     doc = {"format_version": FORMAT_VERSION,
-           "input_shape": list(network.input_shape),
+           "input_shape": network.input_shape,
            "class_count": network.class_count,
            "layers": [_layer_doc(layer) for layer in network.layers]}
     if expert is not None:
-        doc["expert"] = {f.name: getattr(expert, f.name).tolist() for f in fields(expert)}
+        doc["expert"] = {f.name: getattr(expert, f.name) for f in fields(expert)}
     if input_bounds is not None:
         low, high = check_input_bounds(*input_bounds)
-        doc["input_bounds"] = {"low": low.tolist(), "high": high.tolist()}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+        doc["input_bounds"] = {"low": low, "high": high}
+    Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
+
+
+def _json_text(value, depth=0):
+    """json.dumps(value, sort_keys=True, indent=1), with each NumPy array written
+    as nested lists whose rows are joined from float reprs, the text json gives
+    a finite float; json's own indenting encoder is pure Python."""
+    if isinstance(value, dict):
+        items = (f"{json.dumps(key)}: {_json_text(value[key], depth + 1)}"
+                 for key in sorted(value))
+    elif isinstance(value, np.ndarray) and value.ndim == 1:
+        items = map(repr, value.tolist())
+    elif isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        items = (_json_text(item, depth + 1) for item in value)
+    else:
+        return json.dumps(value.item() if isinstance(value, np.ndarray) else value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{' ' * depth}{brackets[1]}" if body else brackets
 
 
 def check_input_bounds(low, high, where="input_bounds"):
@@ -263,7 +281,7 @@ def save_tensor_csv(path, array, meta):
     lines = ["# relkit-tensor v1",
              "# shape: " + ",".join(str(v) for v in arr.shape),
              "# meta: " + json.dumps(meta, sort_keys=True, default=_plain)]
-    lines.extend(repr(float(v)) for v in arr.ravel())
+    lines.extend(map(repr, arr.ravel().tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -333,5 +351,6 @@ def save_curve_csv(path, curve):
              "# auc: " + repr(float(curve.auc)),
              "# order: " + ",".join(str(i) for i in curve.order),
              "step,value"]
-    lines.extend(f"{step},{repr(float(v))}" for step, v in enumerate(curve.values))
+    values = np.asarray(curve.values, dtype=np.float64).ravel().tolist()
+    lines.extend(f"{step},{value!r}" for step, value in enumerate(values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Model JSON round trips, IDX parsing, and the CSV tensor/curve formats."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,6 +9,13 @@ import pytest
 
 import relkit
 from relkit.modelio import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, ModelFormatError
+from relkit.netcore import POOL_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS
+
+from conftest import with_random_biases
+
+# floats whose shortest repr is an edge case: a signed zero, the smallest
+# subnormal, and the exponent forms json and repr write
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 1.7976931348623157e308, 0.1]
 
 
 def test_max_network_round_trip_is_bit_exact(max_network, tmp_path):
@@ -162,6 +170,21 @@ def test_curve_csv_contains_steps_and_auc(tmp_path):
     assert "step,value" in text
     assert "0,3.0" in text and "2,0.0" in text
     assert "# auc: 1.25" in text
+
+
+def test_csv_values_are_written_as_the_repr_of_each_float(tmp_path):
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES]
+                      + np.random.default_rng(31).standard_normal(6).tolist())
+    path = tmp_path / "t.csv"
+    relkit.save_tensor_csv(path, values.reshape(4, 5), {})
+    lines = path.read_bytes().split(b"\n")
+    assert lines[3:] == [repr(float(v)).encode() for v in values.reshape(4, 5).ravel()] + [b""]
+    curve_values = (3, np.float32(0.1), *values)
+    curve = relkit.FlipCurve(curve_values, (0,), 1.0, {})
+    relkit.save_curve_csv(path, curve)
+    lines = path.read_bytes().split(b"\n")
+    assert lines[5:] == [f"{step},{repr(float(v))}".encode()
+                         for step, v in enumerate(curve_values)] + [b""]
 
 
 def test_input_bounds_must_broadcast_to_the_input_shape(tmp_path):
@@ -480,3 +503,79 @@ def test_a_network_error_in_a_model_file_starts_with_the_file(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match=r"^\S*model\.json: network output shape"):
         relkit.load_model(path)
+
+
+def _tolist_document(network, expert=None, input_bounds=None):
+    """The model document with every array as nested lists, which
+    json.dumps(doc, sort_keys=True, indent=1) writes as a model file."""
+    layers = []
+    for layer in network.layers:
+        doc = {"kind": layer.kind}
+        if layer.kind in WEIGHTED_KINDS:
+            doc.update(weights=layer.weights.tolist(), bias=layer.bias.tolist())
+        if layer.kind in POOL_KINDS:
+            doc["window"] = list(layer.window)
+        if layer.kind in WINDOWED_KINDS:
+            doc.update(stride=layer.stride, padding=layer.padding)
+        layers.append(doc)
+    doc = {"format_version": 1, "input_shape": list(network.input_shape),
+           "class_count": network.class_count, "layers": layers}
+    if expert is not None:
+        doc["expert"] = {f.name: getattr(expert, f.name).tolist()
+                         for f in dataclasses.fields(expert)}
+    if input_bounds is not None:
+        doc["input_bounds"] = {key: np.asarray(bound, dtype=np.float64).tolist()
+                               for key, bound in zip(("low", "high"), input_bounds)}
+    return doc
+
+
+def _generated(in_shape, plan, seed=3):
+    net = relkit.random_network(in_shape, plan, seed)
+    return with_random_biases(net, np.random.default_rng(seed))
+
+
+def _conv_net(pool):
+    return _generated((2, 7, 7), [("conv", 3, 3, 3, 2, 1), ("relu",), (pool, 2, 2, 1, 1),
+                                  ("flatten",), ("dense", 4), ("relu",), ("dense", 3)])
+
+
+def _edge_net():
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    conv = relkit.conv2d(np.resize(values, (2, 1, 2, 2)), values[[0, 5]])
+    dense = relkit.dense(np.resize(values[::-1], (18, 2)), values[[1, 2]])
+    return relkit.Network((conv, relkit.relu(), relkit.flatten(), dense), (1, 4, 4), 2)
+
+
+FORMAT_CASES = {
+    "dense": lambda: (_generated((6,), [("dense", 5), ("relu",), ("dense", 3)]), None, None),
+    **{f"conv-{pool}": lambda pool=pool: (_conv_net(pool), None, None)
+       for pool in ("maxpool", "sumpool", "avgpool")},
+    "expert": lambda: (_generated((4,), [("dense", 2)]), relkit.RbmExpert(
+        np.random.default_rng(5).standard_normal((3, 4)), np.array([0.5, -0.0, 1e-05]),
+        np.eye(4) * 2.0), None),
+    "scalar-bounds": lambda: (_conv_net("maxpool"), None, (0.0, 1.0)),
+    "input-shaped-bounds": lambda: (_conv_net("sumpool"), None, (
+        -np.random.default_rng(7).random((2, 7, 7)), np.linspace(0.0, 2.0, 98).reshape(2, 7, 7))),
+    "edge-values": lambda: (_edge_net(), None, (-np.array(EDGE_VALUES[:4]).reshape(1, 2, 2),
+                                                np.array(EDGE_VALUES[3:]).reshape(1, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_saved_bytes_are_json_dumps_of_the_list_document(tmp_path, case):
+    network, expert, bounds = FORMAT_CASES[case]()
+    path = tmp_path / "model.json"
+    relkit.save_model(network, path, expert=expert, input_bounds=bounds)
+    doc = _tolist_document(network, expert, bounds)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+def test_edge_values_are_written_in_their_shortest_repr(tmp_path):
+    path = tmp_path / "model.json"
+    relkit.save_model(_edge_net(), path)
+    numbers = {line.strip().rstrip(",") for line in path.read_text().splitlines()}
+    assert {"-0.0", "5e-324", "1e-05", "1e+16", "1e+22", "1.7976931348623157e+308",
+            "0.1", "-1e+22"} <= numbers
+    weights = relkit.load_model(path).layers[0].weights
+    assert np.array_equal(weights, _edge_net().layers[0].weights)
+    assert np.signbit(weights.ravel()[0])

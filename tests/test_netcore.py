@@ -96,6 +96,15 @@ def test_max_network_gradient_hand_value(max_network):
     assert np.array_equal(relkit.gradient(max_network, [1.0, 0.0], 0), [1.0, 0.0])
 
 
+def test_relu_derivative_at_a_zero_pre_activation_is_zero():
+    # at x = (1, 1) the first hidden unit's pre-activation is exactly 0, so only
+    # the second unit passes gradient; taking ReLU'(0) = 1 would give (2, 0)
+    net = relkit.Network((relkit.dense(np.array([[1.0, 1.0], [-1.0, 1.0]])), relkit.relu(),
+                          relkit.dense(np.array([[1.0], [1.0]]))), (2,), 1)
+    assert np.array_equal(relkit.forward(net, [1.0, 1.0]).inputs[1], [0.0, 2.0])
+    assert np.array_equal(relkit.gradient(net, [1.0, 1.0], 0), [1.0, 1.0])
+
+
 def test_gradient_class_index_out_of_range(max_network):
     with pytest.raises(ValueError, match="class_index"):
         relkit.gradient(max_network, [1.0, 0.0], 5)

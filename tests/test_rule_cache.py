@@ -94,6 +94,26 @@ def test_changing_the_box_never_reads_stale_offsets(network, images):
         assert np.array_equal(explain.lrp_heatmap(net, x, 1, config).scores, expected)
 
 
+def test_a_layer_shared_by_nets_of_two_input_sizes_keeps_one_w2_term_per_size():
+    # the W^2 denominator of the real-domain first layer depends on the input
+    # size through the padded border, so it is cached per input shape
+    rng = np.random.default_rng(9)
+    conv = relkit.conv2d(rng.standard_normal((2, 1, 3, 3)), padding=1)
+
+    def net(layer, side):
+        head = relkit.dense(rng.standard_normal((2 * side * side, 2)))
+        return relkit.Network((layer, relkit.relu(), relkit.flatten(), head), (1, side, side), 2)
+
+    for side in (5, 7):
+        shared = net(conv, side)
+        fresh = relkit.Network((dataclasses.replace(conv),) + shared.layers[1:],
+                               shared.input_shape, 2)
+        x = rng.random((1, side, side))
+        got, want = (explain.lrp_heatmap(n, x, 1, explain.deep_taylor_config(n, "real")).scores
+                     for n in (shared, fresh))
+        assert np.array_equal(got, want)
+
+
 def test_cached_terms_die_with_their_layer_and_their_box(images):
     net = relkit.random_network((1, 28, 28), PLANS["dense"], seed=6)
     config = explain.deep_taylor_config(net, "pixel", 0.0, 1.0)

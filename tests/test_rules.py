@@ -6,7 +6,7 @@ import pytest
 
 import relkit
 from relkit.explain import (lrp_dense_alphabeta, lrp_dense_epsilon,
-                            lrp_input_wsquare, lrp_input_zb, lrp_pool)
+                            lrp_input_wsquare, lrp_input_zb, lrp_pool, safe_divide)
 
 from conftest import random_dense_network
 
@@ -88,6 +88,11 @@ def test_epsilon_zero_denominator_stays_finite():
     out = lrp_dense_epsilon(a, w, np.zeros(1), np.array([3.0]), 0.5)
     assert np.all(np.isfinite(out))
     assert np.array_equal(out, [6.0, -6.0])  # shares R/eps * a*w
+
+
+def test_safe_divide_keeps_a_denominator_equal_to_the_stabilizer():
+    out = safe_divide(np.array([3.0, 2.0, 1.0]), np.array([1e-9, -1e-9, 9e-10]), 1e-9)
+    assert np.array_equal(out, [3.0 / 1e-9, 2.0 / -1e-9, 0.0])
 
 
 def test_epsilon_requires_positive_epsilon():
