@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import _heatmap_scores, _term
+from .explain import _explanation_meta, _heatmap_scores, _term
 from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep, as_tensor,
-                      class_output, finite_number, forward, require_int, sample_bytes,
-                      sparse_response, window_columns)
+                      class_output, finite_number, forward, require_finite, require_int,
+                      sample_bytes, sparse_response, window_columns)
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ def auc(values):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("need at least one recorded value")
+    require_finite("curve values", values)
     if values.size == 1:
         return float(values[0])
     area = values[1:-1].sum() + 0.5 * (values[0] + values[-1])
@@ -136,12 +137,9 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
             batch = batch.reshape((-1,) + x.shape)
         a = _forward_rows(network, batch, start, stop=tail).activations[tail]
         values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
-    meta = {"auc_normalization": "step-averaged trapezoid over unit-spaced removals",
-            "patch": config.patch,
-            "fill": config.fill,
-            "class_index": class_index,
-            "explained_output": mode,
-            "method_tag": heatmap.method_tag}
+    meta = dict(_explanation_meta(class_index, mode), patch=config.patch, fill=config.fill,
+                auc_normalization="step-averaged trapezoid over unit-spaced removals",
+                method_tag=heatmap.method_tag)
     return FlipCurve(tuple(float(v) for v in values),
                      tuple(int(i) for i in order[:steps]),
                      auc(values), meta)

@@ -19,9 +19,11 @@ netcore's batch kernels; the backward sweep is netcore's one reverse layer
 loop with each layer's rule, then the filter mask, as its step, so relevances
 are indexed by position like the activations. The sweep is the one checked
 pass: it checks the rule config and explains N rows, one class each, over the
-row-stable operator pairs. `lrp`, `filter_relevance` and `lrp_heatmap` run it
-as the N=1 batch; sliding windows run in chunks of rows, bitwise equal to one
-window at a time. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
+row-stable operator pairs. `_lrp_trace` runs it as the N=1 batch for `lrp`,
+`filter_relevance` and `lrp_heatmap`, and `_lrp_rows` in chunks of rows for
+sliding windows, each row bitwise one window explained alone. Every explanation
+carries `_explanation_meta`: `class_index`, `explained_output` and, for LRP,
+`rules` and `stabilizer`. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
 `lrp_input_*`) reject non-finite arrays, naming the argument, and also run one
 sample as the N=1 batch. Denominators smaller in magnitude than the stabilizer
 absorb their unit's relevance instead of being inflated; when the inhibitory
@@ -364,20 +366,20 @@ def _backward_sweep(network, batch, class_index, config, mask_at=None, mask=None
     return _reverse_sweep(network, inputs, aux, seed, step), value
 
 
-def _single_pass(network, batch, class_index, config, mask_at=None, mask=None):
-    """_backward_sweep of an N=1 `batch` as its row: the per-layer relevances, the
-    explained value and the metadata of every LRP result."""
+def _explanation_meta(class_index, output):
+    """The metadata every explanation carries: the explained class and output, and,
+    when `output` is an LRP RuleConfig, its rule stack's name and stabilizer."""
+    if isinstance(output, RuleConfig):
+        return {"class_index": class_index, "explained_output": output.explained_output,
+                "rules": output.name, "stabilizer": output.stabilizer}
+    return {"class_index": class_index, "explained_output": output}
+
+
+def _lrp_trace(network, batch, class_index, config, mask_at=None, mask=None):
+    """The RelevanceTrace of the N=1 `batch`, the relevance at `mask_at` times `mask`."""
     rels, value = _backward_sweep(network, batch, class_index, config, mask_at, mask)
-    meta = {"class_index": class_index,
-            "explained_output": config.explained_output,
-            "rules": config.name}
-    return tuple([r[0] for r in rels]), float(value[0]), meta
-
-
-def _lrp_trace(network, batch, class_index, config):
-    rels, value, meta = _single_pass(network, batch, class_index, config)
-    meta["stabilizer"] = config.stabilizer
-    return RelevanceTrace(rels, value, class_index, f"lrp:{config.name}", meta)
+    return RelevanceTrace(tuple([r[0] for r in rels]), float(value[0]), class_index,
+                          f"lrp:{config.name}", _explanation_meta(class_index, config))
 
 
 def lrp(network, trace, class_index, config):
@@ -391,7 +393,7 @@ def lrp(network, trace, class_index, config):
 
 def lrp_heatmap(network, x, class_index, config):
     """Forward pass plus relevance propagation, packaged as a Heatmap."""
-    batch = _forward_rows(network, _as_input(network, x)[None], row_stable=True)
+    batch = _forward_rows(network, _as_input(network, x)[None])
     return _lrp_trace(network, batch, class_index, config).heatmap()
 
 
@@ -424,11 +426,11 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
                          f"relevance shape {expected}")
     if mask.min() < 0 or mask.max() > 1:
         raise ValueError("mask entries must lie in [0, 1]")
-    rels, value, meta = _single_pass(network, _take(trace, None), class_index, config,
-                                     layer_index, mask)
-    masked_total = float(np.sum(rels[layer_index]))
-    meta.update(filter_layer=layer_index, masked_layer_total=masked_total)
-    hm = Heatmap.from_scores(rels[0], value, f"lrp-filtered:{config.name}", meta)
+    result = _lrp_trace(network, _take(trace, None), class_index, config, layer_index, mask)
+    masked_total = float(np.sum(result.relevances[layer_index]))
+    result.meta.update(filter_layer=layer_index, masked_layer_total=masked_total)
+    hm = Heatmap.from_scores(result.relevances[0], result.explained_value,
+                             f"lrp-filtered:{config.name}", result.meta)
     hm.meta["conservation_gap"] = masked_total - hm.total
     return hm
 
@@ -437,8 +439,8 @@ def sensitivity(network, x, class_index, explained_output="logit"):
     """Squared partial derivatives; decomposes the squared gradient norm."""
     _, _, g = _value_and_gradient(network, x, class_index, explained_output)
     scores = g * g
-    meta = {"class_index": class_index, "explained_output": explained_output}
-    return Heatmap.from_scores(scores, float(np.sum(scores)), "sensitivity", meta)
+    return Heatmap.from_scores(scores, float(np.sum(scores)), "sensitivity",
+                               _explanation_meta(class_index, explained_output))
 
 
 def simple_taylor(network, x, class_index, explained_output="logit"):
@@ -449,11 +451,9 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     """
     x, value, g = _value_and_gradient(network, x, class_index, explained_output)
     scores = g * x
-    hm = Heatmap.from_scores(scores, value, "simple_taylor",
-                             {"class_index": class_index,
-                              "explained_output": explained_output})
-    hm.meta["residual"] = value - hm.total
-    return hm
+    meta = _explanation_meta(class_index, explained_output)
+    meta["residual"] = value - float(np.sum(scores))
+    return Heatmap.from_scores(scores, value, "simple_taylor", meta)
 
 
 def _first_layer_bound(network, bound, name):

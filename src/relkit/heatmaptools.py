@@ -9,8 +9,8 @@ import warnings
 
 import numpy as np
 
-from .explain import Heatmap, _heatmap_scores, _lrp_rows
-from .netcore import as_tensor, require_int
+from .explain import Heatmap, _explanation_meta, _heatmap_scores, _lrp_rows
+from .netcore import as_tensor, finite_number, require_int
 
 
 def pool_relevance(heatmap, partition):
@@ -75,6 +75,10 @@ def translation_average(explainer, network, image, shifts):
     if (0, 0) not in shifts:
         raise ValueError("shift set lacks the identity shift")
     maps = [explainer(network, shift_image(image, s)) for s in shifts]
+    for hm in maps:
+        if not isinstance(hm, Heatmap):
+            raise ValueError(f"translation_average needs an explainer that returns a Heatmap, "
+                             f"got {type(hm).__name__}")
     restored = [shift_image(_heatmap_scores(hm), (-dy, -dx))
                 for hm, (dy, dx) in zip(maps, shifts)]
     meta = dict(maps[0].meta)
@@ -118,12 +122,8 @@ def sliding_window_explain(network, big_image, stride, rule_config, class_index)
         acc[region] += window_scores
         coverage[region] += 1
         total_value += value
-    meta = {"class_index": class_index,
-            "explained_output": rule_config.explained_output,
-            "rules": rule_config.name,
-            "stride": stride,
-            "windows": len(regions),
-            "coverage": coverage}
+    meta = dict(_explanation_meta(class_index, rule_config), stride=stride,
+                windows=len(regions), coverage=coverage)
     return Heatmap.from_scores(acc, total_value, f"sliding_window:{rule_config.name}", meta)
 
 
@@ -140,6 +140,8 @@ def pattern(image, heatmap, normalization="clip", percentile=99.0):
         raise ValueError(f"heatmap shape {scores.shape} does not match image {image.shape}")
     if normalization not in ("rescale", "clip"):
         raise ValueError('normalization must be "rescale" or "clip"')
+    if not (finite_number(percentile) and 0 <= percentile <= 100):
+        raise ValueError(f"percentile must be a number in [0, 100], got {percentile!r}")
     mask = np.maximum(scores, 0.0)
     if normalization == "clip":
         mask = np.minimum(mask, np.percentile(mask, percentile))

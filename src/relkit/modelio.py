@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .explain import Heatmap, ZBounds
+from .explain import Heatmap, ZBounds, _heatmap_scores
 from .netcore import (LAYER_KINDS, POOL_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, LayerSpec,
-                      Network, as_tensor, broadcasts_to)
+                      Network, as_tensor, broadcasts_to, require_finite)
 from .prototype import RbmExpert
 
 FORMAT_VERSION = 1
@@ -276,8 +276,10 @@ def _plain(value):
 
 
 def save_tensor_csv(path, array, meta):
-    """Flat one-value-per-line CSV with shape and JSON metadata comments."""
+    """Flat one-value-per-line CSV with shape and JSON metadata comments; refuses
+    non-finite values, which load_tensor_csv would reject."""
     arr = np.asarray(array, dtype=np.float64)
+    require_finite("tensor values", arr)
     lines = ["# relkit-tensor v1",
              "# shape: " + ",".join(str(v) for v in arr.shape),
              "# meta: " + json.dumps(meta, sort_keys=True, default=_plain)]
@@ -330,7 +332,7 @@ def save_heatmap_csv(path, heatmap):
     meta["method_tag"] = heatmap.method_tag
     meta["explained_value"] = heatmap.explained_value
     meta["total"] = heatmap.total
-    save_tensor_csv(path, heatmap.scores, meta)
+    save_tensor_csv(path, _heatmap_scores(heatmap), meta)
 
 
 def load_heatmap_csv(path):
@@ -346,11 +348,13 @@ def load_heatmap_csv(path):
 
 def save_curve_csv(path, curve):
     """Write a flip curve as (step, value) rows with metadata comments."""
+    values = np.asarray(curve.values, dtype=np.float64).ravel()
+    require_finite("flip curve values", values)
+    require_finite("flip curve auc", curve.auc)
     lines = ["# relkit-flipcurve v1",
              "# meta: " + json.dumps(curve.meta, sort_keys=True, default=_plain),
              "# auc: " + repr(float(curve.auc)),
              "# order: " + ",".join(str(i) for i in curve.order),
              "step,value"]
-    values = np.asarray(curve.values, dtype=np.float64).ravel().tolist()
-    lines.extend(f"{step},{value!r}" for step, value in enumerate(values))
+    lines.extend(f"{step},{value!r}" for step, value in enumerate(values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -23,7 +23,9 @@ samples: the layer kernels, the operator pair `linear_pair`, the reverse
 sweep and the weight gradient. `window_columns` and `window_scatter` take any
 leading axes before (C, H, W), and only the scatter folds them into planes;
 all planes share the one index map. Conv2D, and Dense with `row_stable`, multiply
-in one stacked product whose slice n is bitwise the product for sample n alone.
+in one stacked product whose slice n is bitwise the product for sample n alone;
+only batched LRP (its windows' forward and its rule steps) asks for `row_stable`,
+as at N=1 the Dense GEMM is bitwise the stacked product.
 `forward_batch` returns the trace of N inputs; `forward`, `seeded_gradient`,
 `conv_apply` and `conv_transpose_apply` are N=1 views that add and drop the
 batch axis, so one input gives bitwise the same result either way. Training
@@ -450,11 +452,8 @@ def _forward_rows(network, x, start=0, row_stable=False, stop=None):
     pass ends at position `stop`, whose activation is then the last one (not
     the logits). With `row_stable`, row n is bitwise the trace of row n alone."""
     acts, aux = [None] * start + [x], [None] * start
-    for i, layer in enumerate(network.layers[start:stop], start):
-        try:
-            y, extra = _layer_forward(layer, acts[-1], row_stable)
-        except ValueError as exc:
-            raise ValueError(f"layer {i} ({layer.kind}): {exc}") from None
+    for layer in network.layers[start:stop]:
+        y, extra = _layer_forward(layer, acts[-1], row_stable)
         acts.append(y)
         aux.append(extra)
     return ActivationTrace(tuple(acts), tuple(aux))
@@ -502,11 +501,11 @@ def forward_batch(network, x):
     return _forward_rows(network, x)
 
 
-def _as_input(network, x):
-    """One input as a float64 tensor, checked against the network input shape."""
-    x = as_tensor(x, "input")
+def _as_input(network, x, name="input"):
+    """One input (`name` in messages) as a float64 tensor of the network input shape."""
+    x = as_tensor(x, name)
     if x.shape != network.input_shape:
-        raise ValueError(f"input shape {x.shape} does not match network input "
+        raise ValueError(f"{name} shape {x.shape} does not match network input "
                          f"{network.input_shape}")
     return x
 

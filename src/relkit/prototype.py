@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import (as_tensor, finite_number, forward, require_finite, require_int, softmax,
-                      _frozen_tensor, _require_real, _value_and_gradient)
+from .netcore import (finite_number, forward, require_finite, require_int, softmax,
+                      _as_input, _frozen_tensor, _require_real, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +144,7 @@ class AmObjective:
 
 def am_objective(network, objective, x):
     """Objective value and gradient at x for the configured maximization."""
-    x = np.asarray(x, dtype=np.float64)
-    _, value, grad = _value_and_gradient(network, x, objective.class_index, "log_probability")
+    x, value, grad = _value_and_gradient(network, x, objective.class_index, "log_probability")
     for term in (objective.regularizer, objective.localization):
         if term is not None:
             value, grad = term._add(value, grad, x)
@@ -182,13 +181,8 @@ def activation_maximize(network, objective, options=AmOptions()):
     Stops at max_iterations, when the gradient norm falls below the
     tolerance, or when halving can no longer find an improving step.
     """
-    if options.init is None:
-        x = np.zeros(network.input_shape)
-    else:
-        x = as_tensor(options.init, "init")
-        if x.shape != network.input_shape:
-            raise ValueError(f"init shape {x.shape} does not match network input "
-                             f"{network.input_shape}")
+    x = (np.zeros(network.input_shape) if options.init is None
+         else _as_input(network, options.init, "init"))
     value, grad = am_objective(network, objective, x)
     if not np.isfinite(value):
         raise ValueError("objective is not finite at the initial point")

@@ -240,7 +240,8 @@ def test_rk_seed_env_fallback(dataset, tmp_path, monkeypatch):
 
 def test_render_rejects_non_finite_heatmap(tmp_path, capsys):
     heat = tmp_path / "heat.csv"
-    relkit.save_tensor_csv(heat, np.array([[0.5, np.nan]]), {"class_index": 0})
+    # written by hand: save_tensor_csv refuses to write a NaN
+    heat.write_text('# relkit-tensor v1\n# shape: 1,2\n# meta: {"class_index": 0}\n0.5\nnan\n')
     ppm = tmp_path / "render.ppm"
     assert main(["render", "--heatmap", str(heat), "--out", str(ppm)]) == 1
     assert "line 5" in capsys.readouterr().err
@@ -573,3 +574,91 @@ def test_prototype_rejects_a_bad_clip_range(model_path, tmp_path, capsys, bounds
     assert code == 1
     assert "--clip needs finite LOW <= HIGH, got" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def expert_model_path(model_path, tmp_path_factory):
+    """The module's model saved again with a small Gaussian-RBM expert."""
+    rng = np.random.default_rng(5)
+    expert = relkit.RbmExpert(0.1 * rng.standard_normal((3, 144)), np.zeros(3), np.eye(144))
+    out = tmp_path_factory.mktemp("expert") / "expert.json"
+    relkit.save_model(relkit.load_model(model_path), out, expert=expert)
+    return str(out)
+
+
+@pytest.mark.parametrize("source", ["model", "expert-flag"])
+def test_prototype_with_the_expert_regularizer(model_path, expert_model_path, tmp_path, source):
+    # the expert comes from the --model file itself or from --expert FILE
+    model, extra = ((expert_model_path, []) if source == "model"
+                    else (model_path, ["--expert", expert_model_path]))
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model, *extra, "--class", "1",
+                 "--regularizer", "expert", "--steps", "20", "--out", str(out)])
+    assert code == 0
+    arr, meta = relkit.modelio.load_tensor_csv(out)
+    assert arr.shape == (1, 12, 12) and meta["iterations"] >= 1
+
+
+def test_prototype_expert_regularizer_needs_an_expert(model_path, tmp_path, capsys):
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--class", "1",
+                 "--regularizer", "expert", "--out", str(out)])
+    assert code == 1
+    assert f"{model_path} contains no expert parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_prototype_localized_at_a_dataset_image_with_ppm(model_path, dataset, tmp_path):
+    images, _ = dataset
+    out, ppm = tmp_path / "proto.csv", tmp_path / "proto.ppm"
+    code = main(["prototype", "--model", model_path, "--class", "0", "--data", images,
+                 "--eta", "0.5", "--x0-index", "3", "--steps", "20", "--out", str(out),
+                 "--ppm", str(ppm)])
+    assert code == 0
+    arr, _ = relkit.modelio.load_tensor_csv(out)
+    assert arr.shape == (1, 12, 12)
+    assert ppm.read_bytes().startswith(b"P6\n12 12\n255\n")
+
+
+def test_prototype_eta_needs_a_reference_point(model_path, dataset, tmp_path, capsys):
+    images, _ = dataset
+    code = main(["prototype", "--model", model_path, "--class", "0", "--data", images,
+                 "--eta", "0.5", "--out", str(tmp_path / "proto.csv")])
+    assert code == 1
+    assert "--eta needs --data and --x0-index for the reference point" in capsys.readouterr().err
+
+
+def test_train_continues_a_model_on_the_first_limit_samples(model_path, dataset, tmp_path,
+                                                             capsys):
+    images, labels = dataset
+    out = tmp_path / "more.json"
+    code = main(["train", "--data", images, "--labels", labels, "--model", model_path,
+                 "--limit", "50", "--epochs", "1", "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("train accuracy: ") and "/50 = " in printed
+    before, after = relkit.load_model(model_path), relkit.load_model(out)
+    assert before.input_shape == after.input_shape
+    assert not np.array_equal(before.layers[1].weights, after.layers[1].weights)
+
+
+def test_train_rejects_different_image_and_label_counts(dataset, tmp_path, capsys):
+    images, _ = dataset
+    labels = tmp_path / "labels.idx"
+    relkit.save_idx_labels(labels, np.zeros(79, dtype=np.uint8))
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", images, "--labels", str(labels),
+                 "--arch", "flatten/dense:2", "--out", str(out)])
+    assert code == 1
+    assert "image and label counts differ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explain_sliding_window_needs_a_class(model_path, dataset, tmp_path, capsys):
+    images, _ = dataset
+    out = tmp_path / "heat.csv"
+    code = main(["explain", "--model", model_path, "--data", images,
+                 "--sliding-window", "2", "--out", str(out)])
+    assert code == 1
+    assert "--sliding-window needs an explicit --class" in capsys.readouterr().err
+    assert not out.exists()

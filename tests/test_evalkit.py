@@ -345,3 +345,22 @@ def test_flip_config_names_the_bad_field(fields, message):
 def test_flip_config_accepts_numpy_scalars():
     config = relkit.FlipConfig(patch=np.int64(2), fill=np.float32(0.5), max_steps=np.int32(3))
     assert (config.patch, config.fill, config.max_steps) == (2, 0.5, 3)
+
+
+@pytest.mark.parametrize("values,bad", [([1.0, np.nan], "nan"), ([1.0, np.inf], "inf"),
+                                        ([-np.inf, 0.5, 0.0], "-inf")])
+def test_auc_rejects_non_finite_values(values, bad):
+    # auc([1.0, nan]) used to return nan, and auc([1.0, inf]) inf
+    with pytest.raises(ValueError, match=f"^curve values must be finite, got {bad}$"):
+        relkit.auc(values)
+
+
+@pytest.mark.parametrize("weights,x,scores,config,message", [
+    ([1.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0], relkit.FlipConfig(),
+     "heatmap shape (3,) does not match input (2,)"),
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0], [4.0, 3.0, 2.0, 1.0], relkit.FlipConfig(patch=2),
+     "patch flipping needs at least a 2-D input"),
+], ids=["heatmap-shape", "patch-on-1d-input"])
+def test_public_flip_checks_keep_their_messages(weights, x, scores, config, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        relkit.pixel_flip(linear_net(weights), x, tagged_heatmap(scores), config)

@@ -422,3 +422,52 @@ def test_filter_accepts_a_numpy_integer_layer_index(max_network):
     plain = relkit.filter_relevance(max_network, trace, 0, config, 2, np.ones(3))
     numpy = relkit.filter_relevance(max_network, trace, 0, config, np.int64(2), np.ones(3))
     assert np.array_equal(plain.scores, numpy.scores)
+
+
+_POOL_INPUT = np.arange(4.0).reshape(1, 2, 2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda net: relkit.lrp_pool(relkit.relu(), _POOL_INPUT, None, _POOL_INPUT,
+                                 relkit.PoolProportional()),
+     "lrp_pool applies to pooling layers, not ReLU"),
+    (lambda net: relkit.lrp_pool(relkit.sum_pool((2, 2)), _POOL_INPUT, None, np.ones((1, 1, 1)),
+                                 relkit.Epsilon()),
+     "unknown pool policy Epsilon(epsilon=1e-09)"),
+    (lambda net: relkit.lrp_pool(relkit.max_pool((2, 2)), _POOL_INPUT, None, np.ones((1, 1, 1)),
+                                 relkit.PoolWinnerTakeAll()),
+     "winner-take-all needs a MaxPool winner map"),
+    (lambda net: relkit.filter_relevance(net, relkit.forward(net, [2.0, 1.0]), 0,
+                                         relkit.deep_taylor_config(net), 2,
+                                         np.array([0.0, 1.5, 1.0])),
+     "mask entries must lie in [0, 1]"),
+    (lambda net: relkit.filter_relevance(net, relkit.forward(net, [2.0, 1.0]), 0,
+                                         relkit.deep_taylor_config(net), 2,
+                                         np.array([0.0, -0.5, 1.0])),
+     "mask entries must lie in [0, 1]"),
+], ids=["pool-on-relu", "unknown-pool-policy", "winner-without-map", "mask-above-1",
+        "mask-below-0"])
+def test_public_explain_checks_keep_their_messages(max_network, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(max_network)
+
+
+def test_every_lrp_result_carries_the_same_four_keys():
+    # filter_relevance and sliding_window_explain used to leave out the stabilizer
+    net = relkit.random_network((1, 4, 4), [("conv", 2, 3, 3, 1, 0), ("relu",), ("flatten",),
+                                            ("dense", 3)], seed=41)
+    config = relkit.epsilon_config(net, epsilon=1e-6, stabilizer=1e-7,
+                                   explained_output="log_probability")
+    x = np.random.default_rng(41).random((1, 4, 4))
+    trace = relkit.forward(net, x)
+    results = {
+        "lrp": relkit.lrp(net, trace, 2, config).heatmap(),
+        "lrp_heatmap": relkit.lrp_heatmap(net, x, 2, config),
+        "filter_relevance": relkit.filter_relevance(net, trace, 2, config, 3, np.ones(8)),
+        "sliding_window_explain": relkit.sliding_window_explain(net, np.ones((1, 5, 5)), 1,
+                                                                config, 2),
+    }
+    want = {"class_index": 2, "explained_output": "log_probability", "rules": "epsilon",
+            "stabilizer": 1e-7}
+    for name, hm in results.items():
+        assert {key: hm.meta.get(key) for key in want} == want, name

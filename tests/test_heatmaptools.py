@@ -1,5 +1,7 @@
 """Region pooling, translation averaging, sliding windows, patterns, rendering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -355,3 +357,61 @@ def test_non_finite_scores_never_become_region_sums_or_an_average(read, bad):
     with pytest.raises(ValueError, match=f"^lrp:demo heatmap scores must be finite, "
                                          f"got {bad!r}$"):
         read(hm)
+
+
+@pytest.mark.parametrize("percentile", [True, "50", np.nan, 150, -1, None])
+def test_pattern_percentile_must_be_a_number_in_range(percentile):
+    # True ran as 1, "50" raised NumPy's TypeError, and NaN, 150 and -1 NumPy's own
+    # range message, which did not name the argument
+    image = np.ones((3, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"percentile must be a number in [0, 100], got {percentile!r}")):
+        relkit.pattern(image, tagged(np.ones((3, 3))), "clip", percentile)
+
+
+def test_pattern_percentile_takes_the_ends_of_its_range():
+    image = np.arange(1.0, 10.0).reshape(3, 3)
+    for percentile, top in ((0, 1.0), (100, 9.0), (np.float64(50.0), 5.0)):
+        want = image * (np.minimum(image, top) / top)
+        assert np.array_equal(relkit.pattern(image, tagged(image), "clip", percentile), want)
+
+
+def test_translation_average_rejects_an_explainer_that_returns_a_bare_array():
+    # used to fail with "'numpy.ndarray' object has no attribute 'meta'"
+    net = relkit.random_network((1, 4, 4), [("flatten",), ("dense", 2)], seed=11)
+    with pytest.raises(ValueError, match="^translation_average needs an explainer that returns "
+                                         "a Heatmap, got ndarray$"):
+        relkit.translation_average(lambda n, x: x, net, np.ones((1, 4, 4)), [(0, 0), (1, 0)])
+
+
+_FLAT_NET = relkit.random_network((4,), [("dense", 2)], seed=11)
+_IMAGE_NET = relkit.random_network((1, 4, 4), [("flatten",), ("dense", 2)], seed=11)
+_CONFIG = relkit.deep_taylor_config(_IMAGE_NET)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: relkit.sliding_window_explain(_IMAGE_NET, np.ones((6, 6)), 1, _CONFIG, 0),
+     "image rank 2 does not match network input rank 3"),
+    (lambda: relkit.sliding_window_explain(_FLAT_NET, np.ones(8), 1,
+                                           relkit.deep_taylor_config(_FLAT_NET), 0),
+     "sliding window expects a 2-D or (channels, h, w) image"),
+    (lambda: relkit.sliding_window_explain(_IMAGE_NET, np.ones((2, 6, 6)), 1, _CONFIG, 0),
+     "image has 2 channels, network expects 1"),
+    (lambda: relkit.pixel_partition((4,)), "pixel partition needs at least a 2-D shape"),
+    (lambda: relkit.quadrant_partition((4,)), "quadrant partition needs at least a 2-D shape"),
+    (lambda: relkit.translation_average(lambda n, x: tagged(x), _IMAGE_NET,
+                                        np.ones((1, 4, 4)), []),
+     "shift set is empty"),
+    (lambda: relkit.pattern(np.ones((4, 4)), tagged(np.ones((3, 3)))),
+     "heatmap shape (3, 3) does not match image (4, 4)"),
+    (lambda: relkit.pattern(np.ones((3, 3)), tagged(np.ones((3, 3))), "bogus"),
+     'normalization must be "rescale" or "clip"'),
+    (lambda: relkit.render_heatmap(tagged(np.ones(4))),
+     "rendering needs a 2-D or (channels, h, w) heatmap"),
+    (lambda: relkit.render_heatmap(tagged(np.ones((2, 2))), "jet"), "unknown colormap 'jet'"),
+], ids=["window-rank", "window-1d", "window-channels", "pixel-partition-rank",
+        "quadrant-partition-rank", "empty-shifts", "pattern-shape", "pattern-normalization",
+        "render-rank", "render-colormap"])
+def test_public_heatmaptools_checks_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -579,3 +579,29 @@ def test_edge_values_are_written_in_their_shortest_repr(tmp_path):
     weights = relkit.load_model(path).layers[0].weights
     assert np.array_equal(weights, _edge_net().layers[0].weights)
     assert np.signbit(weights.ravel()[0])
+
+
+def _scores_with(bad):
+    scores = np.ones((2, 3))
+    scores[1, 2] = bad
+    return scores
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("write,message", [
+    (lambda path, bad: relkit.save_heatmap_csv(
+        path, relkit.Heatmap(_scores_with(bad), 5.0, 5.0, "lrp:demo", {"class_index": 0})),
+     "lrp:demo heatmap scores must be finite"),
+    (lambda path, bad: relkit.save_tensor_csv(path, _scores_with(bad), {}),
+     "tensor values must be finite"),
+    (lambda path, bad: relkit.save_curve_csv(path, relkit.FlipCurve((1.0, bad), (0,), 1.0, {})),
+     "flip curve values must be finite"),
+    (lambda path, bad: relkit.save_curve_csv(path, relkit.FlipCurve((1.0, 0.0), (0,), bad, {})),
+     "flip curve auc must be finite"),
+], ids=["heatmap", "tensor", "curve-values", "curve-auc"])
+def test_writers_refuse_non_finite_values_and_write_nothing(tmp_path, write, message, bad):
+    # each used to write nan or inf, which the loaders then reject
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
+        write(path, bad)
+    assert not path.exists()
