@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .explain import Heatmap, ZBounds, _heatmap_scores
-from .netcore import (LAYER_KINDS, POOL_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, LayerSpec,
-                      Network, as_tensor, broadcasts_to, require_finite)
+from .netcore import (LAYER_FIELDS, LAYER_KINDS, LayerSpec, Network, as_tensor, broadcasts_to,
+                      require_finite)
 from .prototype import RbmExpert
 
 FORMAT_VERSION = 1
@@ -46,25 +46,14 @@ class ModelFile:
     input_high: np.ndarray | None = None
 
 
-def _layer_doc(layer):
-    doc = {"kind": layer.kind}
-    if layer.kind in WEIGHTED_KINDS:
-        doc["weights"] = layer.weights
-        doc["bias"] = layer.bias
-    if layer.kind in POOL_KINDS:
-        doc["window"] = layer.window
-    if layer.kind in WINDOWED_KINDS:
-        doc["stride"] = layer.stride
-        doc["padding"] = layer.padding
-    return doc
-
-
 def save_model(network, path, expert=None, input_bounds=None):
     """Write the network (and optional expert / input bounds) as JSON."""
     doc = {"format_version": FORMAT_VERSION,
            "input_shape": network.input_shape,
            "class_count": network.class_count,
-           "layers": [_layer_doc(layer) for layer in network.layers]}
+           "layers": [{"kind": layer.kind, **{key: getattr(layer, key)
+                                               for key in LAYER_FIELDS[layer.kind]}}
+                      for layer in network.layers]}
     if expert is not None:
         doc["expert"] = {f.name: getattr(expert, f.name) for f in fields(expert)}
     if input_bounds is not None:
@@ -159,20 +148,21 @@ def _read_utf8(path, error):
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+# the reader of each layer field; a missing stride or padding takes LayerSpec's 1 or 0
+_FIELD_READERS = {"weights": _numbers, "bias": _numbers, "window": _integers,
+                  "stride": _integer, "padding": _integer}
+
+
 def _parse_layer(doc, index):
     where = f"layer {index}"
     kind = _require(doc, "kind", where)
     if kind not in LAYER_KINDS:
         raise ModelFormatError(f"{where}: unsupported layer kind {kind!r}")
-    fields = {}
-    if kind in WEIGHTED_KINDS:
-        for key in ("weights", "bias"):
-            fields[key] = _numbers(_require(doc, key, where), f"{where}: '{key}'")
-    if kind in POOL_KINDS:
-        fields["window"] = _integers(_require(doc, "window", where), f"{where}: 'window'")
-    if kind in WINDOWED_KINDS:
-        fields["stride"] = _integer(doc.get("stride", 1), f"{where}: 'stride'")
-        fields["padding"] = _integer(doc.get("padding", 0), f"{where}: 'padding'")
+    for key in doc:
+        if key not in ("kind", *LAYER_FIELDS[kind]):
+            raise ModelFormatError(f"{where}: {kind} takes no field {key!r}")
+    fields = {key: _FIELD_READERS[key](_require(doc, key, where), f"{where}: {key!r}")
+              for key in LAYER_FIELDS[kind] if key in doc or key not in ("stride", "padding")}
     return _built(where, LayerSpec, kind, **fields)
 
 
@@ -275,6 +265,21 @@ def _plain(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _meta_line(meta):
+    """The `# meta:` line of a CSV: `meta` as standard JSON, where a NaN or an
+    infinity is a ValueError that names its top-level key."""
+    for key in sorted(meta):
+        try:
+            json.dumps(meta[key], default=_plain, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"meta {key!r}: {exc}") from None
+    return "# meta: " + json.dumps(meta, sort_keys=True, default=_plain, allow_nan=False)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def save_tensor_csv(path, array, meta):
     """Flat one-value-per-line CSV with shape and JSON metadata comments; refuses
     non-finite values, which load_tensor_csv would reject."""
@@ -282,7 +287,7 @@ def save_tensor_csv(path, array, meta):
     require_finite("tensor values", arr)
     lines = ["# relkit-tensor v1",
              "# shape: " + ",".join(str(v) for v in arr.shape),
-             "# meta: " + json.dumps(meta, sort_keys=True, default=_plain)]
+             _meta_line(meta)]
     lines.extend(map(repr, arr.ravel().tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -305,7 +310,7 @@ def load_tensor_csv(path):
                     if min(shape, default=0) < 0:
                         raise ValueError("negative extent")
                 elif body.startswith("meta:"):
-                    meta = json.loads(body[len("meta:"):])
+                    meta = json.loads(body[len("meta:"):], parse_constant=_not_json)
                     if not isinstance(meta, dict):
                         raise ValueError("meta must be a JSON object")
             except ValueError as exc:
@@ -352,7 +357,7 @@ def save_curve_csv(path, curve):
     require_finite("flip curve values", values)
     require_finite("flip curve auc", curve.auc)
     lines = ["# relkit-flipcurve v1",
-             "# meta: " + json.dumps(curve.meta, sort_keys=True, default=_plain),
+             _meta_line(curve.meta),
              "# auc: " + repr(float(curve.auc)),
              "# order: " + ",".join(str(i) for i in curve.order),
              "step,value"]

@@ -7,11 +7,13 @@ immutable after construction; every operation here is a pure function of
 its inputs, so independent calls are safe to run concurrently.
 
 Only this module tells Dense from Conv2D; the others work by layer family
-(WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). One loop runs the layers
-each way, by position (0 the input, i + 1 layer i's output, the logits last):
-`_forward_rows` returns the ActivationTrace every caller reads, and
-`_reverse_sweep`, which input gradients, training and LRP share, returns one
-value per position. One head, `class_output`, gives every consumer the
+(WEIGHTED_KINDS, POOL_KINDS and the shape-only kinds). Two tables describe the
+layers once: LAYER_FIELDS, the fields each kind takes, which LayerSpec checks
+and model files hold, and _PLAN_SIZES, the sizes of each random_network plan
+item. One loop runs the layers each way, by position (0 the input, i + 1 layer
+i's output, the logits last): `_forward_rows` returns the ActivationTrace every
+caller reads, and `_reverse_sweep`, which input gradients, training and LRP
+share, returns one value per position. One head, `class_output`, gives every consumer the
 explained value and its gradient at the logits, and rejects unknown output
 names and out-of-range or non-integer classes. Every windowed layer reads its
 windows as `window_columns`, a copy of one strided view of the zero-padded
@@ -45,6 +47,14 @@ WEIGHTED_KINDS = ("Dense", "Conv2D")
 POOL_KINDS = ("SumPool", "AvgPool", "MaxPool")
 WINDOWED_KINDS = ("Conv2D",) + POOL_KINDS  # the kinds with a stride and a padding
 EXPLAINED_OUTPUTS = ("logit", "log_probability")
+# the fields each layer kind takes besides `kind`, in model-file order
+LAYER_FIELDS = {"Dense": ("weights", "bias"), "Conv2D": ("weights", "bias", "stride", "padding"),
+                "ReLU": (), "Flatten": (),
+                **dict.fromkeys(POOL_KINDS, ("window", "stride", "padding"))}
+# the sizes after each random_network plan head, in order
+_PLAN_SIZES = {"dense": ("out",), "conv": ("out_ch", "kh", "kw", "stride", "padding"),
+               "relu": (), "flatten": (), **dict.fromkeys(
+                   ("maxpool", "sumpool", "avgpool"), ("ph", "pw", "stride", "padding"))}
 # weight rank and bias axis of each weighted kind
 _WEIGHT_LAYOUT = {"Dense": (2, 1), "Conv2D": (4, 0)}
 
@@ -92,9 +102,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        taken = LAYER_FIELDS[self.kind]
+        for name in ("weights", "bias", "window"):
+            if name not in taken and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.kind in WEIGHTED_KINDS:
-            if self.window is not None:
-                raise ValueError(f"{self.kind} takes no window")
             rank, bias_axis = _WEIGHT_LAYOUT[self.kind]
             w = _frozen_tensor(self.weights, f"{self.kind} weights")
             if w.ndim != rank:
@@ -108,20 +120,15 @@ class LayerSpec:
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "bias", b)
         elif self.kind in POOL_KINDS:
-            if self.weights is not None or self.bias is not None:
-                raise ValueError(f"{self.kind} takes no weights")
             if self.window is None:
                 raise ValueError(f"{self.kind} requires a pooling window")
             window = tuple(require_int("pool window extent", v) for v in self.window)
             if len(window) != 2 or min(window) < 1:
                 raise ValueError("pool window must be two positive extents")
             object.__setattr__(self, "window", window)
-        else:  # ReLU, Flatten
-            if self.weights is not None or self.bias is not None or self.window is not None:
-                raise ValueError(f"{self.kind} takes no parameters")
         require_int("stride", self.stride, 1)
         require_int("padding", self.padding, 0)
-        if self.kind not in WINDOWED_KINDS and (self.stride, self.padding) != (1, 0):
+        if "stride" not in taken and (self.stride, self.padding) != (1, 0):
             raise ValueError(f"{self.kind} takes no stride or padding")
 
 
@@ -739,34 +746,30 @@ def random_network(input_shape, plan, seed):
     rng = np.random.default_rng(seed)
     shape = in_shape = tuple(require_int("input_shape extent", v) for v in input_shape)
     layers = []
-    for item in plan:
-        head = item[0]
+    for head, *sizes in plan:
+        if head not in _PLAN_SIZES:
+            raise ValueError(f"unknown plan item {head!r}")
+        names = _PLAN_SIZES[head]
+        if len(sizes) != len(names):
+            raise ValueError(f"plan item {head!r} takes the sizes {names}, got {tuple(sizes)}")
+        sizes = [require_int(f"{head} {name}", v) for name, v in zip(names, sizes)]
         if head == "dense":
             if len(shape) != 1:
                 raise ValueError(f"dense layer needs a flat input, got {shape} "
                                  "(insert a flatten first)")
-            out = require_int("dense out", item[1])
-            w = rng.standard_normal((shape[0], out)) * np.sqrt(2.0 / shape[0])
+            w = rng.standard_normal((shape[0], sizes[0])) * np.sqrt(2.0 / shape[0])
             layers.append(dense(w))
         elif head == "conv":
-            out_ch, kh, kw, stride, padding = (require_int(f"conv {name}", v) for name, v in zip(
-                ("out_ch", "kh", "kw", "stride", "padding"), item[1:], strict=True))
             if len(shape) != 3:
                 raise ValueError(f"conv layer needs a (c, h, w) input, got {shape}")
+            out_ch, kh, kw, stride, padding = sizes
             fan_in = shape[0] * kh * kw
             w = rng.standard_normal((out_ch, shape[0], kh, kw)) * np.sqrt(2.0 / fan_in)
             layers.append(conv2d(w, stride=stride, padding=padding))
-        elif head == "relu":
-            layers.append(relu())
-        elif head == "flatten":
-            layers.append(flatten())
-        elif head in ("maxpool", "sumpool", "avgpool"):
-            ph, pw, stride, padding = (require_int(f"{head} {name}", v) for name, v in zip(
-                ("ph", "pw", "stride", "padding"), item[1:], strict=True))
-            kind = {"maxpool": max_pool, "sumpool": sum_pool, "avgpool": avg_pool}[head]
-            layers.append(kind((ph, pw), stride=stride, padding=padding))
-        else:
-            raise ValueError(f"unknown plan item {head!r}")
+        elif head in ("relu", "flatten"):
+            layers.append(relu() if head == "relu" else flatten())
+        else:  # "maxpool" is a MaxPool, and so on
+            layers.append(_pool(f"{head[:3].capitalize()}Pool", sizes[:2], *sizes[2:]))
         shape = layer_output_shape(layers[-1], shape)
     if len(shape) != 1:
         raise ValueError("plan must end with a 1-D logit vector")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import relkit
+from relkit import cli
 from relkit.cli import main, parse_architecture
 from relkit.datagen import make_digits, write_dataset
 
@@ -662,3 +663,62 @@ def test_explain_sliding_window_needs_a_class(model_path, dataset, tmp_path, cap
     assert code == 1
     assert "--sliding-window needs an explicit --class" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_verbose_prints_one_line_per_epoch(dataset, tmp_path, capsys):
+    images, labels = dataset
+    code = main(["train", "--data", images, "--labels", labels, "--arch", "flatten/dense:2",
+                 "--epochs", "2", "--verbose", "--out", str(tmp_path / "m.json")])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["epoch 1/2", "epoch 2/2"]
+    assert lines[2].startswith("train accuracy: ")
+
+
+def test_train_needs_an_arch_or_a_model(dataset, tmp_path, capsys):
+    images, labels = dataset
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", images, "--labels", labels, "--out", str(out)])
+    assert code == 1
+    assert "train needs either --arch or --model to start from" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pixels", [144, 100])
+def test_a_flat_input_model_reads_each_image_as_one_row(dataset, tmp_path, capsys, pixels):
+    images, labels = dataset
+    flat = tmp_path / "flat.json"
+    relkit.save_model(relkit.random_network((pixels,), [("dense", 2)], 0), flat)
+    out = tmp_path / "m.json"
+    code = main(["train", "--data", images, "--labels", labels, "--model", str(flat),
+                 "--epochs", "1", "--out", str(out)])
+    if pixels == 144:  # 12 x 12
+        assert code == 0 and relkit.load_model(out).input_shape == (144,)
+    else:
+        assert code == 1 and not out.exists()
+        assert ("dataset image of shape (12, 12) does not fit the network input shape (100,)"
+                in capsys.readouterr().err)
+
+
+def test_prototype_l2mean_needs_data(model_path, tmp_path, capsys):
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--class", "0",
+                 "--regularizer", "l2mean", "--out", str(out)])
+    assert code == 1
+    assert "--regularizer l2mean needs --data for the mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_plan_head_parses_builds_and_round_trips(tmp_path):
+    # one architecture through every plan head, each pool kind and conv's :s and :p
+    arch = ("conv:2x3x3:s1:p1/relu/maxpool:2x2/conv:2x2x2:s2:p0/sumpool:2x2:s1:p1/"
+            "avgpool:2x2/flatten/dense:2")
+    plan = parse_architecture(arch)
+    assert {item[0] for item in plan} == set(relkit.netcore._PLAN_SIZES)
+    assert set(cli._LAYER_TOKENS) == set(relkit.netcore._PLAN_SIZES)
+    net = relkit.random_network((1, 12, 12), plan, 0)
+    assert {layer.kind for layer in net.layers} == set(relkit.netcore.LAYER_KINDS)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    relkit.save_model(net, first)
+    relkit.save_model(relkit.load_model(first), second)
+    assert first.read_bytes() == second.read_bytes()

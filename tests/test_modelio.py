@@ -605,3 +605,57 @@ def test_writers_refuse_non_finite_values_and_write_nothing(tmp_path, write, mes
     with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
         write(path, bad)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("index,key,value", [
+    (6, "stride", 3), (0, "window", [2, 2]), (2, "pading", 1), (1, "weights", [[1.0]]),
+])
+def test_a_layer_field_its_kind_does_not_take_is_refused_by_name(tmp_path, index, key, value):
+    # the field used to be dropped without a word: a Dense stride, a Conv2D window
+    # or a misspelled pool padding loaded as if it were absent
+    doc = json.loads(HAND_MODEL)
+    doc["layers"][index][key] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    kind = HAND_KINDS[index]
+    with pytest.raises(ModelFormatError, match=rf"^layer {index}: {kind} takes no field '{key}'$"):
+        relkit.load_model(model)
+
+
+def test_a_windowed_layer_without_stride_and_padding_takes_1_and_0(tmp_path):
+    doc = json.loads(HAND_MODEL)
+    for index in (2, 4):
+        del doc["layers"][index]["stride"], doc["layers"][index]["padding"]
+    model, copy = tmp_path / "model.json", tmp_path / "copy.json"
+    model.write_text(json.dumps(doc))
+    relkit.save_model(relkit.load_model(model), copy)
+    assert copy.read_text(encoding="utf-8") == HAND_MODEL
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("write,key", [
+    (lambda path, bad: relkit.save_heatmap_csv(
+        path, relkit.Heatmap.from_scores(np.ones((2, 2)), bad, "lrp:x", {"class_index": 0})),
+     "explained_value"),
+    (lambda path, bad: relkit.save_tensor_csv(path, np.ones(2), {"a": 1, "gaps": [0.5, bad]}),
+     "gaps"),
+    (lambda path, bad: relkit.save_curve_csv(
+        path, relkit.FlipCurve((1.0, 0.0), (0,), 1.0, {"score": np.float64(bad)})), "score"),
+], ids=["heatmap", "tensor", "curve"])
+def test_metadata_writers_refuse_non_finite_values_by_key_and_write_nothing(tmp_path, write,
+                                                                             key, bad):
+    # json wrote them as the non-standard NaN, Infinity and -Infinity, and read them back
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^meta '{key}': Out of range float values"):
+        write(path, bad)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_tensor_csv_meta_refuses_non_standard_json_constants(tmp_path, constant):
+    path = tmp_path / "heat.csv"
+    path.write_text(f'# relkit-tensor v1\n# shape: 1\n# meta: {{"explained_value": {constant}}}'
+                    "\n1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"heat\.csv: line 3: malformed header .*\({constant} "
+                                         r"is not a JSON number\)$"):
+        relkit.load_heatmap_csv(path)

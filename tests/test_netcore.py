@@ -483,3 +483,116 @@ def test_train_sgd_divergence_names_training_and_the_learning_rate(rate):
             rf"^training diverged in epoch \d+, minibatch \d+ at learning_rate "
             rf"{re.escape(repr(rate))}: ")):
         relkit.train_sgd(net, data, labels, config)
+
+
+_POOL_ON_2x2 = (relkit.max_pool((3, 3)), relkit.flatten())
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: relkit.LayerSpec("Conv3D"), "unknown layer kind 'Conv3D'"),
+    (lambda: relkit.dense(np.ones(3)), "Dense weights must be 2-D, got shape (3,)"),
+    (lambda: relkit.conv2d(np.ones((1, 1, 2))), "Conv2D weights must be 4-D, got shape (1, 1, 2)"),
+    (lambda: relkit.dense(np.ones((2, 3)), np.ones(2)),
+     "Dense bias must have one entry per output unit (3), got shape (2,)"),
+    (lambda: relkit.conv2d(np.ones((2, 1, 2, 2)), np.ones(3)),
+     "Conv2D bias must have one entry per output unit (2), got shape (3,)"),
+    (lambda: relkit.LayerSpec("MaxPool", np.ones((2, 2)), window=(2, 2)),
+     "MaxPool takes no weights"),
+    (lambda: relkit.LayerSpec("SumPool"), "SumPool requires a pooling window"),
+    (lambda: relkit.max_pool((2, 3)), "stride required for non-square pool windows"),
+    (lambda: relkit.Network(_POOL_ON_2x2, (1, 2, 2), 1),
+     "layer 0 (MaxPool): window of 3 does not fit extent 2 with padding 0"),
+    (lambda: relkit.Network((relkit.conv2d(np.ones((1, 1, 2, 2))),), (4,), 4),
+     "layer 0 (Conv2D): Conv2D expects a (channels, height, width) input, got (4,)"),
+    (lambda: relkit.Network((relkit.avg_pool((2, 2)), relkit.flatten()), (4, 4), 4),
+     "layer 0 (AvgPool): AvgPool expects a (channels, height, width) input, got (4, 4)"),
+    (lambda: relkit.Network((relkit.conv2d(np.ones((1, 2, 2, 2))), relkit.flatten()),
+                            (1, 4, 4), 9),
+     "layer 0 (Conv2D): Conv2D expects 2 input channels, got 1"),
+    (lambda: relkit.random_network((1, 4, 4), [("dense", 2)], 0),
+     "dense layer needs a flat input, got (1, 4, 4) (insert a flatten first)"),
+    (lambda: relkit.random_network((4,), [("conv", 1, 2, 2, 1, 0)], 0),
+     "conv layer needs a (c, h, w) input, got (4,)"),
+    (lambda: relkit.random_network((4,), [("pool", 2, 2, 2, 0)], 0), "unknown plan item 'pool'"),
+    (lambda: relkit.random_network((1, 4, 4), [("relu",)], 0),
+     "plan must end with a 1-D logit vector"),
+])
+def test_layer_network_and_plan_errors_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_shape_only_layer_refuses_weights():
+    with pytest.raises(ValueError, match="^ReLU takes no "):
+        relkit.LayerSpec("ReLU", np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("build,message", [
+    # a pool given only a bias was refused as taking no weights, and a ReLU or
+    # Flatten given any of the three as taking no parameters
+    (lambda: relkit.LayerSpec("AvgPool", bias=np.ones(2), window=(2, 2)), "AvgPool takes no bias"),
+    (lambda: relkit.LayerSpec("ReLU", np.ones((2, 2))), "ReLU takes no weights"),
+    (lambda: relkit.LayerSpec("Flatten", bias=np.ones(2)), "Flatten takes no bias"),
+    (lambda: relkit.LayerSpec("Flatten", window=(2, 2)), "Flatten takes no window"),
+])
+def test_a_layer_names_the_field_its_kind_does_not_take(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("plan,message", [
+    # each of these built a network (the extra sizes ignored) or died with an IndexError
+    ([("dense", 2, 99)], "plan item 'dense' takes the sizes ('out',), got (2, 99)"),
+    ([("relu", 7), ("dense", 2)], "plan item 'relu' takes the sizes (), got (7,)"),
+    ([("dense",)], "plan item 'dense' takes the sizes ('out',), got ()"),
+])
+def test_a_plan_item_with_the_wrong_number_of_sizes_is_refused(plan, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        relkit.random_network((4,), plan, 0)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+def test_conv_apply_is_the_conv2d_pre_activation_and_its_transpose_the_adjoint(stride,
+                                                                               padding):
+    rng = np.random.default_rng(29)
+    w, b, x = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3), rng.random((2, 7, 7))
+    conv = relkit.conv2d(w, b, stride, padding)
+    out_shape = netcore.layer_output_shape(conv, x.shape)
+    net = relkit.Network((conv, relkit.flatten()), x.shape, int(np.prod(out_shape)))
+    z = netcore.conv_apply(w, x, stride, padding)
+    assert np.array_equal(z + b[:, None, None], relkit.forward(net, x).outputs[0])
+    s = rng.standard_normal(out_shape)
+    back = netcore.conv_transpose_apply(w, s, stride, padding, x.shape)
+    assert back.shape == x.shape
+    assert np.isclose(np.sum(z * s), np.sum(x * back), rtol=1e-12, atol=0)
+
+
+def test_train_sgd_verbose_prints_one_line_per_epoch(capsys):
+    data, labels = two_blob_data(20, seed=1)
+    net = relkit.random_network((2,), [("dense", 2)], seed=1)
+    relkit.train_sgd(net, data, labels, relkit.TrainConfig(epochs=3, batch_size=8), verbose=True)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for epoch, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"epoch {epoch}/3: mean loss \d+\.\d{{6}}", line)
+
+
+_EYE_NET = relkit.Network((relkit.dense(np.eye(2)),), (2,), 2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: relkit.forward_batch(_EYE_NET, np.ones((0, 2))),
+     "input batch of shape (0, 2) is not one or more rows of the network input (2,)"),
+    (lambda: relkit.forward_batch(_EYE_NET, np.ones(2)),
+     "input batch of shape (2,) is not one or more rows of the network input (2,)"),
+    (lambda: relkit.seeded_gradient(_EYE_NET, relkit.forward(_EYE_NET, np.ones(2)), np.ones(3)),
+     "output seed must have shape (2,)"),
+    (lambda: relkit.log_softmax(np.ones((2, 2, 2))),
+     "log_softmax expects a 1-D logit vector or an (N, classes) array"),
+    (lambda: relkit.train_sgd(_EYE_NET, np.ones((4, 3)), np.array([0, 1, 0, 1]),
+                              relkit.TrainConfig()),
+     "dataset samples have shape (3,), network expects (2,)"),
+])
+def test_shape_errors_name_the_shapes(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
