@@ -3,12 +3,17 @@
 pixel_flip measures selectivity: features (or square patches) are removed in
 descending order of their heatmap relevance, the model output is re-recorded
 after every removal, and the area under the resulting curve summarizes how
-fast the output collapses (lower is more selective). A curve's first value is
-bitwise the forward value; the rest lie within 1e-12 of max |f| of a forward
-per removal step, as each step runs only the net's nonlinear middle: a running
-sum stands for the first weighted layer, one product for the affine layers
-after the last ReLU or MaxPool. continuity_estimate probes how violently an
-explanation can change under small input perturbations.
+fast the output collapses (lower is more selective). No removal step runs a
+whole forward: the layers past the last ReLU or MaxPool are affine, one product
+a @ M + offset, and a first weighted layer that the input reaches unchanged or
+flattened is z_0 plus a running sum of sparse responses. The net picks the path:
+- if that layer is a Conv2D and only a ReLU or nothing lies between it and the
+  affine layers (the README conv net), the unit path runs each unit column over
+  just the steps that touch its window, units x fan-in work in chunks of columns;
+- otherwise the row path runs chunks of steps through the nonlinear middle,
+  steps x the middle's forward.
+continuity_estimate probes how violently an explanation can change under
+small input perturbations.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .explain import _explanation_meta, _heatmap_scores, _term
-from .netcore import (WEIGHTED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep, as_tensor,
-                      class_output, finite_number, forward, require_finite, require_int,
-                      sample_bytes, sparse_response, window_columns)
+from .netcore import (WEIGHTED_KINDS, WINDOWED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep,
+                      as_tensor, class_output, column_responses, finite_number, forward,
+                      require_finite, require_int, sample_bytes, sparse_response, window_columns)
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,11 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     linear index) and never re-derived from the mutated input. The explained
     class and output mode are taken from the heatmap metadata. values[0] is
     bitwise the forward value, values[1:] within 1e-12 of max |f| of a forward
-    per step. Only the nonlinear middle of the net runs, in batches. Below it,
-    where the input reaches the first weighted layer unchanged or only flattened,
-    that layer's pre-activation after k removals is z_0 plus a running sum of
-    sparse_response updates. Above it, past the last ReLU or MaxPool, the layers
-    are affine, so the logits are one product a @ M + offset with M (the logits'
-    Jacobian there) and offset (the logits of a zero activation) found once per net.
+    per step. The net's structure picks the path (see the module docstring): the unit
+    path (netcore.column_responses) moves the logits by M's rows times the change of
+    the activations of the units each step touches, and the row path runs chunks of
+    steps through the nonlinear middle. M, the logits' Jacobian past the last ReLU or
+    MaxPool, and offset, the logits of a zero activation there, are found once per net.
     """
     x = as_tensor(x, "input")
     scores = _heatmap_scores(heatmap)
@@ -115,34 +119,69 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     if first < len(layers) and layers[first].kind in WEIGHTED_KINDS:
         start, z = first + 1, trace.activations[first + 1]
         change = config.fill - x.ravel()[removed]
-        width = sample_bytes(network, start, removed.shape[1])
     else:
         start, removed_at = 0, np.full(x.size, steps)  # the row of `removed`; steps: never
         removed_at[removed] = np.arange(steps)[:, None]
-        width = sample_bytes(network)
     tail = max([start] + [i + 1 for i, layer in enumerate(layers)
                           if layer.kind in ("ReLU", "MaxPool")])
     m, offset = _term((network,), ("affine tail", tail), lambda: _affine_tail(network, tail))
-    rows = max(1, _CHUNK_BYTES // width)
-    for lo in range(0, steps, rows):
-        hi = min(lo + rows, steps)
-        if start:
-            batch = sparse_response(layers[first], network.activation_shapes[first],
-                                    removed[lo:hi], change[lo:hi])
-            for row in batch:  # the running sum; 8x faster than np.cumsum on conv chunks
-                row += z
-                z = row
-        else:
-            batch = np.where(removed_at <= np.arange(lo, hi)[:, None], config.fill, x.ravel())
-            batch = batch.reshape((-1,) + x.shape)
-        a = _forward_rows(network, batch, start, stop=tail).activations[tail]
-        values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
+    if start and layers[first].kind in WINDOWED_KINDS and all(
+            layer.kind == "ReLU" for layer in layers[start:tail]):
+        values.extend(_unit_curve(network, first, tail > start, trace, removed, change, m,
+                                  class_index, mode))
+    else:
+        rows = max(1, _CHUNK_BYTES // sample_bytes(network, start, start and removed.shape[1]))
+        for lo in range(0, steps, rows):
+            hi = min(lo + rows, steps)
+            if start:
+                batch = sparse_response(layers[first], network.activation_shapes[first],
+                                        removed[lo:hi], change[lo:hi])
+                z = _running_sum(batch, z)
+            else:
+                batch = np.where(removed_at <= np.arange(lo, hi)[:, None], config.fill, x.ravel())
+                batch = batch.reshape((-1,) + x.shape)
+            a = _forward_rows(network, batch, start, stop=tail).activations[tail]
+            values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
     meta = dict(_explanation_meta(class_index, mode), patch=config.patch, fill=config.fill,
                 auc_normalization="step-averaged trapezoid over unit-spaced removals",
                 method_tag=heatmap.method_tag)
     return FlipCurve(tuple(float(v) for v in values),
                      tuple(int(i) for i in order[:steps]),
                      auc(values), meta)
+
+
+def _running_sum(rows, start):
+    """Add `start` and every earlier row to each of `rows`, in place, and return the
+    last. As a loop over rows this is 8x faster than np.cumsum on conv chunks, and the
+    row and unit paths add each unit's changes in the same order, bitwise."""
+    for row in rows:
+        row += start
+        start = row
+    return start
+
+
+def _unit_curve(network, first, rectify, trace, removed, change, m, class_index, mode):
+    """Values 1.. of the curve of a net whose first weighted layer, `first`, a Conv2D,
+    is followed by a ReLU (`rectify`) or by nothing, then by the affine layers of `m`:
+    the forward logits plus, over the steps so far, m's rows times the activation
+    changes they make."""
+    cols = [class_index] if mode == "logit" else slice(None)
+    m, count = m[:, cols], len(removed)
+    k, f = m.shape[1], network.activation_shapes[first + 1][0]  # the (F, columns) unit grid
+    z0, m = trace.activations[first + 1].reshape(f, -1), m.reshape(f, -1, k)
+    moves = np.zeros((count + 1, k))  # by step and class; step `count` touches nothing
+    for part, steps, dz in column_responses(network.layers[first],
+                                            network.activation_shapes[first],
+                                            removed, change, _CHUNK_BYTES):
+        z = np.empty((len(dz) + 1,) + dz.shape[1:])  # C order: dz may be a transposed view
+        z[0], z[1:] = z0[part], dz
+        _running_sum(z[1:], z[0])
+        a = np.maximum(z, 0.0, out=z) if rectify else z
+        delta = (a[1:] - a[:-1]).transpose(2, 0, 1) @ m[part].transpose(1, 0, 2)  # (n, S, k)
+        index = steps.T[..., None] * k + np.arange(k)
+        moves += np.bincount(index.ravel(), delta.ravel(), minlength=moves.size).reshape(-1, k)
+    logits = trace.logits[cols] + moves[:-1].cumsum(axis=0)
+    return class_output(logits, 0 if mode == "logit" else class_index, mode)[0]
 
 
 def _affine_tail(network, tail):

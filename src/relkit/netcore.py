@@ -19,6 +19,8 @@ names and out-of-range or non-integer classes. Every windowed layer reads its
 windows as `window_columns`, a copy of one strided view of the zero-padded
 input plane; one cached index map, `_window_index`, of flat positions in that
 plane gives their adjoint and the MaxPool winner scatter as one `bincount`.
+A weighted layer's bias-free response to sparse input changes comes one row per
+change (`sparse_response`) or one unit column at a time (`column_responses`).
 
 Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
@@ -122,10 +124,7 @@ class LayerSpec:
         elif self.kind in POOL_KINDS:
             if self.window is None:
                 raise ValueError(f"{self.kind} requires a pooling window")
-            window = tuple(require_int("pool window extent", v) for v in self.window)
-            if len(window) != 2 or min(window) < 1:
-                raise ValueError("pool window must be two positive extents")
-            object.__setattr__(self, "window", window)
+            object.__setattr__(self, "window", _pool_window(self.window))
         require_int("stride", self.stride, 1)
         require_int("padding", self.padding, 0)
         if "stride" not in taken and (self.stride, self.padding) != (1, 0):
@@ -148,8 +147,19 @@ def flatten():
     return LayerSpec("Flatten")
 
 
+def _pool_window(window):
+    """`window` as a tuple of two int extents >= 1, or a ValueError naming the pool window."""
+    try:
+        extents = tuple(require_int("pool window extent", v) for v in window)
+    except TypeError:  # not a sequence
+        extents = ()
+    if len(extents) != 2 or min(extents) < 1:
+        raise ValueError("pool window must be two positive extents")
+    return extents
+
+
 def _pool(kind, window, stride, padding):
-    window = tuple(window)
+    window = _pool_window(window)
     if stride is None:
         if window[0] != window[1]:
             raise ValueError("stride required for non-square pool windows")
@@ -397,6 +407,38 @@ def sparse_response(layer, in_shape, entries, values):
     return z[:-1].reshape(rows, f, geom.out_h, geom.out_w)
 
 
+def column_responses(layer, in_shape, entries, values, chunk_bytes):
+    """sparse_response of a Conv2D by unit column. Its output units form an (F, columns)
+    grid whose column holds the F filters at one output cell, which read the same window.
+    Row r of (R, E) `entries` and `values` is step r. Yields, per part of the grid within
+    `chunk_bytes` per array, (part, steps, dz): its index into the grid, the (S, n) steps
+    that touch its n columns in ascending order, padded with R, and the (S, F, n)
+    response to each step, whose changes are summed first."""
+    w, count = layer.weights, len(entries)
+    wt, fan_in, size = w.reshape(len(w), -1), w[0].size, int(np.prod(in_shape))
+    step, change = np.zeros(size, int), np.zeros(size)  # step - R, 0 where never removed
+    step[entries], change[entries] = np.arange(-count, 0)[:, None], values
+    step, change = (window_columns(a.reshape(in_shape), w.shape[2:], layer.stride,
+                                   layer.padding)[0].reshape(fan_in, -1) for a in (step, change))
+    n = max(1, chunk_bytes // (8 * (fan_in + 1) * max(fan_in, len(w))))
+    for lo in range(0, step.shape[1], n):
+        part, cols = (slice(None), slice(lo, lo + n)), np.arange(min(n, step.shape[1] - lo))
+        # the touches of each column by ascending step; the window cell breaks ties
+        touch, order = np.divmod(np.sort(step[:, lo:lo + n] * fan_in
+                                         + np.arange(fan_in)[:, None], axis=0), fan_in)
+        touch, value = touch + count, change[order, lo + cols]
+        if entries.shape[1] == 1:  # each step changes one entry: no two touches to merge
+            yield part, touch, (np.take(wt, order, 1) * value).transpose(1, 0, 2)
+            continue
+        run = np.cumsum(np.concatenate([np.ones((1, len(cols)), bool),
+                                        touch[1:] != touch[:-1]]), axis=0) - 1
+        steps = np.full((run.max() + 1, len(cols)), count)
+        steps[run, cols] = touch
+        merged = np.zeros((len(steps), fan_in, len(cols)))
+        merged[run, order, cols] = value  # the changes of one step, summed by the product
+        yield part, steps, wt @ merged
+
+
 def add_bias(z, bias):
     """Add one bias per output unit (Dense) or per output channel (Conv2D) to
     a fresh (N, ...) batch `z`, in place."""
@@ -474,8 +516,9 @@ def _take(trace, pick):
 
 
 # Bytes a chunk of rows of pixel_flip or batched explain may spend on one row's
-# widest tensor (sample_bytes), so memory per chunk stays flat. 1 MiB was at or near
-# the fastest flip of the README conv net and a 784-300-100-10 dense net.
+# widest tensor (sample_bytes), and a chunk of column_responses on each array, so
+# memory per chunk stays flat. 1 MiB was at or near the fastest flip of the README
+# conv net and a 784-300-100-10 dense net.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -746,8 +789,11 @@ def random_network(input_shape, plan, seed):
     rng = np.random.default_rng(seed)
     shape = in_shape = tuple(require_int("input_shape extent", v) for v in input_shape)
     layers = []
-    for head, *sizes in plan:
-        if head not in _PLAN_SIZES:
+    for position, item in enumerate(plan):
+        if not isinstance(item, (tuple, list)) or not item:
+            raise ValueError(f"plan item {position} must be a (head, *sizes) tuple, got {item!r}")
+        head, *sizes = item
+        if not isinstance(head, str) or head not in _PLAN_SIZES:
             raise ValueError(f"unknown plan item {head!r}")
         names = _PLAN_SIZES[head]
         if len(sizes) != len(names):

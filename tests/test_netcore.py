@@ -516,6 +516,19 @@ _POOL_ON_2x2 = (relkit.max_pool((3, 3)), relkit.flatten())
     (lambda: relkit.random_network((4,), [("pool", 2, 2, 2, 0)], 0), "unknown plan item 'pool'"),
     (lambda: relkit.random_network((1, 4, 4), [("relu",)], 0),
      "plan must end with a 1-D logit vector"),
+    # a scalar pool window raised a bare TypeError ("'int' object is not iterable")
+    (lambda: relkit.max_pool(2), "pool window must be two positive extents"),
+    (lambda: relkit.avg_pool(3.0, stride=1), "pool window must be two positive extents"),
+    (lambda: relkit.LayerSpec("MaxPool", window=2), "pool window must be two positive extents"),
+    # a bare string plan item was read letter by letter ("unknown plan item 'r'"), an
+    # empty one died unpacking, and an int one as not iterable
+    (lambda: relkit.random_network((4,), ["relu", ("dense", 2)], 0),
+     "plan item 0 must be a (head, *sizes) tuple, got 'relu'"),
+    (lambda: relkit.random_network((4,), [()], 0),
+     "plan item 0 must be a (head, *sizes) tuple, got ()"),
+    (lambda: relkit.random_network((4,), [("dense", 3), ("relu",), 2], 0),
+     "plan item 2 must be a (head, *sizes) tuple, got 2"),
+    (lambda: relkit.random_network((4,), [(["dense"], 2)], 0), "unknown plan item ['dense']"),
 ])
 def test_layer_network_and_plan_errors_name_what_is_wrong(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -549,6 +562,11 @@ def test_a_layer_names_the_field_its_kind_does_not_take(build, message):
 def test_a_plan_item_with_the_wrong_number_of_sizes_is_refused(plan, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         relkit.random_network((4,), plan, 0)
+
+
+def test_a_plan_item_may_be_a_list():
+    net = relkit.random_network((4,), [["dense", 3], ["relu"], ["dense", 2]], 0)
+    assert net.activation_shapes == ((4,), (3,), (3,), (2,))
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])

@@ -465,14 +465,39 @@ def _assert_position_indexed(trace, shapes):
 def flip_entry_nets(draw):
     """(input_shape, plan, seed, class): a (C, H, W) input that reaches a dense
     ReLU head through Flatten alone, as in the benchmark's dense net, or
-    through a leading ReLU or pool first."""
+    through a leading ReLU or pool first. After Flatten alone the head may have
+    a second hidden Dense and ReLU, a nonlinear middle as the benchmark's."""
     lead = draw(st.sampled_from(["relu", "pool", "flatten"]))
     in_shape = (draw(st.integers(1, 2)), draw(st.integers(2, 6)), draw(st.integers(2, 6)))
     plan = [(draw(st.sampled_from(["maxpool", "sumpool", "avgpool"])), 2, 2,
              draw(st.integers(1, 2)), draw(st.integers(0, 1)))] if lead == "pool" else []
     plan += [("relu",)] if lead == "relu" else []
     classes = draw(st.integers(1, 3))
-    plan += [("flatten",), ("dense", draw(st.integers(1, 4))), ("relu",), ("dense", classes)]
+    plan += [("flatten",), ("dense", draw(st.integers(1, 4))), ("relu",)]
+    plan += [("dense", draw(st.integers(1, 4))), ("relu",)] * (
+        lead == "flatten" and draw(st.booleans()))
+    plan += [("dense", classes)]
+    return in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1))
+
+
+@st.composite
+def unit_flip_nets(draw):
+    """(input_shape, plan, seed, class): a conv (1-2 channels, stride 1-2, padding 0-1),
+    one ReLU or none, an optional Sum or Avg pool and a Dense layer, so that only affine
+    layers follow the first weighted layer's ReLU, if any: the nets pixel_flip runs unit
+    column by unit column. An optional wide affine Dense layer widens sample_bytes, so
+    that one chunk of the test's budget may hold every unit column."""
+    wide = draw(st.booleans())
+    channels, stride, padding = draw(st.sampled_from([(1, 1, 0), (2, 2, 1), (2, 1, 0),
+                                                      (1, 2, 1)]))
+    in_shape = (channels, draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    k, classes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    plan = [("conv", draw(st.integers(1, 3)), k, k, stride, padding)]
+    plan += [("relu",)] * draw(st.booleans())
+    if draw(st.booleans()):
+        pool = min(2, min((e + 2 * padding - k) // stride + 1 for e in in_shape[1:]))
+        plan.append((draw(st.sampled_from(["sumpool", "avgpool"])), pool, pool, 1, 0))
+    plan += [("flatten",)] + [("dense", 2048)] * wide + [("dense", classes)]
     return in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1))
 
 
@@ -480,7 +505,8 @@ def flip_entry_nets(draw):
 def flip_cases(draw):
     """(arch, patch, chunk rows, max_steps, fill, explained output). Patch 2
     rounds a (C, H, W) input's extents up to even ones."""
-    in_shape, plan, seed, c = draw(st.one_of(generated_nets(), flip_entry_nets()))
+    in_shape, plan, seed, c = draw(st.one_of(generated_nets(), flip_entry_nets(),
+                                             unit_flip_nets()))
     patch = draw(st.sampled_from([1, 2])) if len(in_shape) == 3 else 1
     if patch == 2:
         in_shape = (in_shape[0],) + tuple(e + e % 2 for e in in_shape[1:])
@@ -509,8 +535,18 @@ def _reference_flip(net, x, scores, c, mode, patch, fill, max_steps):
     return order, np.array(values)
 
 
+# 64 rows of sample_bytes hold every unit column of README_SHAPED_8 in one chunk
+README_SHAPED_8 = ((1, 8, 8), [("conv", 2, 3, 3, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0),
+                               ("flatten",), ("dense", 2)], 0, 1)
+TWO_HIDDEN = ((1, 4, 4), [("flatten",), ("dense", 5), ("relu",), ("dense", 3), ("relu",),
+                          ("dense", 2)], 0, 0)
+
+
 @BATCHED
 @given(flip_cases())
+@example((README_SHAPED_8, 1, 64, None, 0.0, "logit"))
+@example((README_SHAPED_8, 4, 64, None, 0.5, "log_probability"))
+@example((TWO_HIDDEN, 1, 3, None, -1.0, "logit"))  # the row path's running sum across chunks
 def test_pixel_flip_equals_a_per_step_forward_reference(case):
     arch, patch, rows, max_steps, fill, mode = case
     net, rng, c = _built(arch)
