@@ -5,8 +5,11 @@ descending order of their heatmap relevance, the model output is re-recorded
 after every removal, and the area under the resulting curve summarizes how
 fast the output collapses (lower is more selective). No removal step runs a
 whole forward: the layers past the last ReLU or MaxPool are affine, one product
-a @ M + offset, and a first weighted layer that the input reaches unchanged or
-flattened is z_0 plus a running sum of sparse responses. The net picks the path:
+a @ M + offset, and each step's state is the last step's plus a row of changes
+from one removal record: the output z_0 of a first weighted layer that the input
+reaches unchanged or flattened plus sparse responses, or, in a net that starts
+with a ReLU or a pool, the input plus fill - x at the removed entries. The net
+picks the path:
 - if that layer is a Conv2D and only a ReLU or nothing lies between it and the
   affine layers (the README conv net), the unit path runs each unit column over
   just the steps that touch its window, units x fan-in work in chunks of columns;
@@ -92,11 +95,14 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     linear index) and never re-derived from the mutated input. The explained
     class and output mode are taken from the heatmap metadata. values[0] is
     bitwise the forward value, values[1:] within 1e-12 of max |f| of a forward
-    per step. The net's structure picks the path (see the module docstring): the unit
-    path (netcore.column_responses) moves the logits by M's rows times the change of
-    the activations of the units each step touches, and the row path runs chunks of
-    steps through the nonlinear middle. M, the logits' Jacobian past the last ReLU or
-    MaxPool, and offset, the logits of a zero activation there, are found once per net.
+    per step. Every path reads one removal record, the entries each step removes and
+    their change fill - x. The net's structure picks the path (see the module
+    docstring): the unit path (netcore.column_responses) moves the logits by M's rows
+    times the change of the activations of the units each step touches, and the row
+    path adds each chunk of steps' rows to a running state, the first weighted layer's
+    output or the input, and runs them through the nonlinear middle. M, the logits'
+    Jacobian past the last ReLU or MaxPool, and offset, the logits of a zero activation
+    there, are found once per net.
     """
     x = as_tensor(x, "input")
     scores = _heatmap_scores(heatmap)
@@ -110,18 +116,15 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     values = [class_output(trace.logits, class_index, mode)[0]]
 
     entries = _region_entries(np.arange(x.size).reshape(x.shape), config.patch)
-    pooled = _region_entries(scores, config.patch).sum(axis=1)
+    pooled = scores.ravel()[entries].sum(axis=1)
     order = np.argsort(-pooled, kind="stable")  # stable: ties keep ascending index
     steps = len(pooled) if config.max_steps is None else min(config.max_steps, len(pooled))
     removed = entries[order[:steps]]  # removed[i]: the entries step i + 1 removes
+    change = config.fill - x.ravel()[removed]
     layers = network.layers
     first = next((i for i, layer in enumerate(layers) if layer.kind != "Flatten"), len(layers))
-    if first < len(layers) and layers[first].kind in WEIGHTED_KINDS:
-        start, z = first + 1, trace.activations[first + 1]
-        change = config.fill - x.ravel()[removed]
-    else:
-        start, removed_at = 0, np.full(x.size, steps)  # the row of `removed`; steps: never
-        removed_at[removed] = np.arange(steps)[:, None]
+    start = first + 1 if first < len(layers) and layers[first].kind in WEIGHTED_KINDS else 0
+    z = trace.activations[start]
     tail = max([start] + [i + 1 for i, layer in enumerate(layers)
                           if layer.kind in ("ReLU", "MaxPool")])
     m, offset = _term((network,), ("affine tail", tail), lambda: _affine_tail(network, tail))
@@ -136,10 +139,10 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
             if start:
                 batch = sparse_response(layers[first], network.activation_shapes[first],
                                         removed[lo:hi], change[lo:hi])
-                z = _running_sum(batch, z)
-            else:
-                batch = np.where(removed_at <= np.arange(lo, hi)[:, None], config.fill, x.ravel())
-                batch = batch.reshape((-1,) + x.shape)
+            else:  # each row holds its step's change at the entries it removes
+                batch = np.zeros((hi - lo,) + x.shape)
+                np.put_along_axis(batch.reshape(hi - lo, -1), removed[lo:hi], change[lo:hi], 1)
+            z = _running_sum(batch, z)
             a = _forward_rows(network, batch, start, stop=tail).activations[tail]
             values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
     meta = dict(_explanation_meta(class_index, mode), patch=config.patch, fill=config.fill,

@@ -41,8 +41,8 @@ import numpy as np
 from .netcore import (DENSE_ROW_PAIR, POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias,
                       as_tensor, broadcasts_to, check_explained_output, class_output,
                       linear_pair, require_finite, require_int, sample_bytes, window_columns,
-                      window_scatter, _as_input, _forward_rows, _layer_backward,
-                      _require_real, _reverse_sweep, _take, _value_and_gradient)
+                      window_scatter, _as_input, _batch_of_one, _forward_rows,
+                      _layer_backward, _require_real, _reverse_sweep, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,9 +386,11 @@ def lrp(network, trace, class_index, config):
     """Propagate the selected output back to the input under `config` rules.
 
     The output layer starts with the explained value at `class_index` and zero
-    elsewhere; every layer is then propagated by its assigned rule.
+    elsewhere; every layer is then propagated by its assigned rule. `trace` is
+    forward(network, x): a trace of another network is a ValueError when its
+    positions or shapes differ, and cannot be told apart when they agree.
     """
-    return _lrp_trace(network, _take(trace, None), class_index, config)
+    return _lrp_trace(network, _batch_of_one(network, trace), class_index, config)
 
 
 def lrp_heatmap(network, x, class_index, config):
@@ -414,7 +416,8 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
 
     The mask (entries in [0, 1]) multiplies the relevance tensor aligned with
     the input of `layer_index` before propagation continues; passing
-    len(network.layers) masks the logits themselves.
+    len(network.layers) masks the logits themselves. `trace` is checked as in lrp,
+    so a trace of another network with the same shapes cannot be told apart.
     """
     require_int("layer_index", layer_index)
     if not 0 <= layer_index <= len(network.layers):
@@ -426,7 +429,8 @@ def filter_relevance(network, trace, class_index, config, layer_index, mask):
                          f"relevance shape {expected}")
     if mask.min() < 0 or mask.max() > 1:
         raise ValueError("mask entries must lie in [0, 1]")
-    result = _lrp_trace(network, _take(trace, None), class_index, config, layer_index, mask)
+    result = _lrp_trace(network, _batch_of_one(network, trace), class_index, config,
+                        layer_index, mask)
     masked_total = float(np.sum(result.relevances[layer_index]))
     result.meta.update(filter_layer=layer_index, masked_layer_total=masked_total)
     hm = Heatmap.from_scores(result.relevances[0], result.explained_value,

@@ -515,6 +515,22 @@ def _take(trace, pick):
                            tuple([None if t is None else t[pick] for t in trace.aux]))
 
 
+def _batch_of_one(network, trace):
+    """The N=1 batch of `trace`, checked to be one sample's trace of `network`: one
+    activation per position, each of the network's activation shape. A trace of
+    another network with the same shapes passes this check."""
+    shapes = network.activation_shapes
+    if len(trace.activations) != len(shapes):
+        raise ValueError(f"trace has {len(trace.activations)} positions, the network "
+                         f"{len(shapes)} (its input and one output per layer)")
+    for i, (a, shape) in enumerate(zip(trace.activations, shapes)):
+        if np.shape(a) != shape:
+            raise ValueError(f"trace position {i} has shape {np.shape(a)}, the network's "
+                             f"activation there has shape {shape}; a trace must be "
+                             f"forward(network, x) of the same network")
+    return _take(trace, None)
+
+
 # Bytes a chunk of rows of pixel_flip or batched explain may spend on one row's
 # widest tensor (sample_bytes), and a chunk of column_responses on each array, so
 # memory per chunk stays flat. 1 MiB was at or near the fastest flip of the README
@@ -581,11 +597,13 @@ def _reverse_sweep(network, inputs, aux, seed, step=None, stop=0):
 
 
 def seeded_gradient(network, trace, output_seed):
-    """Gradient of `output_seed . logits` with respect to the network input."""
+    """Gradient of `output_seed . logits` with respect to the network input, at the
+    `trace` of forward(network, x). A trace of another network is a ValueError when
+    its positions or shapes differ, and cannot be told apart when they agree."""
     g = as_tensor(output_seed, "output seed")
     if g.shape != (network.class_count,):
         raise ValueError(f"output seed must have shape ({network.class_count},)")
-    batch = _take(trace, None)
+    batch = _batch_of_one(network, trace)
     return _reverse_sweep(network, batch.activations, batch.aux, g[None])[0][0]
 
 

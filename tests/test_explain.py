@@ -471,3 +471,35 @@ def test_every_lrp_result_carries_the_same_four_keys():
             "stabilizer": 1e-7}
     for name, hm in results.items():
         assert {key: hm.meta.get(key) for key in want} == want, name
+
+
+_TRACE_USERS = {
+    "lrp": lambda net, trace: relkit.lrp(net, trace, 0, relkit.epsilon_config(net)),
+    "filter_relevance": lambda net, trace: relkit.filter_relevance(
+        net, trace, 0, relkit.epsilon_config(net), 1, np.ones(5)),
+    "seeded_gradient": lambda net, trace: relkit.seeded_gradient(net, trace, np.eye(3)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_USERS))
+def test_trace_users_reject_a_forward_batch_trace(name):
+    # a batched trace used to fail inside NumPy, with no word of the trace
+    net = random_dense_network(np.random.default_rng(5), [4, 5, 3], zero_bias=False)
+    trace = relkit.forward_batch(net, np.ones((1, 4)))
+    with pytest.raises(ValueError, match=r"^trace position 0 has shape \(1, 4\), the network's "
+                                         r"activation there has shape \(4,\)"):
+        _TRACE_USERS[name](net, trace)
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_USERS))
+def test_trace_users_reject_a_trace_of_another_architecture(name):
+    # another architecture's trace used to give wrong numbers or a bare NumPy error
+    rng = np.random.default_rng(6)
+    net = random_dense_network(rng, [4, 5, 3], zero_bias=False)
+    for other, position in ((random_dense_network(rng, [4, 6, 3]), 1),
+                            (random_dense_network(rng, [4, 5, 5, 3]), None)):
+        trace = relkit.forward(other, np.ones(4))
+        message = (f"^trace position {position} has shape" if position is not None
+                   else r"^trace has 6 positions, the network 4 ")
+        with pytest.raises(ValueError, match=message):
+            _TRACE_USERS[name](net, trace)

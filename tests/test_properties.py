@@ -540,6 +540,12 @@ README_SHAPED_8 = ((1, 8, 8), [("conv", 2, 3, 3, 1, 0), ("relu",), ("sumpool", 2
                                ("flatten",), ("dense", 2)], 0, 1)
 TWO_HIDDEN = ((1, 4, 4), [("flatten",), ("dense", 5), ("relu",), ("dense", 3), ("relu",),
                           ("dense", 2)], 0, 0)
+# nets whose first non-Flatten layer is not weighted: the row path's running state
+# starts at the input
+RELU_FIRST = ((1, 4, 6), [("relu",), ("conv", 2, 3, 3, 1, 1), ("relu",), ("maxpool", 2, 2, 2, 0),
+                          ("flatten",), ("dense", 3)], 1, 2)
+POOL_FIRST = ((2, 8, 8), [("avgpool", 2, 2, 2, 0), ("conv", 3, 3, 3, 1, 1), ("relu",),
+                          ("maxpool", 2, 2, 2, 0), ("flatten",), ("dense", 2)], 2, 1)
 
 
 @BATCHED
@@ -547,6 +553,10 @@ TWO_HIDDEN = ((1, 4, 4), [("flatten",), ("dense", 5), ("relu",), ("dense", 3), (
 @example((README_SHAPED_8, 1, 64, None, 0.0, "logit"))
 @example((README_SHAPED_8, 4, 64, None, 0.5, "log_probability"))
 @example((TWO_HIDDEN, 1, 3, None, -1.0, "logit"))  # the row path's running sum across chunks
+@example((RELU_FIRST, 1, 5, None, -1.0, "logit"))  # chunks of 5 rows split the 24 steps
+@example((RELU_FIRST, 2, 4, None, 0.0, "log_probability"))  # patch 2: 6 steps of 4 entries
+@example((POOL_FIRST, 2, 3, None, 0.5, "logit"))  # patch 2: 32 steps in chunks of 3
+@example((POOL_FIRST, 1, 7, 40, 0.3, "logit"))  # x + (0.3 - x) may miss 0.3 by an ulp
 def test_pixel_flip_equals_a_per_step_forward_reference(case):
     arch, patch, rows, max_steps, fill, mode = case
     net, rng, c = _built(arch)
