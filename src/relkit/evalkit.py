@@ -148,8 +148,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     meta = dict(_explanation_meta(class_index, mode), patch=config.patch, fill=config.fill,
                 auc_normalization="step-averaged trapezoid over unit-spaced removals",
                 method_tag=heatmap.method_tag)
-    return FlipCurve(tuple(float(v) for v in values),
-                     tuple(int(i) for i in order[:steps]),
+    return FlipCurve(tuple(float(v) for v in values), tuple(order[:steps].tolist()),
                      auc(values), meta)
 
 

@@ -24,10 +24,11 @@ row-stable operator pairs. `_lrp_trace` runs it as the N=1 batch for `lrp`,
 sliding windows, each row bitwise one window explained alone. Every explanation
 carries `_explanation_meta`: `class_index`, `explained_output` and, for LRP,
 `rules` and `stabilizer`. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
-`lrp_input_*`) reject non-finite arrays, naming the argument, and also run one
-sample as the N=1 batch. Denominators smaller in magnitude than the stabilizer
-absorb their unit's relevance instead of being inflated; when the inhibitory
-branch of the alpha/beta rule is empty the unit falls back to purely
+`lrp_input_*`) run the sweep's layer step on one sample over one layer, a `dense`
+one for the Dense entries, and reject non-finite arrays, naming the argument, and
+arrays that do not fit the layer. Denominators smaller in magnitude than the
+stabilizer absorb their unit's relevance instead of being inflated; when the
+inhibitory branch of the alpha/beta rule is empty the unit falls back to purely
 excitatory redistribution so that layer conservation survives.
 """
 
@@ -38,11 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import (DENSE_ROW_PAIR, POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias,
-                      as_tensor, broadcasts_to, check_explained_output, class_output,
-                      linear_pair, require_finite, require_int, sample_bytes, window_columns,
-                      window_scatter, _as_input, _batch_of_one, _forward_rows,
-                      _layer_backward, _require_real, _reverse_sweep, _value_and_gradient)
+from .netcore import (POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias, as_tensor, broadcasts_to,
+                      check_explained_output, class_output, dense, layer_output_shape, linear_pair,
+                      require_finite, require_int, sample_bytes, window_columns, window_scatter,
+                      _as_input, _batch_of_one, _forward_rows, _layer_backward, _require_real,
+                      _reverse_sweep, _value_and_gradient)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,31 +249,28 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
     return a * apply_T(w_pos, s_pos) - a * apply_T(w_neg, s_neg)
 
 
-def _dense_rule(a, weights, bias, r_upper, rule, stabilizer=1e-9):
-    return _redistribute(DENSE_ROW_PAIR, a[None], as_tensor(weights, "weights"),
-                         bias, as_tensor(r_upper, "r_upper")[None], rule, stabilizer)[0]
-
-
 def lrp_dense_alphabeta(a, weights, r_upper, alpha, beta, stabilizer=1e-9):
     """Alpha/beta redistribution through one dense layer (bias excluded)."""
-    return _dense_rule(as_tensor(a, "a"), weights, None, r_upper, AlphaBeta(alpha, beta),
-                       stabilizer)
+    return _propagate_layer(dense(weights), as_tensor(a, "a"), None, r_upper,
+                            AlphaBeta(alpha, beta), stabilizer)
 
 
 def lrp_dense_epsilon(a, weights, bias, r_upper, epsilon):
     """Epsilon-stabilized redistribution; z includes the bias term."""
-    return _dense_rule(as_tensor(a, "a"), weights, as_tensor(bias, "bias"), r_upper,
-                       Epsilon(epsilon))
+    return _propagate_layer(dense(weights, as_tensor(bias, "bias")), as_tensor(a, "a"), None,
+                            r_upper, Epsilon(epsilon), 1e-9)
 
 
 def lrp_input_wsquare(weights, r_upper):
     """Input-independent first-layer shares proportional to squared weights."""
-    return _dense_rule(np.ones(np.shape(weights)[0]), weights, None, r_upper, WSquare())
+    layer = dense(weights)
+    return _propagate_layer(layer, np.ones(len(layer.weights)), None, r_upper, WSquare(), 1e-9)
 
 
 def lrp_input_zb(x, weights, r_upper, low, high, stabilizer=1e-9):
     """First-layer rule for inputs confined to [low, high] boxes."""
-    return _dense_rule(as_tensor(x, "x"), weights, None, r_upper, ZBounds(low, high), stabilizer)
+    return _propagate_layer(dense(weights), as_tensor(x, "x"), None, r_upper,
+                            ZBounds(low, high), stabilizer)
 
 
 def _pool_rule(layer, x, winner, r_upper, policy, stabilizer):
@@ -293,8 +291,7 @@ def lrp_pool(layer, x, winner, r_upper, policy, stabilizer=1e-9):
     """Redistribute pooled relevance back over the pool windows."""
     if layer.kind not in POOL_KINDS:
         raise ValueError(f"lrp_pool applies to pooling layers, not {layer.kind}")
-    return _propagate_layer(layer, as_tensor(x, "x"), winner, as_tensor(r_upper, "r_upper"),
-                            policy, stabilizer)
+    return _propagate_layer(layer, as_tensor(x, "x"), winner, r_upper, policy, stabilizer)
 
 
 def _first_weighted_index(network):
@@ -339,7 +336,10 @@ def _propagate(layer, x, extra, r_upper, rule, stabilizer):
 
 
 def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
-    """_propagate of one sample: the N=1 batch."""
+    """_propagate of one sample, the N=1 batch; `x` and `r_upper` must fit the layer."""
+    r_upper, out = as_tensor(r_upper, "r_upper"), layer_output_shape(layer, x.shape)
+    if r_upper.shape != out:
+        raise ValueError(f"r_upper has shape {r_upper.shape}, not the {layer.kind} output's {out}")
     extra = None if extra is None else extra[None]
     return _propagate(layer, x[None], extra, r_upper[None], rule, stabilizer)[0]
 

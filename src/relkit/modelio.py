@@ -240,18 +240,23 @@ def load_idx(path):
 
 
 def save_idx_images(path, images):
-    """Write float images in [0, 1] (or uint8) as an IDX image file."""
+    """Write float images in [0, 1] (or uint8) as an IDX image file: other values are
+    clipped to [0, 1] and rounded to the nearest 1/255; a non-finite one is a ValueError."""
     arr = np.asarray(images)
     if arr.ndim != 3:
         raise ValueError("images must be a (count, height, width) array")
     if arr.dtype != np.uint8:
+        require_finite("images", arr)
         arr = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = struct.pack(">IIII", IDX_IMAGE_MAGIC, *arr.shape)
     Path(path).write_bytes(header + arr.tobytes())
 
 
 def save_idx_labels(path, labels):
+    """Write integer labels in [0, 255] as an IDX label file."""
     arr = np.asarray(labels)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
     if arr.ndim != 1 or arr.min() < 0 or arr.max() > 255:
         raise ValueError("labels must be a 1-D array of bytes")
     header = struct.pack(">II", IDX_LABEL_MAGIC, arr.shape[0])

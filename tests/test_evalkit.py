@@ -364,3 +364,18 @@ def test_auc_rejects_non_finite_values(values, bad):
 def test_public_flip_checks_keep_their_messages(weights, x, scores, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         relkit.pixel_flip(linear_net(weights), x, tagged_heatmap(scores), config)
+
+
+def test_continuity_estimate_is_the_l1_change_of_the_heatmap_over_the_l2_step():
+    # the explainer returns its input, so each ratio is ||d||_1 / ||d||_2 of the step d
+    def identity(network, x):
+        return tagged_heatmap(x)
+    probes = [np.array([0.5, -1.0, 2.0, 0.25])]
+    got = relkit.continuity_estimate(identity, None, probes, 0.1, 3, 5)
+    rng, expected = np.random.default_rng(5), 0.0
+    for _ in range(3):
+        direction = rng.standard_normal(4)
+        step = probes[0] - (probes[0] + (0.1 / np.linalg.norm(direction)) * direction)
+        expected = max(expected, np.abs(step).sum() / np.linalg.norm(step))
+    assert got == expected
+    assert got > 1.0  # an L-infinity change over the L2 step would stay <= 1

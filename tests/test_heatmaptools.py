@@ -415,3 +415,22 @@ _CONFIG = relkit.deep_taylor_config(_IMAGE_NET)
 def test_public_heatmaptools_checks_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_quadrant_partition_gives_the_middle_row_and_column_of_an_odd_plane_to_the_top_left():
+    assert np.array_equal(relkit.quadrant_partition((3, 5)),
+                          [[0, 0, 0, 1, 1], [0, 0, 0, 1, 1], [2, 2, 2, 3, 3]])
+
+
+def test_translation_average_averages_the_explained_values():
+    # the shifted copies explain 9 and 6, so the average explains 7.5, not their sum
+    def explainer(network, x):
+        return tagged(x, explained=float(np.sum(x)))
+    hm = relkit.translation_average(explainer, None, np.ones((3, 3)), [(0, 0), (1, 0)])
+    assert hm.explained_value == 7.5
+
+
+def test_sequential_colormap_rounds_to_the_nearest_level():
+    ppm = relkit.render_heatmap(tagged([[0.0, 1.0, 2.0]]), colormap="sequential")
+    pixels = np.frombuffer(ppm[len(b"P6\n3 1\n255\n"):], np.uint8).reshape(3, 3)
+    assert pixels[:, 0].tolist() == [0, 128, 255]  # t = 0.5 is 127.5: rint's even level

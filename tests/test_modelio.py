@@ -659,3 +659,55 @@ def test_tensor_csv_meta_refuses_non_standard_json_constants(tmp_path, constant)
     with pytest.raises(ValueError, match=rf"heat\.csv: line 3: malformed header .*\({constant} "
                                          r"is not a JSON number\)$"):
         relkit.load_heatmap_csv(path)
+
+
+def _idx_payload(path, header_bytes):
+    return list(path.read_bytes()[header_bytes:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_idx_images_refuses_a_non_finite_value(tmp_path, bad):
+    # NaN used to be written as 0 with only a RuntimeWarning, +inf as 255, -inf as 0
+    images = np.full((1, 2, 2), 0.5)
+    images[0, 1, 0] = bad
+    path = tmp_path / "imgs.idx"
+    with pytest.raises(ValueError, match="images must be finite"):
+        relkit.save_idx_images(path, images)
+    assert not path.exists()
+
+
+def test_save_idx_images_rounds_each_value_to_the_nearest_level(tmp_path):
+    # 254.6 / 255 is written as 255, 0.4 / 255 as 0, 127.5 / 255 as 128 (rint's even level)
+    images = np.array([[[254.6, 0.4, 127.5, 1.6]]]) / 255.0
+    path = tmp_path / "imgs.idx"
+    relkit.save_idx_images(path, images)
+    assert _idx_payload(path, 16) == [255, 0, 128, 2]
+
+
+def test_save_idx_images_writes_uint8_and_clips_integer_images(tmp_path):
+    path = tmp_path / "imgs.idx"
+    relkit.save_idx_images(path, np.array([[[0, 7, 255]]], dtype=np.uint8))
+    assert _idx_payload(path, 16) == [0, 7, 255]
+    relkit.save_idx_images(path, np.array([[[-3, 0, 1, 9]]]))
+    assert _idx_payload(path, 16) == [0, 0, 255, 255]
+
+
+@pytest.mark.parametrize("labels", [np.array([1.5, 0.2]), np.array([1.0, 0.0]),
+                                    np.array([True, False])])
+def test_save_idx_labels_refuses_labels_that_are_not_integers(tmp_path, labels):
+    # [1.5, 0.2] used to be written as [1, 0]
+    with pytest.raises(ValueError, match="labels must be integers"):
+        relkit.save_idx_labels(tmp_path / "labels.idx", labels)
+
+
+@pytest.mark.parametrize("labels", [[0, 256], [-1, 3]])
+def test_save_idx_labels_refuses_a_label_outside_a_byte(tmp_path, labels):
+    with pytest.raises(ValueError, match="labels must be a 1-D array of bytes"):
+        relkit.save_idx_labels(tmp_path / "labels.idx", np.array(labels))
+
+
+def test_save_idx_labels_writes_255_and_any_integer_dtype(tmp_path):
+    path = tmp_path / "labels.idx"
+    for dtype in (np.uint8, np.int16, np.int64):
+        relkit.save_idx_labels(path, np.array([255, 0, 9], dtype=dtype))
+        assert _idx_payload(path, 8) == [255, 0, 9]

@@ -614,3 +614,18 @@ _EYE_NET = relkit.Network((relkit.dense(np.eye(2)),), (2,), 2)
 def test_shape_errors_name_the_shapes(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_param_grads_bias_gradient_of_a_batch_is_the_sum_over_its_samples():
+    rng = np.random.default_rng(53)
+    net = relkit.Network((relkit.conv2d(rng.standard_normal((2, 1, 2, 2)), rng.standard_normal(2)),
+                          relkit.relu(), relkit.flatten(),
+                          relkit.dense(rng.standard_normal((18, 3)), rng.standard_normal(3))),
+                         (1, 4, 4), 3)
+    x, seed = rng.random((3, 1, 4, 4)), rng.standard_normal((3, 3))
+    batch = netcore._param_grads(net, netcore._forward_rows(net, x), seed, (0, 3))
+    for idx in (0, 3):
+        alone = [netcore._param_grads(net, netcore._forward_rows(net, x[n:n + 1]),
+                                      seed[n:n + 1], (0, 3))[idx][1] for n in range(3)]
+        np.testing.assert_allclose(batch[idx][1], alone[0] + alone[1] + alone[2],
+                                   rtol=1e-12, atol=1e-12)

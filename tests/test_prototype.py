@@ -230,3 +230,33 @@ def test_search_settings_and_weights_must_be_real_numbers(build, message, bad):
     # "0.1" and None died with a TypeError from a comparison, and True counted as 1
     with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
         build(bad)
+
+
+def _flat_class_network():
+    # zero weights: log p(class | x) = log 1/2 everywhere, so the penalty alone moves x
+    return relkit.Network((relkit.dense(np.zeros((2, 2))),), (2,), 2)
+
+
+def test_activation_maximize_takes_a_step_that_leaves_the_objective_unchanged():
+    # weight 1 and step 1 map x to -x, where ||x||^2 is the same: the trajectory does not
+    # decrease, so each step is taken, and x swaps sign at every iteration
+    init = np.array([1.0, -2.0])
+    objective = relkit.AmObjective(0, regularizer=relkit.L2Penalty(1.0))
+    result = relkit.activation_maximize(_flat_class_network(), objective,
+                                        relkit.AmOptions(step_size=1.0, max_iterations=3,
+                                                         init=init))
+    assert result.iterations == 3
+    assert len(set(result.trajectory)) == 1
+    assert np.array_equal(result.prototype, -init)
+
+
+def test_activation_maximize_halves_the_step_far_below_a_sixty_fourth():
+    # with weight 1, a step improves only below 1 (x -> (1 - 2 step) x), which takes
+    # eight halvings of 192: 0.75, taking x to -x / 2
+    init = np.array([1.0, -2.0])
+    objective = relkit.AmObjective(0, regularizer=relkit.L2Penalty(1.0))
+    result = relkit.activation_maximize(_flat_class_network(), objective,
+                                        relkit.AmOptions(step_size=192.0, max_iterations=1,
+                                                         init=init))
+    assert result.iterations == 1
+    assert np.array_equal(result.prototype, -0.5 * init)

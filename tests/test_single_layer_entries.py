@@ -1,0 +1,49 @@
+"""The single-layer LRP entries check their arrays against the layer they run.
+
+Each entry runs the backward sweep's layer step on one layer, so an input, an
+upper relevance or a bias that does not fit that layer is a ValueError instead
+of a silent broadcast (a one-entry r_upper used to be spread over every unit).
+"""
+
+import numpy as np
+import pytest
+
+import relkit
+from relkit.explain import (lrp_dense_alphabeta, lrp_dense_epsilon, lrp_input_wsquare,
+                            lrp_input_zb, lrp_pool)
+
+_W = np.array([[1.0, -0.5], [0.5, 1.0], [2.0, 0.25]])  # a 3-in, 2-out Dense layer
+_A = np.array([1.0, 2.0, 0.5])
+_R = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: lrp_dense_alphabeta(_A, _W, r, 1.0, 0.0),
+    lambda r: lrp_dense_alphabeta(_A, _W, r, 2.0, 1.0),
+    lambda r: lrp_dense_epsilon(_A, _W, np.zeros(2), r, 1e-9),
+    lambda r: lrp_input_wsquare(_W, r),
+    lambda r: lrp_input_zb(_A, _W, r, 0.0, 1.0),
+    lambda r: lrp_pool(relkit.sum_pool((2, 2)), np.ones((1, 4, 4)), None, r,
+                       relkit.PoolProportional()),
+], ids=["alpha1beta0", "alpha2beta1", "epsilon", "wsquare", "zb", "pool"])
+def test_a_one_entry_r_upper_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"r_upper has shape \(1,\)"):
+        call(np.ones(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: lrp_dense_alphabeta(a, _W, _R, 1.0, 0.0),
+    lambda a: lrp_dense_epsilon(a, _W, np.zeros(2), _R, 1e-9),
+    lambda a: lrp_input_zb(a, _W, _R, 0.0, 1.0),
+], ids=["alphabeta", "epsilon", "zb"])
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_an_input_of_the_wrong_length_is_refused_against_the_layer(call, length):
+    with pytest.raises(ValueError, match=r"Dense expects a \(3,\) input"):
+        call(np.ones(length))
+
+
+def test_a_one_entry_epsilon_bias_is_refused():
+    # it used to add 0.5 to both units' z
+    with pytest.raises(ValueError, match="bias must have one entry per output unit"):
+        lrp_dense_epsilon(_A, _W, np.array([0.5]), _R, 1e-9)
+

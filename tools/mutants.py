@@ -84,7 +84,7 @@ MUTANTS = (
     Mutant("one-sample-bias-gradient", "src/relkit/netcore.py",
            "gb = g.reshape(len(x), len(layer.bias), -1).sum(axis=(0, 2))",
            "gb = g.reshape(len(x), len(layer.bias), -1)[0].sum(axis=1)",
-           ("tests/test_properties.py",)),
+           ("tests/test_netcore.py", "tests/test_properties.py")),
     Mutant("flip-fill-ignored", "src/relkit/evalkit.py",
            "change = config.fill - x.ravel()[removed]",
            "change = 0.0 - x.ravel()[removed]",
@@ -113,6 +113,58 @@ MUTANTS = (
            "removed[lo:hi], change[lo:hi], 1)",
            "removed[lo:hi] - 1, change[lo:hi], 1)",
            ("tests/test_properties.py",)),
+    Mutant("single-layer-r-upper-unchecked", "src/relkit/explain.py",
+           "if r_upper.shape != out:",
+           "if False:",
+           ("tests/test_single_layer_entries.py",)),
+    Mutant("continuity-l-infinity", "src/relkit/evalkit.py",
+           "ratio = np.abs(r0 - r1).sum() /",
+           "ratio = np.abs(r0 - r1).max() /",
+           ("tests/test_evalkit.py",)),
+    Mutant("translation-average-sums-explained-values", "src/relkit/heatmaptools.py",
+           "sum(hm.explained_value for hm in maps) / len(shifts),",
+           "sum(hm.explained_value for hm in maps),",
+           ("tests/test_heatmaptools.py",)),
+    Mutant("quadrant-odd-height-split-low", "src/relkit/heatmaptools.py",
+           "rows = (np.arange(h) >= (h + 1) // 2)",
+           "rows = (np.arange(h) >= h // 2)",
+           ("tests/test_heatmaptools.py",)),
+    Mutant("sequential-colormap-truncated", "src/relkit/heatmaptools.py",
+           "rgb[..., 0] = np.rint(255.0 * t).astype(np.uint8)",
+           "rgb[..., 0] = (255.0 * t).astype(np.uint8)",
+           ("tests/test_heatmaptools.py",)),
+    Mutant("idx-images-truncated", "src/relkit/modelio.py",
+           "arr = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)",
+           "arr = (np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)",
+           ("tests/test_modelio.py",)),
+    Mutant("idx-images-non-finite-unchecked", "src/relkit/modelio.py",
+           '        require_finite("images", arr)\n',
+           "",
+           ("tests/test_modelio.py",)),
+    Mutant("idx-labels-accept-256", "src/relkit/modelio.py",
+           "arr.max() > 255",
+           "arr.max() > 256",
+           ("tests/test_modelio.py",)),
+    Mutant("ascent-strict-improvement", "src/relkit/prototype.py",
+           "if cand_value >= value or step <= min_step:",
+           "if cand_value > value or step <= min_step:",
+           ("tests/test_prototype.py",)),
+    Mutant("ascent-smallest-step-a-64th", "src/relkit/prototype.py",
+           "min_step = options.step_size * 2.0 ** -60",
+           "min_step = options.step_size * 2.0 ** -6",
+           ("tests/test_prototype.py",)),
+    Mutant("pool-stride-default-1", "src/relkit/cli.py",
+           'stride = opts.get("s", 1 if head == "conv" else sizes[0])',
+           'stride = opts.get("s", 1)',
+           ("tests/test_cli.py",)),
+    Mutant("cli-class-0-ignored", "src/relkit/cli.py",
+           "    if chosen is not None:\n",
+           "    if chosen:\n",
+           ("tests/test_cli.py",)),
+    Mutant("digits-unclipped", "src/relkit/datagen.py",
+           "images[i] = np.clip(img, 0.0, 1.0)",
+           "images[i] = img",
+           ("tests/test_datagen.py",)),
 )
 
 
