@@ -143,25 +143,22 @@ def _cmd_train(args):
 _EXPLAINED_OUTPUT = {"logit": "logit", "logprob": "log_probability"}
 
 
-def _rule_config(args, model_file):
-    """The --rule stack. --input-domain auto is pixel when the model stores input
-    bounds, else real; pixel without stored bounds takes the box [0, 1]."""
+def _method(args, model_file):
+    """The --method, built once per command: its RuleConfig (None for sensitivity and
+    taylor) and a (network, x, class) -> Heatmap function. --input-domain auto is pixel
+    when the model stores input bounds, else real; pixel without stored bounds takes
+    the box [0, 1]."""
+    output = _EXPLAINED_OUTPUT[args.output]
+    if args.method != "lrp":
+        gradient = {"sensitivity": explain.sensitivity, "taylor": explain.simple_taylor}[args.method]
+        return None, lambda net, x, c: gradient(net, x, c, output)
     low, high = model_file.input_low, model_file.input_high
     auto = "real" if low is None else "pixel"
     domain = auto if args.input_domain == "auto" else args.input_domain
-    return explain.rule_config(model_file.network, args.rule, domain,
-                               0.0 if low is None else low, 1.0 if high is None else high,
-                               args.epsilon, explained_output=_EXPLAINED_OUTPUT[args.output])
-
-
-def _explainer(args, model_file, class_index):
-    """A (network, x) -> Heatmap function explaining `class_index` by --method."""
-    if args.method == "lrp":
-        config = _rule_config(args, model_file)
-        return lambda net, x: explain.lrp_heatmap(net, x, class_index, config)
-    gradient = {"sensitivity": explain.sensitivity, "taylor": explain.simple_taylor}[args.method]
-    mode = _EXPLAINED_OUTPUT[args.output]
-    return lambda net, x: gradient(net, x, class_index, mode)
+    config = explain.rule_config(model_file.network, args.rule, domain,
+                                 0.0 if low is None else low, 1.0 if high is None else high,
+                                 args.epsilon, explained_output=output)
+    return config, lambda net, x, c: explain.lrp_heatmap(net, x, c, config)
 
 
 def _filter_mask(text, network):
@@ -198,24 +195,23 @@ def _cmd_explain(args):
         if class_index is None:
             raise ValueError("--sliding-window needs an explicit --class")
         x = image[None, :, :] if len(network.input_shape) == 3 and image.ndim == 2 else image
-        heatmap = heatmaptools.sliding_window_explain(network, x, args.sliding_window,
-                                                      _rule_config(args, model_file),
-                                                      class_index)
     else:
         x = _adapt_sample(image, network.input_shape)
         class_index = _class_of(network, x, class_index)
-        explainer = _explainer(args, model_file, class_index)
-        if args.translate:
-            k = args.translate
-            shifts = [(dy, dx) for dy in range(-k, k + 1) for dx in range(-k, k + 1)]
-            heatmap = heatmaptools.translation_average(explainer, network, x, shifts)
-        elif args.filter:
-            trace = netcore.forward(network, x)
-            heatmap = explain.filter_relevance(network, trace, class_index,
-                                               _rule_config(args, model_file),
-                                               *_filter_mask(args.filter, network))
-        else:
-            heatmap = explainer(network, x)
+    config, explainer = _method(args, model_file)
+    if args.sliding_window:
+        heatmap = heatmaptools.sliding_window_explain(network, x, args.sliding_window, config,
+                                                      class_index)
+    elif args.translate:
+        k = args.translate
+        shifts = [(dy, dx) for dy in range(-k, k + 1) for dx in range(-k, k + 1)]
+        heatmap = heatmaptools.translation_average(
+            lambda net, shifted: explainer(net, shifted, class_index), network, x, shifts)
+    elif args.filter:
+        heatmap = explain.filter_relevance(network, netcore.forward(network, x), class_index,
+                                           config, *_filter_mask(args.filter, network))
+    else:
+        heatmap = explainer(network, x, class_index)
 
     modelio.save_heatmap_csv(args.out, heatmap)
     print(f"class {class_index}: explained value {heatmap.explained_value!r}, "
@@ -304,11 +300,12 @@ def _cmd_evaluate(args):
               for i in indices]
     classes = [_class_of(network, x, args.class_index) for x in probes]
 
+    flip = evalkit.FlipConfig(patch=args.patch, fill=args.fill,
+                              max_steps=args.max_steps) if args.pixel_flip else None
+    _, explainer = _method(args, model_file)
     if args.pixel_flip:
-        config = evalkit.FlipConfig(patch=args.patch, fill=args.fill,
-                                    max_steps=args.max_steps)
-        curves = [evalkit.pixel_flip(network, x, _explainer(args, model_file, c)(network, x),
-                                     config) for x, c in zip(probes, classes)]
+        curves = [evalkit.pixel_flip(network, x, explainer(network, x, c), flip)
+                  for x, c in zip(probes, classes)]
         if not args.count:
             modelio.save_curve_csv(args.out, curves[0])
             print(f"AUC: {curves[0].auc!r}")
@@ -322,7 +319,8 @@ def _cmd_evaluate(args):
         return 0
 
     # continuity scores one explanation function: the first probe's class at every probe
-    estimate = evalkit.continuity_estimate(_explainer(args, model_file, classes[0]), network,
+    first = classes[0]
+    estimate = evalkit.continuity_estimate(lambda net, x: explainer(net, x, first), network,
                                            probes, args.delta, args.trials, args.seed)
     print(f"continuity estimate (sampled lower bound): {estimate!r}")
     if args.out:

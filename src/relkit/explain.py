@@ -26,10 +26,11 @@ carries `_explanation_meta`: `class_index`, `explained_output` and, for LRP,
 `rules` and `stabilizer`. The single-layer entries (`lrp_pool`, `lrp_dense_*`,
 `lrp_input_*`) run the sweep's layer step on one sample over one layer, a `dense`
 one for the Dense entries, and reject non-finite arrays, naming the argument, and
-arrays that do not fit the layer. Denominators smaller in magnitude than the
-stabilizer absorb their unit's relevance instead of being inflated; when the
-inhibitory branch of the alpha/beta rule is empty the unit falls back to purely
-excitatory redistribution so that layer conservation survives.
+arrays that do not fit the layer: the input, `r_upper`, a z^B box and a MaxPool
+winner map. Denominators smaller in magnitude than the stabilizer absorb their
+unit's relevance instead of being inflated; when the inhibitory branch of the
+alpha/beta rule is empty the unit falls back to purely excitatory redistribution
+so that layer conservation survives.
 """
 
 from __future__ import annotations
@@ -276,12 +277,8 @@ def lrp_input_zb(x, weights, r_upper, low, high, stabilizer=1e-9):
 def _pool_rule(layer, x, winner, r_upper, policy, stabilizer):
     """Pool relevance of an (N, C, H, W) batch back over the pool windows."""
     if isinstance(policy, PoolWinnerTakeAll):
-        if layer.kind != "MaxPool" or winner is None:
-            raise ValueError("winner-take-all needs a MaxPool winner map")
         # the max-pool gradient is exactly the scatter onto the recorded winners
         return _layer_backward(layer, x, winner, r_upper)
-    if not isinstance(policy, PoolProportional):
-        raise ValueError(f"unknown pool policy {policy!r}")
     cols, geom = window_columns(x, layer.window, layer.stride, layer.padding)
     s = safe_divide(r_upper.reshape(cols.shape[:2] + (-1,)), cols.sum(axis=-2), stabilizer)
     return window_scatter(cols * s[..., None, :], geom)
@@ -317,12 +314,18 @@ def _check_rules(network, config):
         if isinstance(rule, PoolWinnerTakeAll) and layer.kind != "MaxPool":
             raise ValueError(f"layer {idx} ({layer.kind}): winner-take-all "
                              "needs a MaxPool layer")
-        for name in ("low", "high") if isinstance(rule, ZBounds) else ():
-            shape, target = getattr(rule, name).shape, network.activation_shapes[idx]
-            if not broadcasts_to(shape, target):
-                raise ValueError(f"layer {idx} ({layer.kind}): ZBounds {name} has shape "
-                                 f"{shape}, which does not broadcast to the layer's "
-                                 f"input shape {target}")
+        if isinstance(rule, ZBounds):
+            _check_box(rule, network.activation_shapes[idx], f"layer {idx} ({layer.kind}): ")
+
+
+def _check_box(rule, in_shape, where=""):
+    """Refuse a ZBounds bound that does not broadcast to the layer input shape
+    `in_shape`, in a message that starts with `where`."""
+    for name in ("low", "high"):
+        shape = getattr(rule, name).shape
+        if not broadcasts_to(shape, in_shape):
+            raise ValueError(f"{where}ZBounds {name} has shape {shape}, which does not "
+                             f"broadcast to the layer's input shape {in_shape}")
 
 
 def _propagate(layer, x, extra, r_upper, rule, stabilizer):
@@ -336,10 +339,22 @@ def _propagate(layer, x, extra, r_upper, rule, stabilizer):
 
 
 def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
-    """_propagate of one sample, the N=1 batch; `x` and `r_upper` must fit the layer."""
+    """_propagate of one sample, the N=1 batch; `x`, `r_upper`, a z^B box and a
+    winner-take-all pool's winner map `extra` must fit the layer."""
     r_upper, out = as_tensor(r_upper, "r_upper"), layer_output_shape(layer, x.shape)
     if r_upper.shape != out:
         raise ValueError(f"r_upper has shape {r_upper.shape}, not the {layer.kind} output's {out}")
+    if isinstance(rule, ZBounds):
+        _check_box(rule, x.shape)
+    if layer.kind in POOL_KINDS and not isinstance(rule, _FAMILY_RULES[layer.kind]):
+        raise ValueError(f"unknown pool policy {rule!r}")
+    if isinstance(rule, PoolWinnerTakeAll):
+        if layer.kind != "MaxPool" or extra is None:
+            raise ValueError("winner-take-all needs a MaxPool winner map")
+        extra = np.asarray(extra)
+        if extra.shape != out or not np.issubdtype(extra.dtype, np.integer):
+            raise ValueError(f"winner map must be the MaxPool output's {out} integer map, "
+                             f"got shape {extra.shape} and dtype {extra.dtype}")
     extra = None if extra is None else extra[None]
     return _propagate(layer, x[None], extra, r_upper[None], rule, stabilizer)[0]
 

@@ -257,7 +257,7 @@ def save_idx_labels(path, labels):
     arr = np.asarray(labels)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-    if arr.ndim != 1 or arr.min() < 0 or arr.max() > 255:
+    if arr.ndim != 1 or arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError("labels must be a 1-D array of bytes")
     header = struct.pack(">II", IDX_LABEL_MAGIC, arr.shape[0])
     Path(path).write_bytes(header + arr.astype(np.uint8).tobytes())

@@ -722,3 +722,47 @@ def test_every_plan_head_parses_builds_and_round_trips(tmp_path):
     relkit.save_model(net, first)
     relkit.save_model(relkit.load_model(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--pixel-flip", "--count", "3", "--out", "flip.csv"],
+    ["evaluate", "--continuity", "--count", "3", "--trials", "1"],
+    ["explain", "--filter", "2:3", "--out", "heat.csv"],
+    ["explain", "--translate", "1", "--out", "heat.csv"],
+    ["explain", "--sliding-window", "4", "--class", "1", "--out", "heat.csv"],
+], ids=["flip-count", "continuity-count", "filter", "translate", "sliding-window"])
+def test_each_command_builds_its_rule_stack_once(model_path, dataset, tmp_path, monkeypatch,
+                                                 command):
+    images, _ = dataset
+    built = []
+    rule_config = relkit.explain.rule_config
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return rule_config(*args, **kwargs)
+
+    monkeypatch.setattr(relkit.explain, "rule_config", counted)
+    name, *flags = command
+    flags = [str(tmp_path / flag) if flag.endswith(".csv") else flag for flag in flags]
+    if "--sliding-window" in flags:  # an 8x8-input model slid over the 12x12 images
+        model_path = tmp_path / "window.json"
+        relkit.save_model(relkit.random_network((1, 8, 8), [("flatten",), ("dense", 2)], 33),
+                          model_path, input_bounds=(0.0, 1.0))
+    assert main([name, "--model", str(model_path), "--data", images, *flags]) == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("bounds,domain", [((0.0, 1.0), "pixel"), (None, "real")])
+def test_input_domain_auto_follows_the_stored_bounds(dataset, tmp_path, bounds, domain):
+    images, _ = dataset
+    model = tmp_path / "model.json"
+    relkit.save_model(relkit.random_network((1, 12, 12), [("conv", 2, 3, 3, 1, 0), ("relu",),
+                                                          ("flatten",), ("dense", 2)], 5),
+                      model, input_bounds=bounds)
+    out = tmp_path / "heat.csv"
+    assert main(["explain", "--model", str(model), "--data", images, "--class", "1",
+                 "--out", str(out)]) == 0
+    net = relkit.load_model(model)
+    want = relkit.lrp_heatmap(net, relkit.load_idx(images)[0][None], 1,
+                              relkit.deep_taylor_config(net, domain, 0.0, 1.0))
+    assert np.array_equal(relkit.load_heatmap_csv(out).scores, want.scores)

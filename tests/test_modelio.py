@@ -711,3 +711,11 @@ def test_save_idx_labels_writes_255_and_any_integer_dtype(tmp_path):
     for dtype in (np.uint8, np.int16, np.int64):
         relkit.save_idx_labels(path, np.array([255, 0, 9], dtype=dtype))
         assert _idx_payload(path, 8) == [255, 0, 9]
+
+
+def test_an_empty_label_file_round_trips(tmp_path):
+    path = tmp_path / "labels.idx"
+    relkit.save_idx_labels(path, np.array([], dtype=np.int64))
+    labels = relkit.load_idx(path)
+    assert labels.shape == (0,) and np.issubdtype(labels.dtype, np.integer)
+    assert path.read_bytes() == relkit.modelio.IDX_LABEL_MAGIC.to_bytes(4, "big") + bytes(4)

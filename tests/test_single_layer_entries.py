@@ -47,3 +47,24 @@ def test_a_one_entry_epsilon_bias_is_refused():
     with pytest.raises(ValueError, match="bias must have one entry per output unit"):
         lrp_dense_epsilon(_A, _W, np.array([0.5]), _R, 1e-9)
 
+
+_POOL_X = np.arange(16.0).reshape(1, 4, 4)  # one channel through a 2x2 MaxPool: (1, 2, 2) out
+
+
+@pytest.mark.parametrize("winner,got", [
+    (np.array([[[5, 7, 13, 15]]]), r"shape \(1, 1, 4\) and dtype int64"),
+    (np.array([[[5.0, 7.0], [13.0, 15.0]]]), r"shape \(1, 2, 2\) and dtype float64"),
+], ids=["wrong-shape", "float"])
+def test_a_winner_map_that_does_not_fit_the_pool_is_refused_by_name(winner, got):
+    with pytest.raises(ValueError, match=r"^winner map must be the MaxPool output's "
+                                         rf"\(1, 2, 2\) integer map, got {got}$"):
+        lrp_pool(relkit.max_pool((2, 2)), _POOL_X, winner, np.ones((1, 2, 2)),
+                 relkit.PoolWinnerTakeAll())
+
+
+@pytest.mark.parametrize("name", ["low", "high"])
+def test_a_zb_box_that_does_not_broadcast_to_x_is_refused_by_name(name):
+    bounds = {"low": 0.0, "high": 1.0, name: (-1.0 if name == "low" else 1.0) * np.ones(2)}
+    with pytest.raises(ValueError, match=rf"^ZBounds {name} has shape \(2,\), which does not "
+                                         r"broadcast to the layer's input shape \(3,\)$"):
+        lrp_input_zb(_A, _W, _R, bounds["low"], bounds["high"])

@@ -117,6 +117,14 @@ MUTANTS = (
            "if r_upper.shape != out:",
            "if False:",
            ("tests/test_single_layer_entries.py",)),
+    Mutant("single-layer-winner-map-unchecked", "src/relkit/explain.py",
+           "if extra.shape != out or not np.issubdtype(extra.dtype, np.integer):",
+           "if False:",
+           ("tests/test_single_layer_entries.py",)),
+    Mutant("single-layer-box-unchecked", "src/relkit/explain.py",
+           "        _check_box(rule, x.shape)\n",
+           "        pass\n",
+           ("tests/test_single_layer_entries.py",)),
     Mutant("continuity-l-infinity", "src/relkit/evalkit.py",
            "ratio = np.abs(r0 - r1).sum() /",
            "ratio = np.abs(r0 - r1).max() /",
@@ -145,6 +153,10 @@ MUTANTS = (
            "arr.max() > 255",
            "arr.max() > 256",
            ("tests/test_modelio.py",)),
+    Mutant("idx-empty-labels-unguarded", "src/relkit/modelio.py",
+           "arr.size and (arr.min() < 0 or arr.max() > 255)",
+           "(arr.min() < 0 or arr.max() > 255)",
+           ("tests/test_modelio.py",)),
     Mutant("ascent-strict-improvement", "src/relkit/prototype.py",
            "if cand_value >= value or step <= min_step:",
            "if cand_value > value or step <= min_step:",
@@ -160,6 +172,10 @@ MUTANTS = (
     Mutant("cli-class-0-ignored", "src/relkit/cli.py",
            "    if chosen is not None:\n",
            "    if chosen:\n",
+           ("tests/test_cli.py",)),
+    Mutant("cli-input-domain-auto-always-real", "src/relkit/cli.py",
+           'auto = "real" if low is None else "pixel"',
+           'auto = "real"',
            ("tests/test_cli.py",)),
     Mutant("digits-unclipped", "src/relkit/datagen.py",
            "images[i] = np.clip(img, 0.0, 1.0)",
