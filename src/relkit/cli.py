@@ -294,6 +294,8 @@ def _cmd_evaluate(args):
     network = model_file.network
     images = modelio.load_idx(args.data)
     count = min(_non_negative("--count", args.count), images.shape[0])
+    if args.count and not count:
+        raise ValueError(f"--count {args.count}: the dataset {args.data} holds no images")
     indices = range(count) if args.count else [args.index]
     # only --index can be out of range
     probes = [_adapt_sample(_dataset_image(images, "--index", i), network.input_shape)

@@ -15,6 +15,8 @@ picks the path:
   just the steps that touch its window, units x fan-in work in chunks of columns;
 - otherwise the row path runs chunks of steps through the nonlinear middle,
   steps x the middle's forward.
+A step whose removed entries already hold `fill` changes nothing: no path runs
+it, and its value repeats the last one bitwise.
 continuity_estimate probes how violently an explanation can change under
 small input perturbations.
 """
@@ -102,7 +104,9 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     path adds each chunk of steps' rows to a running state, the first weighted layer's
     output or the input, and runs them through the nonlinear middle. M, the logits'
     Jacobian past the last ReLU or MaxPool, and offset, the logits of a zero activation
-    there, are found once per net.
+    there, are found once per net. Only the steps whose change has a nonzero entry run;
+    a step whose removed entries already equal fill does no work and repeats the last
+    value bitwise.
     """
     x = as_tensor(x, "input")
     scores = _heatmap_scores(heatmap)
@@ -113,7 +117,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     class_index = require_int("class_index", heatmap.meta["class_index"])
     mode = heatmap.meta.get("explained_output", "logit")
     trace = forward(network, x)
-    values = [class_output(trace.logits, class_index, mode)[0]]
+    values = [[class_output(trace.logits, class_index, mode)[0]]]
 
     entries = _region_entries(np.arange(x.size).reshape(x.shape), config.patch)
     pooled = scores.ravel()[entries].sum(axis=1)
@@ -121,6 +125,8 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     steps = len(pooled) if config.max_steps is None else min(config.max_steps, len(pooled))
     removed = entries[order[:steps]]  # removed[i]: the entries step i + 1 removes
     change = config.fill - x.ravel()[removed]
+    live = np.flatnonzero(change.any(axis=1))  # the steps that change the input
+    removed, change = removed[live], change[live]
     layers = network.layers
     first = next((i for i, layer in enumerate(layers) if layer.kind != "Flatten"), len(layers))
     start = first + 1 if first < len(layers) and layers[first].kind in WEIGHTED_KINDS else 0
@@ -130,12 +136,12 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     m, offset = _term((network,), ("affine tail", tail), lambda: _affine_tail(network, tail))
     if start and layers[first].kind in WINDOWED_KINDS and all(
             layer.kind == "ReLU" for layer in layers[start:tail]):
-        values.extend(_unit_curve(network, first, tail > start, trace, removed, change, m,
+        values.append(_unit_curve(network, first, tail > start, trace, removed, change, m,
                                   class_index, mode))
     else:
         rows = max(1, _CHUNK_BYTES // sample_bytes(network, start, start and removed.shape[1]))
-        for lo in range(0, steps, rows):
-            hi = min(lo + rows, steps)
+        for lo in range(0, len(live), rows):
+            hi = min(lo + rows, len(live))
             if start:
                 batch = sparse_response(layers[first], network.activation_shapes[first],
                                         removed[lo:hi], change[lo:hi])
@@ -144,11 +150,14 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
                 np.put_along_axis(batch.reshape(hi - lo, -1), removed[lo:hi], change[lo:hi], 1)
             z = _running_sum(batch, z)
             a = _forward_rows(network, batch, start, stop=tail).activations[tail]
-            values.extend(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
+            values.append(class_output(a.reshape(len(a), -1) @ m + offset, class_index, mode)[0])
+    moved = np.zeros(steps + 1, dtype=np.intp)  # a step that removes nothing repeats the
+    moved[live + 1] = 1                         # value of the last live step before it
+    values = np.concatenate(values)[moved.cumsum()]
     meta = dict(_explanation_meta(class_index, mode), patch=config.patch, fill=config.fill,
                 auc_normalization="step-averaged trapezoid over unit-spaced removals",
                 method_tag=heatmap.method_tag)
-    return FlipCurve(tuple(float(v) for v in values), tuple(order[:steps].tolist()),
+    return FlipCurve(tuple(values.tolist()), tuple(order[:steps].tolist()),
                      auc(values), meta)
 
 

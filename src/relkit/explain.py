@@ -27,7 +27,8 @@ carries `_explanation_meta`: `class_index`, `explained_output` and, for LRP,
 `lrp_input_*`) run the sweep's layer step on one sample over one layer, a `dense`
 one for the Dense entries, and reject non-finite arrays, naming the argument, and
 arrays that do not fit the layer: the input, `r_upper`, a z^B box and a MaxPool
-winner map. Denominators smaller in magnitude than the stabilizer absorb their
+winner map, whose every entry must be a padded-plane position of its own window.
+Denominators smaller in magnitude than the stabilizer absorb their
 unit's relevance instead of being inflated; when the inhibitory branch of the
 alpha/beta rule is empty the unit falls back to purely excitatory redistribution
 so that layer conservation survives.
@@ -44,7 +45,7 @@ from .netcore import (POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias, as_ten
                       check_explained_output, class_output, dense, layer_output_shape, linear_pair,
                       require_finite, require_int, sample_bytes, window_columns, window_scatter,
                       _as_input, _batch_of_one, _forward_rows, _layer_backward, _require_real,
-                      _reverse_sweep, _value_and_gradient)
+                      _reverse_sweep, _value_and_gradient, _window_geometry, _window_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,6 +356,12 @@ def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
         if extra.shape != out or not np.issubdtype(extra.dtype, np.integer):
             raise ValueError(f"winner map must be the MaxPool output's {out} integer map, "
                              f"got shape {extra.shape} and dtype {extra.dtype}")
+        cells = _window_index(_window_geometry(x.shape, layer.window, layer.stride, layer.padding))
+        own = (extra.reshape(len(extra), 1, -1) == cells).any(axis=1).reshape(out)
+        if not own.all():
+            at = tuple(np.argwhere(~own)[0].tolist())
+            raise ValueError(f"winner map entry {at} is {extra[at]}, not a padded-plane "
+                             "position of its own MaxPool window")
     extra = None if extra is None else extra[None]
     return _propagate(layer, x[None], extra, r_upper[None], rule, stabilizer)[0]
 

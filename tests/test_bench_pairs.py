@@ -27,3 +27,18 @@ def test_peak_rss_is_split_into_its_modes():
     assert record["modes"] == {"parent": [{"level": 100.3, "runs": 1},
                                           {"level": 104.1, "runs": 3}],
                                "change": [{"level": 103.9, "runs": 4}]}
+
+
+def test_setup_time_is_split_by_the_peak_rss_mode_of_its_run():
+    setup, rss = [1.4, 1.2, 1.5, 1.3], [100.2, 104.0, 100.4, 104.1]
+    assert bench_pairs.by_rss_mode(setup, rss) == [
+        {"rss_level": 100.3, "median": 1.45, "runs": 2},
+        {"rss_level": 104.05, "median": 1.25, "runs": 2}]
+    metrics = [{"name": name, "unit": unit, "better": "lower"}
+               for name, unit in (("setup_s", "s"), ("peak_rss_mb", "MB"))]
+    results = [{side: {"metrics": {"setup_s": {"value": s}, "peak_rss_mb": {"value": r}},
+                       "correct": True, "failed": 0, "attempted": 1}
+                for side in bench_pairs.SIDES} for s, r in zip(setup, rss)]
+    record = bench_pairs.workload_record("flip", 0, metrics, results)
+    assert record["metrics"]["setup_s"]["by_rss_mode"]["change"] == \
+        bench_pairs.by_rss_mode(setup, rss)

@@ -766,3 +766,16 @@ def test_input_domain_auto_follows_the_stored_bounds(dataset, tmp_path, bounds, 
     want = relkit.lrp_heatmap(net, relkit.load_idx(images)[0][None], 1,
                               relkit.deep_taylor_config(net, domain, 0.0, 1.0))
     assert np.array_equal(relkit.load_heatmap_csv(out).scores, want.scores)
+
+
+@pytest.mark.parametrize("task", ["--pixel-flip", "--continuity"])
+def test_evaluate_count_on_an_empty_dataset_is_refused_by_name(model_path, tmp_path, capsys,
+                                                               task):
+    empty = tmp_path / "empty.idx"
+    relkit.save_idx_images(empty, np.zeros((0, 12, 12)))
+    out = tmp_path / "eval.csv"
+    code = main(["evaluate", "--model", model_path, "--data", str(empty), task,
+                 "--count", "3", "--out", str(out)])
+    assert code == 1
+    assert f"--count 3: the dataset {empty} holds no images" in capsys.readouterr().err
+    assert not out.exists()

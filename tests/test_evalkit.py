@@ -379,3 +379,122 @@ def test_continuity_estimate_is_the_l1_change_of_the_heatmap_over_the_l2_step():
         expected = max(expected, np.abs(step).sum() / np.linalg.norm(step))
     assert got == expected
     assert got > 1.0  # an L-infinity change over the L2 step would stay <= 1
+
+
+# Fixed nets of the three flip paths: a Dense-first net (row path from the first
+# Dense layer), the README conv net on 12x12 inputs (unit path) and a pool-first
+# net (row path from the input). Each is (input shape, plan, seed, class).
+ROW_NET = ((1, 6, 6), [("flatten",), ("dense", 8), ("relu",), ("dense", 5), ("relu",),
+                       ("dense", 3)], 11, 2)
+UNIT_NET = ((1, 12, 12), [("conv", 8, 5, 5, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0),
+                          ("flatten",), ("dense", 2)], 12, 1)
+INPUT_NET = ((2, 8, 8), [("avgpool", 2, 2, 2, 0), ("conv", 3, 3, 3, 1, 1), ("relu",),
+                         ("maxpool", 2, 2, 2, 0), ("flatten",), ("dense", 2)], 13, 0)
+FLIP_NETS = pytest.mark.parametrize("arch", [ROW_NET, UNIT_NET, INPUT_NET],
+                                    ids=["row", "unit", "input"])
+
+
+@pytest.mark.parametrize("arch,unit,sparse", [(ROW_NET, False, True), (UNIT_NET, True, False),
+                                               (INPUT_NET, False, False)],
+                         ids=["row", "unit", "input"])
+def test_the_fixed_flip_nets_run_their_paths(arch, unit, sparse):
+    x = zeros_input(arch[0], 20)
+    with mock.patch.object(evalkit, "_unit_curve", wraps=evalkit._unit_curve) as unit_path, \
+            mock.patch.object(evalkit, "sparse_response", wraps=evalkit.sparse_response) as rows:
+        flip_with_forwards(arch, x, np.ones(x.shape))
+    assert (unit_path.called, rows.called) == (unit, sparse)
+
+
+def zeros_input(shape, seed):
+    """About half the entries exactly 0, and the top-left 2x6 corner all 0: some
+    2x2 squares hold only zeros, many hold some."""
+    x = np.maximum(np.random.default_rng(seed).standard_normal(shape), 0.0)
+    x[..., :2, :6] = 0.0
+    return x
+
+
+def removal_regions(shape, patch):
+    """Index of each removal region of a (C, H, W) input: single entries, or
+    p-by-p squares in row-major order."""
+    if patch == 1:
+        return [np.unravel_index(i, shape) for i in range(int(np.prod(shape)))]
+    return [(slice(None), slice(r, r + patch), slice(k, k + patch))
+            for r in range(0, shape[1], patch) for k in range(0, shape[2], patch)]
+
+
+def flip_with_forwards(arch, x, scores, mode="logit", **config):
+    """The curve of `scores` on `arch`, the per-step forward values of its order, and
+    whether each step removes only entries that already hold the fill."""
+    in_shape, plan, seed, c = arch
+    net = relkit.random_network(in_shape, plan, seed=seed)
+    config = relkit.FlipConfig(**config)
+    heatmap = relkit.Heatmap.from_scores(scores, 1.0, "t",
+                                         {"class_index": c, "explained_output": mode})
+    curve = relkit.pixel_flip(net, x, heatmap, config)
+    regions = removal_regions(x.shape, config.patch)
+    work, forwards, noop = x.copy(), [], []
+    for region in [None] + [regions[i] for i in curve.order]:
+        if region is not None:
+            noop.append(bool(np.all(work[region] == config.fill)))
+            work[region] = config.fill
+        logits = relkit.forward(net, work).logits
+        forwards.append(logits[c] if mode == "logit" else relkit.log_softmax(logits)[c])
+    return np.array(curve.values), np.array(forwards), np.array(noop, dtype=bool)
+
+
+def assert_no_op_steps_repeat_bitwise(values, forwards, noop):
+    assert len(values) == len(forwards) == len(noop) + 1
+    assert values[0] == forwards[0]
+    assert values[1:][noop].tobytes() == values[:-1][noop].tobytes()
+    assert np.abs(values - forwards).max() <= 1e-12 * np.abs(forwards).max()
+
+
+@FLIP_NETS
+@pytest.mark.parametrize("patch,mode", [(1, "logit"), (2, "logit"), (2, "log_probability")])
+def test_steps_that_remove_only_the_fill_repeat_the_last_value_bitwise(arch, patch, mode):
+    x = zeros_input(arch[0], 21)
+    scores = np.random.default_rng(22).integers(-2, 3, x.shape).astype(float)
+    values, forwards, noop = flip_with_forwards(arch, x, scores, mode, patch=patch)
+    assert noop.any() and not noop.all()
+    assert_no_op_steps_repeat_bitwise(values, forwards, noop)
+
+
+@FLIP_NETS
+@pytest.mark.parametrize("patch", [1, 2])
+def test_an_all_zero_input_flips_to_a_constant_curve(arch, patch):
+    x = np.zeros(arch[0])
+    scores = np.random.default_rng(23).standard_normal(x.shape)
+    values, forwards, noop = flip_with_forwards(arch, x, scores, patch=patch)
+    assert noop.all()
+    assert values.tobytes() == np.full(len(values), forwards[0]).tobytes()
+
+
+@FLIP_NETS
+def test_leading_no_op_steps_repeat_the_forward_value(arch):
+    x = zeros_input(arch[0], 24)
+    rng = np.random.default_rng(25)
+    scores = np.where(x == 0.0, 1.0 + rng.random(x.shape), -rng.random(x.shape))
+    values, forwards, noop = flip_with_forwards(arch, x, scores)
+    lead = int(np.sum(x == 0.0))
+    assert noop[:lead].all() and not noop[lead:].any()
+    assert values[:lead + 1].tobytes() == np.full(lead + 1, forwards[0]).tobytes()
+    assert_no_op_steps_repeat_bitwise(values, forwards, noop)
+
+
+@FLIP_NETS
+@pytest.mark.parametrize("patch", [1, 2])
+def test_max_steps_may_end_inside_a_run_of_no_op_steps(arch, patch):
+    x = zeros_input(arch[0], 26)
+    regions = removal_regions(x.shape, patch)
+    live = [i for i, region in enumerate(regions) if x[region].any()][:3]
+    empty = [i for i, region in enumerate(regions) if not x[region].any()][:3]
+    # three live steps, then three no-op steps; max_steps stops after two of them
+    rank = np.zeros(len(regions))
+    rank[live + empty] = np.arange(6, 0, -1)
+    scores = np.zeros(x.shape)
+    for region, r in zip(regions, rank):
+        scores[region] = r / x[region].size
+    values, forwards, noop = flip_with_forwards(arch, x, scores, patch=patch, max_steps=5)
+    assert noop.tolist() == [False, False, False, True, True]
+    assert values[3] == values[4] == values[5]
+    assert_no_op_steps_repeat_bitwise(values, forwards, noop)

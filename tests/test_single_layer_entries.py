@@ -62,6 +62,29 @@ def test_a_winner_map_that_does_not_fit_the_pool_is_refused_by_name(winner, got)
                  relkit.PoolWinnerTakeAll())
 
 
+@pytest.mark.parametrize("winner,at,value", [
+    ([[[-1, 7], [13, 15]]], (0, 0, 0), -1),  # below the plane
+    ([[[5, 100], [13, 15]]], (0, 0, 1), 100),  # past the plane
+    ([[[5, 7], [13, 0]]], (0, 1, 1), 0),  # the top-left window's cell
+], ids=["negative", "past-the-plane", "another-window"])
+def test_a_winner_outside_its_own_pool_window_is_refused_by_name(winner, at, value):
+    with pytest.raises(ValueError, match=rf"^winner map entry \({at[0]}, {at[1]}, {at[2]}\) is "
+                                         rf"{value}, not a padded-plane position of its own "
+                                         r"MaxPool window$"):
+        lrp_pool(relkit.max_pool((2, 2)), _POOL_X, np.array(winner), np.ones((1, 2, 2)),
+                 relkit.PoolWinnerTakeAll())
+
+
+def test_a_winner_in_the_padding_of_its_own_window_is_accepted():
+    # a 3x3 stride-2 pool with padding 1 reads a 6x6 padded plane, whose position 0 is
+    # padding in the top-left window; the crop drops the relevance sent there
+    pool = relkit.max_pool((3, 3), stride=2, padding=1)
+    winner = relkit.netcore._layer_forward(pool, _POOL_X[None])[1][0].copy()
+    winner[0, 0, 0] = 0
+    r = lrp_pool(pool, _POOL_X, winner, np.ones((1, 2, 2)), relkit.PoolWinnerTakeAll())
+    assert r.sum() == 3.0
+
+
 @pytest.mark.parametrize("name", ["low", "high"])
 def test_a_zb_box_that_does_not_broadcast_to_x_is_refused_by_name(name):
     bounds = {"low": 0.0, "high": 1.0, name: (-1.0 if name == "low" else 1.0) * np.ones(2)}

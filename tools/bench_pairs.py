@@ -6,8 +6,9 @@ pairs the change first, so a slow or fast phase of the host falls on both
 sides alike. Every metric is summarized per side (median, quartiles, min, max),
 with the ratio of medians and the number of pairs the change won. Peak RSS is
 also split into its modes, since it can sit at one of two levels for the same
-code. The file is rewritten after every pair, so an interrupted session keeps
-the pairs it finished.
+code, and set-up time, which follows that mode, is split by it too. The file is
+rewritten after every pair, so an interrupted session keeps the pairs it
+finished.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_name.json \\
         --run fit:0:10 --run fit:1:5 --run flip:0:5 --run explain:0:5 --seconds 30
@@ -52,15 +53,31 @@ def summary(values):
              ("max", max(values)))}
 
 
-def modes(values, gap=RSS_MODE_GAP_MB):
-    """Runs grouped into levels: sorted values split wherever two neighbours
-    lie more than `gap` apart; each level as its median and run count."""
+def _levels(values, gap):
+    """Run indices grouped into levels: the values sorted and split wherever two
+    neighbours lie more than `gap` apart."""
     groups = [[]]
-    for v in sorted(values):
-        if groups[-1] and v - groups[-1][-1] > gap:
+    for i in np.argsort(values, kind="stable"):
+        if groups[-1] and values[i] - values[groups[-1][-1]] > gap:
             groups.append([])
-        groups[-1].append(v)
-    return [{"level": round(float(np.median(g)), 4), "runs": len(g)} for g in groups]
+        groups[-1].append(i)
+    return groups
+
+
+def _median(values, runs):
+    return round(float(np.median([values[i] for i in runs])), 4)
+
+
+def modes(values, gap=RSS_MODE_GAP_MB):
+    """Runs grouped into levels (see _levels); each level as its median and run count."""
+    return [{"level": _median(values, g), "runs": len(g)} for g in _levels(values, gap)]
+
+
+def by_rss_mode(values, rss, gap=RSS_MODE_GAP_MB):
+    """`values` of the runs grouped by the peak-RSS mode each run sat in: each
+    mode's RSS level, the median of its runs' values and their count."""
+    return [{"rss_level": _median(rss, g), "median": _median(values, g), "runs": len(g)}
+            for g in _levels(rss, gap)]
 
 
 def compare(metric, runs):
@@ -84,6 +101,10 @@ def workload_record(workload, seed, metrics, results):
         runs = {side: [r[side]["metrics"][metric["name"]]["value"] for r in results]
                 for side in SIDES}
         record["metrics"][metric["name"]] = compare(metric, runs)
+    if {"setup_s", "peak_rss_mb"} <= record["metrics"].keys():  # set-up follows the RSS mode
+        runs = {name: record["metrics"][name]["runs"] for name in ("setup_s", "peak_rss_mb")}
+        record["metrics"]["setup_s"]["by_rss_mode"] = {
+            side: by_rss_mode(runs["setup_s"][side], runs["peak_rss_mb"][side]) for side in SIDES}
     record["metrics"]["correct"] = {side: [r[side]["correct"] for r in results] for side in SIDES}
     record["metrics"]["failed_of_attempted"] = {
         side: [f"{r[side]['failed']}/{r[side]['attempted']}" for r in results] for side in SIDES}

@@ -113,6 +113,14 @@ MUTANTS = (
            "removed[lo:hi], change[lo:hi], 1)",
            "removed[lo:hi] - 1, change[lo:hi], 1)",
            ("tests/test_properties.py",)),
+    Mutant("flip-no-op-steps-show-the-next-value", "src/relkit/evalkit.py",
+           "moved[live + 1] = 1",
+           "moved[live] = 1",
+           ("tests/test_evalkit.py",)),
+    Mutant("flip-live-steps-change-every-entry", "src/relkit/evalkit.py",
+           "live = np.flatnonzero(change.any(axis=1))",
+           "live = np.flatnonzero(change.all(axis=1))",
+           ("tests/test_evalkit.py",)),
     Mutant("single-layer-r-upper-unchecked", "src/relkit/explain.py",
            "if r_upper.shape != out:",
            "if False:",
