@@ -12,7 +12,7 @@ with a ReLU or a pool, the input plus fill - x at the removed entries. The net
 picks the path:
 - if that layer is a Conv2D and only a ReLU or nothing lies between it and the
   affine layers (the README conv net), the unit path runs each unit column over
-  just the steps that touch its window, units x fan-in work in chunks of columns;
+  the removal regions its window overlaps, units x fan-in work in chunks of columns;
 - otherwise the row path runs chunks of steps through the nonlinear middle,
   steps x the middle's forward.
 A step whose removed entries already hold `fill` changes nothing: no path runs
@@ -24,6 +24,7 @@ small input perturbations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,19 +76,22 @@ def auc(values):
     return float(area / (values.size - 1))
 
 
-def _region_entries(a, patch):
-    """(regions, entries) array of the entries of `a` in each removal region:
-    every entry alone (patch 1), or each p-by-p square of the last two axes,
-    squares in row-major order and entries in the order of `a`."""
-    if patch == 1:
-        return a.reshape(-1, 1)
-    if a.ndim < 2:
-        raise ValueError("patch flipping needs at least a 2-D input")
-    h, w = a.shape[-2:]
-    if h % patch or w % patch:
-        raise ValueError(f"{patch}x{patch} patches do not tile a {h}x{w} input")
-    cols, _ = window_columns(a.reshape(-1, h, w), (patch, patch), patch, 0)
-    return cols.transpose(2, 0, 1).reshape(cols.shape[-1], -1)
+@lru_cache(maxsize=64)
+def _region_entries(shape, patch):
+    """Read-only (regions, entries) array of the flat indices into `shape` of each
+    removal region: every entry alone (patch 1), or each p-by-p square of the last two
+    axes, squares in row-major order and entries in flat order."""
+    entries = np.arange(int(np.prod(shape))).reshape(-1, 1)
+    if patch > 1:
+        if len(shape) < 2:
+            raise ValueError("patch flipping needs at least a 2-D input")
+        h, w = shape[-2:]
+        if h % patch or w % patch:
+            raise ValueError(f"{patch}x{patch} patches do not tile a {h}x{w} input")
+        cols, _ = window_columns(entries.reshape(-1, h, w), (patch, patch), patch, 0)
+        entries = cols.transpose(2, 0, 1).reshape(cols.shape[-1], -1)
+    entries.setflags(write=False)
+    return entries
 
 
 def pixel_flip(network, x, heatmap, config=FlipConfig()):
@@ -119,7 +123,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     trace = forward(network, x)
     values = [[class_output(trace.logits, class_index, mode)[0]]]
 
-    entries = _region_entries(np.arange(x.size).reshape(x.shape), config.patch)
+    entries = _region_entries(x.shape, config.patch)
     pooled = scores.ravel()[entries].sum(axis=1)
     order = np.argsort(-pooled, kind="stable")  # stable: ties keep ascending index
     steps = len(pooled) if config.max_steps is None else min(config.max_steps, len(pooled))
@@ -136,8 +140,8 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     m, offset = _term((network,), ("affine tail", tail), lambda: _affine_tail(network, tail))
     if start and layers[first].kind in WINDOWED_KINDS and all(
             layer.kind == "ReLU" for layer in layers[start:tail]):
-        values.append(_unit_curve(network, first, tail > start, trace, removed, change, m,
-                                  class_index, mode))
+        values.append(_unit_curve(network, first, tail > start, trace, removed, change,
+                                  config.patch, m, class_index, mode))
     else:
         rows = max(1, _CHUNK_BYTES // sample_bytes(network, start, start and removed.shape[1]))
         for lo in range(0, len(live), rows):
@@ -171,7 +175,7 @@ def _running_sum(rows, start):
     return start
 
 
-def _unit_curve(network, first, rectify, trace, removed, change, m, class_index, mode):
+def _unit_curve(network, first, rectify, trace, removed, change, patch, m, class_index, mode):
     """Values 1.. of the curve of a net whose first weighted layer, `first`, a Conv2D,
     is followed by a ReLU (`rectify`) or by nothing, then by the affine layers of `m`:
     the forward logits plus, over the steps so far, m's rows times the activation
@@ -183,7 +187,7 @@ def _unit_curve(network, first, rectify, trace, removed, change, m, class_index,
     moves = np.zeros((count + 1, k))  # by step and class; step `count` touches nothing
     for part, steps, dz in column_responses(network.layers[first],
                                             network.activation_shapes[first],
-                                            removed, change, _CHUNK_BYTES):
+                                            removed, change, patch, _CHUNK_BYTES):
         z = np.empty((len(dz) + 1,) + dz.shape[1:])  # C order: dz may be a transposed view
         z[0], z[1:] = z0[part], dz
         _running_sum(z[1:], z[0])

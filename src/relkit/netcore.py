@@ -20,7 +20,8 @@ windows as `window_columns`, a copy of one strided view of the zero-padded
 input plane; one cached index map, `_window_index`, of flat positions in that
 plane gives their adjoint and the MaxPool winner scatter as one `bincount`.
 A weighted layer's bias-free response to sparse input changes comes one row per
-change (`sparse_response`) or one unit column at a time (`column_responses`).
+change (`sparse_response`) or one unit column at a time (`column_responses`), over the
+removal squares each window overlaps: the cached slot map, `_slot_map`.
 
 Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
@@ -300,6 +301,26 @@ def _window_inverse(geom):
     return inverse
 
 
+@lru_cache(maxsize=64)
+def _slot_map(geom, patch):
+    """Read-only slots of each output cell's window at patch > 1, the p-by-p squares it
+    overlaps: (S, out_h*out_w) square ids (row-major), each column's ascending, then the
+    square count for none, and (S, C*kh*kw, out_h*out_w) masks, 1.0 in each slot's square."""
+    h, w = geom.pad_h - 2 * geom.padding, geom.pad_w - 2 * geom.padding
+    none = h // patch * (w // patch)
+    plane = np.arange(h)[:, None] // patch * (w // patch) + np.arange(w) // patch - none
+    ids, _ = window_columns(np.broadcast_to(plane, (geom.channels, h, w)), (geom.kh, geom.kw),
+                            geom.stride, geom.padding)
+    ids = ids.reshape(-1, ids.shape[-1]) + none  # square id per window cell, none in the padding
+    ranked = np.sort(ids, axis=0)
+    ranked[1:][ranked[1:] == ranked[:-1]] = none  # each square once per column
+    squares = np.sort(ranked, axis=0)[:(ranked < none).sum(axis=0).max()]
+    masks = ((ids == squares[:, None]) & (ids < none)).astype(float)
+    for a in (squares, masks):
+        a.setflags(write=False)
+    return squares, masks
+
+
 def window_columns(x, window, stride, padding):
     """Extract pooling/convolution windows of a (..., C, H, W) tensor.
 
@@ -407,36 +428,36 @@ def sparse_response(layer, in_shape, entries, values):
     return z[:-1].reshape(rows, f, geom.out_h, geom.out_w)
 
 
-def column_responses(layer, in_shape, entries, values, chunk_bytes):
-    """sparse_response of a Conv2D by unit column. Its output units form an (F, columns)
-    grid whose column holds the F filters at one output cell, which read the same window.
-    Row r of (R, E) `entries` and `values` is step r. Yields, per part of the grid within
-    `chunk_bytes` per array, (part, steps, dz): its index into the grid, the (S, n) steps
-    that touch its n columns in ascending order, padded with R, and the (S, F, n)
-    response to each step, whose changes are summed first."""
+def column_responses(layer, in_shape, entries, values, patch, chunk_bytes):
+    """sparse_response of a Conv2D by unit column, to removal steps of one entry (patch 1)
+    or one p-by-p square. Its output units form an (F, columns) grid whose column holds the
+    F filters at one output cell, which read the same window. Row r of (R, E) `entries` and
+    `values` is step r; a column's S slots are its window cells at patch 1, else the squares
+    its window overlaps (_slot_map). Yields, per part of the grid within `chunk_bytes` per
+    array, (part, steps, dz): its index into the grid, the (S, n) steps of its n columns'
+    slots in ascending order (R: never removed) and the (S, F, n) response to each slot."""
     w, count = layer.weights, len(entries)
     wt, fan_in, size = w.reshape(len(w), -1), w[0].size, int(np.prod(in_shape))
+    window = (w.shape[2:], layer.stride, layer.padding)
     step, change = np.zeros(size, int), np.zeros(size)  # step - R, 0 where never removed
     step[entries], change[entries] = np.arange(-count, 0)[:, None], values
-    step, change = (window_columns(a.reshape(in_shape), w.shape[2:], layer.stride,
-                                   layer.padding)[0].reshape(fan_in, -1) for a in (step, change))
-    n = max(1, chunk_bytes // (8 * (fan_in + 1) * max(fan_in, len(w))))
+    change = window_columns(change.reshape(in_shape), *window)[0].reshape(fan_in, -1)
+    if patch == 1:
+        step = window_columns(step.reshape(in_shape), *window)[0].reshape(fan_in, -1)
+    else:  # a square's top-left entry holds its step
+        squares, masks = _slot_map(_window_geometry(tuple(in_shape), *window), patch)
+        step = np.append(step.reshape(in_shape)[0, ::patch, ::patch], 0)[squares]
+    s = len(step)
+    n = max(1, chunk_bytes // (8 * (s + 1) * max(fan_in, len(w))))
     for lo in range(0, step.shape[1], n):
         part, cols = (slice(None), slice(lo, lo + n)), np.arange(min(n, step.shape[1] - lo))
-        # the touches of each column by ascending step; the window cell breaks ties
-        touch, order = np.divmod(np.sort(step[:, lo:lo + n] * fan_in
-                                         + np.arange(fan_in)[:, None], axis=0), fan_in)
-        touch, value = touch + count, change[order, lo + cols]
-        if entries.shape[1] == 1:  # each step changes one entry: no two touches to merge
-            yield part, touch, (np.take(wt, order, 1) * value).transpose(1, 0, 2)
-            continue
-        run = np.cumsum(np.concatenate([np.ones((1, len(cols)), bool),
-                                        touch[1:] != touch[:-1]]), axis=0) - 1
-        steps = np.full((run.max() + 1, len(cols)), count)
-        steps[run, cols] = touch
-        merged = np.zeros((len(steps), fan_in, len(cols)))
-        merged[run, order, cols] = value  # the changes of one step, summed by the product
-        yield part, steps, wt @ merged
+        # each column's slots by ascending step; the slot breaks ties
+        touch, order = np.divmod(np.sort(step[part] * s + np.arange(s)[:, None], axis=0), s)
+        if patch == 1:  # each slot is one cell: W's column times its change
+            dz = (np.take(wt, order, 1) * change[order, lo + cols]).transpose(1, 0, 2)
+        else:  # W times each slot's cells' changes, taken in step order
+            dz = (wt @ (masks[..., part[1]] * change[part]))[order, :, cols].transpose(0, 2, 1)
+        yield part, touch + count, dz
 
 
 def add_bias(z, bias):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relkit
-from relkit import evalkit, explain
+from relkit import evalkit, explain, netcore
 
 from conftest import random_dense_network
 
@@ -106,6 +106,43 @@ def test_affine_tail_is_computed_once_per_network_and_dies_with_it():
     del net
     gc.collect()
     assert ref() is None
+
+
+def test_slot_map_is_built_once_per_window_geometry_and_patch():
+    """The flip's slot map is cached read-only per (geometry, patch), as _window_index is
+    per geometry. Its build reads an integer region-id plane through window_columns, and
+    a flip at patch > 1 reads no other integer plane, so those reads count the builds."""
+    nets = [relkit.random_network((1, 8, 8), [("conv", 2, k, k, 1, padding), ("relu",),
+                                              ("flatten",), ("dense", 2)], seed=k)
+            for k, padding in ((5, 0), (3, 1))]
+    images = np.random.default_rng(8).random((2, 1, 8, 8))
+    netcore._slot_map.cache_clear()
+    real, builds = netcore.window_columns, []
+
+    def spy(x, *args):
+        if x.dtype.kind == "i":
+            builds.append(x.shape)
+        return real(x, *args)
+
+    with mock.patch.object(netcore, "window_columns", spy):
+        for count, (net, patch) in zip([1, 1, 2, 3, 3, 3], [(nets[0], 4), (nets[0], 4),
+                                                           (nets[0], 2), (nets[1], 4),
+                                                           (nets[0], 2), (nets[1], 4)]):
+            for x in images:
+                relkit.pixel_flip(net, x, relkit.simple_taylor(net, x, 1),
+                                  relkit.FlipConfig(patch=patch))
+            assert len(builds) == count
+    geoms = [netcore._window_geometry(net.input_shape, net.layers[0].weights.shape[2:], 1,
+                                      net.layers[0].padding) for net in nets]
+    maps = [netcore._slot_map(geom, patch) for geom, patch in
+            ((geoms[0], 4), (geoms[0], 2), (geoms[1], 4))]
+    assert len(builds) == 3 and netcore._slot_map(geoms[0], 4) is maps[0]
+    assert [len(regions) for regions, _ in maps] == [4, 9, 4]  # slots per column, at most
+    for array in (a for pair in maps for a in pair):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+    entries = evalkit._region_entries((1, 8, 8), 4)
+    assert evalkit._region_entries((1, 8, 8), 4) is entries and not entries.flags.writeable
 
 
 def test_patch_flipping_tiles_and_pools():

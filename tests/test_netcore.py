@@ -1,4 +1,5 @@
-"""Forward traces, gradients, log-softmax, the class-output head, and the SGD trainer."""
+"""Forward traces, gradients, log-softmax, the class-output head, the SGD trainer, and the
+window maps and sparse responses that pixel-flipping reads."""
 
 import dataclasses
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import relkit
-from relkit import netcore
+from relkit import evalkit, netcore
 from relkit.netcore import class_output, window_columns
 
 from conftest import (central_difference, random_dense_network, two_blob_data,
@@ -629,3 +630,59 @@ def test_param_grads_bias_gradient_of_a_batch_is_the_sum_over_its_samples():
                                       seed[n:n + 1], (0, 3))[idx][1] for n in range(3)]
         np.testing.assert_allclose(batch[idx][1], alone[0] + alone[1] + alone[2],
                                    rtol=1e-12, atol=1e-12)
+
+
+# (in_shape, kernel, stride, padding): windows that span one to three removal squares
+# per axis, with and without padding
+SLOT_GEOMETRIES = pytest.mark.parametrize("in_shape,kernel,stride,padding", [
+    ((1, 8, 8), 5, 1, 0), ((2, 8, 8), 3, 2, 1), ((2, 8, 8), 4, 1, 1), ((1, 8, 12), 1, 2, 0)])
+
+
+@SLOT_GEOMETRIES
+@pytest.mark.parametrize("patch", [2, 4])
+def test_slot_map_partitions_each_window_by_removal_square(in_shape, kernel, stride, padding,
+                                                          patch):
+    geom = netcore._window_geometry(in_shape, (kernel, kernel), stride, padding)
+    regions, masks = netcore._slot_map(geom, patch)
+    # the square each window cell reads, from the window index map; -1 in the padding
+    y, x = np.divmod(netcore._window_index(geom), geom.pad_w)
+    y, x = y - padding, x - padding
+    inside = (y >= 0) & (y < in_shape[1]) & (x >= 0) & (x < in_shape[2])
+    square = np.where(inside, y // patch * (in_shape[2] // patch) + x // patch, -1)
+    square = np.tile(square, (in_shape[0], 1))  # one block of window cells per channel
+    none = in_shape[1] // patch * (in_shape[2] // patch)
+    for col in range(square.shape[1]):
+        want = np.unique(square[square[:, col] >= 0, col])
+        assert regions[:len(want), col].tolist() == want.tolist()
+        assert (regions[len(want):, col] == none).all()
+        assert np.array_equal(masks[:, :, col],
+                              (square[:, col] == regions[:, col, None]).astype(float))
+    assert np.array_equal(masks.sum(axis=0), square >= 0)  # each cell in the plane, once
+
+
+@SLOT_GEOMETRIES
+@pytest.mark.parametrize("patch", [1, 2, 4])
+def test_column_responses_sum_to_the_sparse_response_rows(in_shape, kernel, stride, padding,
+                                                         patch):
+    """Both readers of a Conv2D's response to removal steps: column_responses, summed per
+    step and per unit column, gives sparse_response's row of that step at that column."""
+    rng = np.random.default_rng(kernel * 10 + patch)
+    layer = relkit.conv2d(rng.standard_normal((3, in_shape[0], kernel, kernel)),
+                          stride=stride, padding=padding)
+    regions = evalkit._region_entries(in_shape, patch)
+    entries = regions[rng.permutation(len(regions))[:len(regions) * 2 // 3]]
+    values = rng.standard_normal(entries.shape)
+    values[rng.random(values.shape) < 0.2] = 0.0
+    want = netcore.sparse_response(layer, in_shape, entries, values)
+    want = want.reshape(len(entries), 3, -1)
+    got, cols = np.zeros((len(entries) + 1,) + want.shape[1:]), np.arange(want.shape[-1])
+    chunks = 0
+    # 200 bytes hold at most a few unit columns: every geometry splits into chunks
+    for part, steps, dz in netcore.column_responses(layer, in_shape, entries, values, patch,
+                                                    200):
+        assert part[0] == slice(None) and (np.diff(steps, axis=0) >= 0).all()
+        np.add.at(got, (steps[:, None, :], np.arange(3)[:, None], cols[part[1]]), dz)
+        chunks += 1
+    assert chunks > 1
+    assert np.abs(got[:-1] - want).max() <= 1e-12 * np.abs(want).max()
+    assert not got[-1].any()  # the slots that no step removes respond with zeros

@@ -772,3 +772,61 @@ def test_forward_keeps_each_conv_layers_window_columns(arch, rows):
             assert np.array_equal(extra, winner.reshape(extra.shape))
         else:
             assert extra is None
+
+
+@st.composite
+def slot_flip_cases(draw):
+    """(arch, patch, columns per chunk, max_steps, fill, explained output) of unit-path
+    flips of whole squares: a conv (kernel 1-5, stride 1-2, padding 0-1, 1-2 channels),
+    a ReLU or none and a Dense layer, at patch 2-4, on an input of one or two more
+    squares per side than the kernel needs, so that windows span 1-3 squares per axis.
+    Chunks hold 1-4 unit columns."""
+    patch, k = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    stride, padding, channels = draw(st.integers(1, 2)), draw(st.integers(0, 1)), \
+        draw(st.integers(1, 2))
+    least = max(1, -(-(k - 2 * padding) // patch))  # squares per side that hold a window
+    in_shape = (channels,) + tuple(patch * draw(st.integers(least, least + 1)) for _ in "hw")
+    classes = draw(st.integers(1, 3))
+    plan = [("conv", draw(st.integers(1, 3)), k, k, stride, padding)]
+    plan += [("relu",)] * draw(st.booleans()) + [("flatten",), ("dense", classes)]
+    arch = (in_shape, plan, draw(st.integers(0, 2 ** 16)), draw(st.integers(0, classes - 1)))
+    return (arch, patch, draw(st.integers(1, 4)), draw(st.none() | st.integers(0, 12)),
+            draw(st.sampled_from([0.0, 0.5, -1.0])),
+            draw(st.sampled_from(relkit.netcore.EXPLAINED_OUTPUTS)))
+
+
+README_28 = ((1, 28, 28), [("conv", 8, 5, 5, 1, 0), ("relu",), ("sumpool", 2, 2, 2, 0),
+                           ("flatten",), ("dense", 2)], 0, 1)
+
+
+@BATCHED
+@given(slot_flip_cases())
+@example((README_28, 4, None, None, 0.0, "logit"))  # the benchmark's net, in one chunk
+@example((((1, 8, 8), [("conv", 2, 5, 5, 1, 0), ("relu",), ("flatten",), ("dense", 2)], 3, 1),
+          2, 2, None, 0.5, "log_probability"))  # 9 slots per column
+@example((((2, 9, 9), [("conv", 3, 3, 3, 2, 1), ("flatten",), ("dense", 3)], 5, 2),
+          3, 3, 20, -1.0, "logit"))  # windows in the padding
+def test_unit_path_flips_of_whole_squares_equal_a_per_step_forward(case):
+    arch, patch, columns, max_steps, fill, mode = case
+    net, rng, c = _built(arch)
+    x = rng.standard_normal(net.input_shape)
+    scores = rng.integers(-2, 3, net.input_shape).astype(float)
+    heatmap = relkit.Heatmap.from_scores(scores, 1.0, "t",
+                                         {"class_index": c, "explained_output": mode})
+    conv = net.layers[0]
+    slots = len(netcore._slot_map(netcore._window_geometry(
+        net.input_shape, conv.weights.shape[2:], conv.stride, conv.padding), patch)[0])
+    # chunks of `columns` unit columns, or the default budget
+    budget = evalkit._CHUNK_BYTES if columns is None else \
+        columns * 8 * (slots + 1) * max(conv.weights[0].size, len(conv.weights))
+    with mock.patch.object(evalkit, "_CHUNK_BYTES", budget), \
+            mock.patch.object(evalkit, "column_responses",
+                              wraps=evalkit.column_responses) as unit_path:
+        curve = relkit.pixel_flip(net, x, heatmap,
+                                  relkit.FlipConfig(patch=patch, fill=fill, max_steps=max_steps))
+    assert unit_path.called
+    order, values = _reference_flip(net, x, scores, c, mode, patch, fill, max_steps)
+    assert curve.order == tuple(order)
+    assert curve.values[0] == values[0]
+    assert len(curve.values) == len(values)
+    assert np.abs(np.array(curve.values) - values).max() <= 1e-12 * np.abs(values).max()

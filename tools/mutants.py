@@ -121,6 +121,14 @@ MUTANTS = (
            "live = np.flatnonzero(change.any(axis=1))",
            "live = np.flatnonzero(change.all(axis=1))",
            ("tests/test_evalkit.py",)),
+    Mutant("slot-responses-in-region-order", "src/relkit/netcore.py",
+           "change[part]))[order, :, cols]",
+           "change[part]))[np.arange(s)[:, None], :, cols]",
+           ("tests/test_netcore.py", "tests/test_properties.py")),
+    Mutant("slot-step-read-one-square-off", "src/relkit/netcore.py",
+           "step = np.append(step.reshape(in_shape)[0, ::patch, ::patch], 0)[squares]",
+           "step = np.append(0, step.reshape(in_shape)[0, ::patch, ::patch])[squares]",
+           ("tests/test_netcore.py", "tests/test_properties.py")),
     Mutant("single-layer-r-upper-unchecked", "src/relkit/explain.py",
            "if r_upper.shape != out:",
            "if False:",
