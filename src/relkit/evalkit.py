@@ -1,15 +1,16 @@
 """Quantitative explanation-quality metrics.
 
-pixel_flip measures selectivity: features (or square patches) are removed in
+pixel_flip measures selectivity: features (or p-by-p squares) are removed in
 descending order of their heatmap relevance, the model output is re-recorded
 after every removal, and the area under the resulting curve summarizes how
-fast the output collapses (lower is more selective). No removal step runs a
-whole forward: the layers past the last ReLU or MaxPool are affine, one product
-a @ M + offset, and each step's state is the last step's plus a row of changes
-from one removal record: the output z_0 of a first weighted layer that the input
-reaches unchanged or flattened plus sparse responses, or, in a net that starts
-with a ReLU or a pool, the input plus fill - x at the removed entries. The net
-picks the path:
+fast the output collapses (lower is more selective). The squares are one cached
+map, netcore's `_region_entries`, read by the removal record, the slot map and the
+unit path. No removal step runs a whole forward: the layers past the last ReLU or
+MaxPool are affine, one product a @ M + offset, and each step's state is the last
+step's plus a row of changes from one removal record: the output z_0 of a first
+weighted layer that the input reaches unchanged or flattened plus sparse responses,
+or, in a net that starts with a ReLU or a pool, the input plus fill - x at the
+removed entries. The net picks the path:
 - if that layer is a Conv2D and only a ReLU or nothing lies between it and the
   affine layers (the README conv net), the unit path runs each unit column over
   the removal regions its window overlaps, units x fan-in work in chunks of columns;
@@ -24,14 +25,13 @@ small input perturbations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .explain import _explanation_meta, _heatmap_scores, _term
 from .netcore import (WEIGHTED_KINDS, WINDOWED_KINDS, _CHUNK_BYTES, _forward_rows, _reverse_sweep,
-                      as_tensor, class_output, column_responses, finite_number, forward,
-                      require_finite, require_int, sample_bytes, sparse_response, window_columns)
+                      _region_entries, as_tensor, class_output, column_responses, finite_number,
+                      forward, require_finite, require_int, sample_bytes, sparse_response)
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,6 @@ def auc(values):
         return float(values[0])
     area = values[1:-1].sum() + 0.5 * (values[0] + values[-1])
     return float(area / (values.size - 1))
-
-
-@lru_cache(maxsize=64)
-def _region_entries(shape, patch):
-    """Read-only (regions, entries) array of the flat indices into `shape` of each
-    removal region: every entry alone (patch 1), or each p-by-p square of the last two
-    axes, squares in row-major order and entries in flat order."""
-    entries = np.arange(int(np.prod(shape))).reshape(-1, 1)
-    if patch > 1:
-        if len(shape) < 2:
-            raise ValueError("patch flipping needs at least a 2-D input")
-        h, w = shape[-2:]
-        if h % patch or w % patch:
-            raise ValueError(f"{patch}x{patch} patches do not tile a {h}x{w} input")
-        cols, _ = window_columns(entries.reshape(-1, h, w), (patch, patch), patch, 0)
-        entries = cols.transpose(2, 0, 1).reshape(cols.shape[-1], -1)
-    entries.setflags(write=False)
-    return entries
 
 
 def pixel_flip(network, x, heatmap, config=FlipConfig()):

@@ -19,9 +19,9 @@ names and out-of-range or non-integer classes. Every windowed layer reads its
 windows as `window_columns`, a copy of one strided view of the zero-padded
 input plane; one cached index map, `_window_index`, of flat positions in that
 plane gives their adjoint and the MaxPool winner scatter as one `bincount`.
-A weighted layer's bias-free response to sparse input changes comes one row per
-change (`sparse_response`) or one unit column at a time (`column_responses`), over the
-removal squares each window overlaps: the cached slot map, `_slot_map`.
+A weighted layer's bias-free response to sparse input changes comes one row per change
+(`sparse_response`) or by unit column (`column_responses`), over the removal squares of one
+cached map, `_region_entries`, that the flip's removal record and slot map (`_slot_map`) read.
 
 Every kernel has one implementation, over batches with a leading axis of N
 samples: the layer kernels, the operator pair `linear_pair`, the reverse
@@ -302,15 +302,33 @@ def _window_inverse(geom):
 
 
 @lru_cache(maxsize=64)
+def _region_entries(shape, patch):
+    """Read-only (regions, entries) flat indices into `shape` of each removal region: every
+    entry alone (patch 1), or each p-by-p square of the last two axes across the leading
+    ones, squares row-major and entries in flat order. The one map of the squares."""
+    entries = np.arange(int(np.prod(shape))).reshape(-1, 1)
+    if patch > 1:
+        if len(shape) < 2:
+            raise ValueError("patch flipping needs at least a 2-D input")
+        h, w = shape[-2:]
+        if h % patch or w % patch:
+            raise ValueError(f"{patch}x{patch} patches do not tile a {h}x{w} input")
+        squares = entries.reshape(-1, h // patch, patch, w // patch, patch)
+        entries = squares.transpose(1, 3, 0, 2, 4).reshape(h * w // patch ** 2, -1)
+    entries.setflags(write=False)
+    return entries
+
+
+@lru_cache(maxsize=64)
 def _slot_map(geom, patch):
-    """Read-only slots of each output cell's window at patch > 1, the p-by-p squares it
-    overlaps: (S, out_h*out_w) square ids (row-major), each column's ascending, then the
-    square count for none, and (S, C*kh*kw, out_h*out_w) masks, 1.0 in each slot's square."""
-    h, w = geom.pad_h - 2 * geom.padding, geom.pad_w - 2 * geom.padding
-    none = h // patch * (w // patch)
-    plane = np.arange(h)[:, None] // patch * (w // patch) + np.arange(w) // patch - none
-    ids, _ = window_columns(np.broadcast_to(plane, (geom.channels, h, w)), (geom.kh, geom.kw),
-                            geom.stride, geom.padding)
+    """Read-only slots of each output cell's window at patch > 1, the squares of
+    _region_entries it overlaps: (S, out_h*out_w) square ids, each column's ascending, then
+    the square count for none, and (S, C*kh*kw, out_h*out_w) masks, 1.0 in each slot's square."""
+    shape = (geom.channels, geom.pad_h - 2 * geom.padding, geom.pad_w - 2 * geom.padding)
+    regions = _region_entries(shape, patch)
+    plane, none = np.empty(regions.size, int), len(regions)  # square id - none per entry
+    plane[regions] = np.arange(-none, 0)[:, None]
+    ids, _ = window_columns(plane.reshape(shape), (geom.kh, geom.kw), geom.stride, geom.padding)
     ids = ids.reshape(-1, ids.shape[-1]) + none  # square id per window cell, none in the padding
     ranked = np.sort(ids, axis=0)
     ranked[1:][ranked[1:] == ranked[:-1]] = none  # each square once per column
@@ -444,9 +462,9 @@ def column_responses(layer, in_shape, entries, values, patch, chunk_bytes):
     change = window_columns(change.reshape(in_shape), *window)[0].reshape(fan_in, -1)
     if patch == 1:
         step = window_columns(step.reshape(in_shape), *window)[0].reshape(fan_in, -1)
-    else:  # a square's top-left entry holds its step
+    else:  # a square's first entry holds its step
         squares, masks = _slot_map(_window_geometry(tuple(in_shape), *window), patch)
-        step = np.append(step.reshape(in_shape)[0, ::patch, ::patch], 0)[squares]
+        step = np.append(step[_region_entries(tuple(in_shape), patch)[:, 0]], 0)[squares]
     s = len(step)
     n = max(1, chunk_bytes // (8 * (s + 1) * max(fan_in, len(w))))
     for lo in range(0, step.shape[1], n):

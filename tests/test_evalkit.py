@@ -145,6 +145,25 @@ def test_slot_map_is_built_once_per_window_geometry_and_patch():
     assert evalkit._region_entries((1, 8, 8), 4) is entries and not entries.flags.writeable
 
 
+@pytest.mark.parametrize("shape", [(12, 24), (1, 12, 12), (2, 24, 12), (3, 12, 24)])
+@pytest.mark.parametrize("patch", [1, 2, 3, 4])
+def test_the_region_map_holds_the_removal_regions(shape, patch):
+    """netcore._region_entries, the one map of the removal squares, lists each region's
+    flat entries in the order removal_regions slices them, for 2-D and (C, H, W) inputs."""
+    planes = np.arange(int(np.prod(shape))).reshape((-1,) + shape[-2:])
+    expected = [planes[region].ravel() for region in removal_regions(planes.shape, patch)]
+    assert netcore._region_entries(shape, patch).tolist() == np.array(expected).tolist()
+
+
+def test_the_region_map_is_one_object_and_keeps_its_messages():
+    assert evalkit._region_entries is netcore._region_entries
+    with pytest.raises(ValueError, match=re.escape("patch flipping needs at least a 2-D input")):
+        netcore._region_entries((8,), 2)
+    with pytest.raises(ValueError, match=re.escape("4x4 patches do not tile a 6x6 input")):
+        netcore._region_entries((1, 6, 6), 4)
+    assert netcore._region_entries((8,), 1).tolist() == [[i] for i in range(8)]
+
+
 def test_patch_flipping_tiles_and_pools():
     rng = np.random.default_rng(127)
     net = relkit.random_network(
@@ -534,4 +553,25 @@ def test_max_steps_may_end_inside_a_run_of_no_op_steps(arch, patch):
     values, forwards, noop = flip_with_forwards(arch, x, scores, patch=patch, max_steps=5)
     assert noop.tolist() == [False, False, False, True, True]
     assert values[3] == values[4] == values[5]
+    assert_no_op_steps_repeat_bitwise(values, forwards, noop)
+
+
+# A LeNet-shaped net: its MaxPool between the Conv2D and the affine tail keeps it off the
+# unit path, so its flips run the row path from the Conv2D's sparse responses
+LENET_NET = ((1, 12, 12), [("conv", 4, 5, 5, 1, 0), ("relu",), ("maxpool", 2, 2, 2, 0),
+                           ("flatten",), ("dense", 2)], 14, 1)
+
+
+@pytest.mark.parametrize("patch", [1, 2, 4])
+@pytest.mark.parametrize("fill", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["logit", "log_probability"])
+def test_a_lenet_net_flips_from_conv_sparse_responses(patch, fill, mode):
+    x = zeros_input(LENET_NET[0], 27)
+    scores = np.random.default_rng(28).standard_normal(x.shape)
+    with mock.patch.object(evalkit, "_unit_curve", wraps=evalkit._unit_curve) as unit_path, \
+            mock.patch.object(evalkit, "sparse_response", wraps=evalkit.sparse_response) as rows:
+        values, forwards, noop = flip_with_forwards(LENET_NET, x, scores, mode, patch=patch,
+                                                    fill=fill)
+    assert not unit_path.called and rows.called
+    assert {call.args[0].kind for call in rows.call_args_list} == {"Conv2D"}
     assert_no_op_steps_repeat_bitwise(values, forwards, noop)

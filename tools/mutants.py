@@ -126,9 +126,17 @@ MUTANTS = (
            "change[part]))[np.arange(s)[:, None], :, cols]",
            ("tests/test_netcore.py", "tests/test_properties.py")),
     Mutant("slot-step-read-one-square-off", "src/relkit/netcore.py",
-           "step = np.append(step.reshape(in_shape)[0, ::patch, ::patch], 0)[squares]",
-           "step = np.append(0, step.reshape(in_shape)[0, ::patch, ::patch])[squares]",
+           "step = np.append(step[_region_entries(tuple(in_shape), patch)[:, 0]], 0)[squares]",
+           "step = np.append(0, step[_region_entries(tuple(in_shape), patch)[:, 0]])[squares]",
            ("tests/test_netcore.py", "tests/test_properties.py")),
+    Mutant("region-squares-column-major", "src/relkit/netcore.py",
+           "entries = squares.transpose(1, 3, 0, 2, 4)",
+           "entries = squares.transpose(3, 1, 0, 2, 4)",
+           ("tests/test_evalkit.py",)),
+    Mutant("window-inverse-unread-cells-hit-cell-0", "src/relkit/netcore.py",
+           "inverse = np.full((geom.pad_h * geom.pad_w, len(index)), index.shape[1])",
+           "inverse = np.full((geom.pad_h * geom.pad_w, len(index)), 0)",
+           ("tests/test_evalkit.py",)),
     Mutant("single-layer-r-upper-unchecked", "src/relkit/explain.py",
            "if r_upper.shape != out:",
            "if False:",
