@@ -144,13 +144,12 @@ _EXPLAINED_OUTPUT = {"logit": "logit", "logprob": "log_probability"}
 
 
 def _method(args, model_file):
-    """The --method, built once per command: its RuleConfig (None for sensitivity and
-    taylor) and a (network, x, class) -> Heatmap function. --input-domain auto is pixel
-    when the model stores input bounds, else real; pixel without stored bounds takes
-    the box [0, 1]."""
+    """The --method, built once per command: its RuleConfig (None for a gradient explainer)
+    and a (network, x, class) -> Heatmap function. --input-domain auto is pixel when the
+    model stores input bounds, else real; pixel without stored bounds takes the box [0, 1]."""
     output = _EXPLAINED_OUTPUT[args.output]
     if args.method != "lrp":
-        gradient = {"sensitivity": explain.sensitivity, "taylor": explain.simple_taylor}[args.method]
+        gradient = explain.GRADIENT_EXPLAINERS[args.method]
         return None, lambda net, x, c: gradient(net, x, c, output)
     low, high = model_file.input_low, model_file.input_high
     auto = "real" if low is None else "pixel"
@@ -229,7 +228,8 @@ def _cmd_explain(args):
 def _cmd_prototype(args):
     if args.clip and not (np.isfinite(args.clip).all() and args.clip[0] <= args.clip[1]):
         raise ValueError("--clip needs finite LOW <= HIGH, got {!r} {!r}".format(*args.clip))
-    network = modelio.load_model(args.model)
+    model_file = modelio.load_model_file(args.model)
+    network = model_file.network
 
     data_mean = None
     images = None
@@ -245,10 +245,9 @@ def _cmd_prototype(args):
             raise ValueError("--regularizer l2mean needs --data for the mean")
         regularizer = prototype.MeanAnchoredL2(args.lam, data_mean)
     elif args.regularizer == "expert":
-        source = args.expert or args.model
-        expert = modelio.load_model_file(source).expert
+        expert = (modelio.load_model_file(args.expert) if args.expert else model_file).expert
         if expert is None:
-            raise ValueError(f"{source} contains no expert parameters")
+            raise ValueError(f"{args.expert or args.model} contains no expert parameters")
         regularizer = prototype.ExpertPrior(expert)
 
     localization = None
@@ -339,7 +338,7 @@ def _cmd_render(args):
 
 
 def _add_method_flags(sub):
-    sub.add_argument("--method", choices=("sensitivity", "taylor", "lrp"), default="lrp")
+    sub.add_argument("--method", choices=(*explain.GRADIENT_EXPLAINERS, "lrp"), default="lrp")
     sub.add_argument("--rule", choices=explain.LRP_RULES, default=explain.DEEP_TAYLOR)
     sub.add_argument("--epsilon", type=float, default=1e-9,
                      help="epsilon for --rule epsilon")

@@ -18,8 +18,8 @@ removed entries. The net picks the path:
   steps x the middle's forward.
 A step whose removed entries already hold `fill` changes nothing: no path runs
 it, and its value repeats the last one bitwise.
-continuity_estimate probes how violently an explanation can change under
-small input perturbations.
+continuity_estimate probes how violently an explanation can change under small input
+perturbations. Both read scores through explain._heatmap_scores, which checks their shape.
 """
 
 from __future__ import annotations
@@ -95,9 +95,7 @@ def pixel_flip(network, x, heatmap, config=FlipConfig()):
     value bitwise.
     """
     x = as_tensor(x, "input")
-    scores = _heatmap_scores(heatmap)
-    if scores.shape != x.shape:
-        raise ValueError(f"heatmap shape {scores.shape} does not match input {x.shape}")
+    scores = _heatmap_scores(heatmap, x.shape)
     if "class_index" not in heatmap.meta:
         raise ValueError("heatmap metadata lacks class_index")
     class_index = require_int("class_index", heatmap.meta["class_index"])
@@ -208,7 +206,7 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
     probes = [as_tensor(p, "probe") for p in probes]
     if not probes:
         raise ValueError("probes must hold at least one probe")
-    base = [_heatmap_scores(explainer(network, p)) for p in probes]
+    base = [_heatmap_scores(explainer(network, p), p.shape) for p in probes]
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):
@@ -218,7 +216,7 @@ def continuity_estimate(explainer, network, probes, delta, trials, seed):
             if norm == 0.0:
                 continue
             perturbed = p + (delta / norm) * direction
-            r1 = _heatmap_scores(explainer(network, perturbed))
+            r1 = _heatmap_scores(explainer(network, perturbed), p.shape)
             ratio = np.abs(r0 - r1).sum() / np.linalg.norm(p - perturbed)
             best = max(best, float(ratio))
     return best

@@ -1,11 +1,12 @@
 """Explanation of individual predictions by relevance decomposition.
 
-Backward relevance propagation with per-layer rules (alpha/beta excitatory
-split, epsilon-stabilized, squared-weight and bounded-input first-layer
-rules, pooling policies), plus the gradient-based sensitivity and simple
-Taylor explainers. All explainers emit input-shaped Heatmaps. The paper's rule
-stacks are named once, in LRP_RULES, ALPHA_BETA and INPUT_DOMAINS, and built by
-rule_config, which deep_taylor_config, alphabeta_config and epsilon_config enter.
+Backward relevance propagation with per-layer rules (alpha/beta excitatory split,
+epsilon-stabilized, squared-weight and bounded-input first-layer rules, pooling policies),
+plus the gradient-based sensitivity and simple Taylor explainers. All explainers emit
+input-shaped Heatmaps, whose every reader checks the scores in _heatmap_scores: finite,
+and of the shape the reader gives. The paper's rule stacks and gradient explainers are
+named once, in LRP_RULES, ALPHA_BETA, INPUT_DOMAINS and GRADIENT_EXPLAINERS; rule_config
+builds the stacks, and deep_taylor_config, alphabeta_config and epsilon_config enter it.
 
 Each weighted-layer rule is written once, against the layer's bias-free
 linear operator pair (apply, apply_T) from netcore.linear_pair, as the
@@ -65,10 +66,12 @@ class Heatmap:
                    method_tag, dict(meta or {}))
 
 
-def _heatmap_scores(result):
-    """An explainer's scores (a Heatmap's or a bare array) as float64; rejects non-finite ones."""
+def _heatmap_scores(result, shape=None, noun="input"):
+    """Scores (a Heatmap's or an array) as float64: finite, of `shape` (the `noun`'s) if given."""
     scores = np.asarray(getattr(result, "scores", result), dtype=np.float64)
     require_finite(f"{getattr(result, 'method_tag', 'explainer')} heatmap scores", scores)
+    if shape is not None and scores.shape != shape:
+        raise ValueError(f"heatmap shape {scores.shape} does not match {noun} {shape}")
     return scores
 
 
@@ -498,11 +501,12 @@ def _first_layer_bound(network, bound, name):
                      f"or the input shape {network.input_shape}")
 
 
-# Named LRP rule stacks (alpha/beta ones with their (alpha, beta)) and input domains
+# Named LRP rule stacks (alpha/beta ones with (alpha, beta)), input domains, gradient explainers
 ALPHA_BETA = {"alpha1beta0": (1.0, 0.0), "alpha2beta1": (2.0, 1.0)}
 DEEP_TAYLOR, EPSILON = "deeptaylor", "epsilon"
 LRP_RULES = (DEEP_TAYLOR, *ALPHA_BETA, EPSILON)
 INPUT_DOMAINS = ("relu", "pixel", "real")
+GRADIENT_EXPLAINERS = {"sensitivity": sensitivity, "taylor": simple_taylor}
 
 
 def rule_config(network, rule, input_domain="relu", low=None, high=None, epsilon=1e-9,

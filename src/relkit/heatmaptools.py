@@ -1,7 +1,7 @@
 """Heatmap post-processing: region pooling, translation averaging, sliding
 window explanation of oversized images, pattern masking, and PPM rendering.
-Scores are read through explain._heatmap_scores, so a non-finite score is a
-ValueError naming the heatmap's method tag, never a NaN sum, average or image."""
+Scores are read through explain._heatmap_scores: a non-finite score, or a map that is not
+the image's shape, is a ValueError, never a NaN sum, average, image or misshapen map."""
 
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def translation_average(explainer, network, image, shifts):
         if not isinstance(hm, Heatmap):
             raise ValueError(f"translation_average needs an explainer that returns a Heatmap, "
                              f"got {type(hm).__name__}")
-    restored = [shift_image(_heatmap_scores(hm), (-dy, -dx))
+    restored = [shift_image(_heatmap_scores(hm, image.shape, "image"), (-dy, -dx))
                 for hm, (dy, dx) in zip(maps, shifts)]
     meta = dict(maps[0].meta)
     meta["shifts"] = shifts
@@ -135,9 +135,7 @@ def pattern(image, heatmap, normalization="clip", percentile=99.0):
     directly. The result stays inside the image's value range.
     """
     image = as_tensor(image, "image")
-    scores = _heatmap_scores(heatmap)
-    if scores.shape != image.shape:
-        raise ValueError(f"heatmap shape {scores.shape} does not match image {image.shape}")
+    scores = _heatmap_scores(heatmap, image.shape, "image")
     if normalization not in ("rescale", "clip"):
         raise ValueError('normalization must be "rescale" or "clip"')
     if not (finite_number(percentile) and 0 <= percentile <= 100):

@@ -1,13 +1,13 @@
 """Serialization: model JSON files, IDX image/label datasets, and the CSV
 formats used for heatmaps, prototypes, and flip curves.
 
-Model files are UTF-8 JSON with sorted keys and round-trip-exact decimal
-floats, so saving is deterministic and loading reproduces forward outputs
-bit-exactly. Loading checks the JSON structure here and leaves the values to
-the constructors (LayerSpec, Network, RbmExpert, ZBounds); any error is a
-ModelFormatError that starts with where in the file it happened. Metadata
-JSON writes NumPy arrays and scalars as lists and numbers. Datasets use the
-IDX binary container (big-endian header, unsigned bytes rescaled to [0, 1]).
+Model files are UTF-8 JSON with sorted keys and round-trip-exact decimal floats, so saving
+is deterministic and loading reproduces forward outputs bit-exactly. Loading checks the
+JSON structure here and leaves the values to the constructors (LayerSpec, Network,
+RbmExpert, ZBounds); any error is a ModelFormatError that starts with where in the file it
+happened. Saving refuses the bounds and experts that loading refuses, by the same checks.
+Metadata JSON writes NumPy arrays and scalars as lists and numbers. Datasets use the IDX
+binary container (big-endian header, unsigned bytes rescaled to [0, 1]).
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ def save_model(network, path, expert=None, input_bounds=None):
                                                for key in LAYER_FIELDS[layer.kind]}}
                       for layer in network.layers]}
     if expert is not None:
+        expert.require_dim(math.prod(network.input_shape))
         doc["expert"] = {f.name: getattr(expert, f.name) for f in fields(expert)}
     if input_bounds is not None:
-        low, high = check_input_bounds(*input_bounds)
+        low, high = check_input_bounds(*input_bounds, input_shape=network.input_shape)
         doc["input_bounds"] = {"low": low, "high": high}
     Path(path).write_text(_json_text(doc) + "\n", encoding="utf-8")
 
@@ -81,13 +82,17 @@ def _json_text(value, depth=0):
     return f"{brackets[0]}{inner}{body}\n{' ' * depth}{brackets[1]}" if body else brackets
 
 
-def check_input_bounds(low, high, where="input_bounds"):
-    """(low, high) as the box rule ZBounds takes them: finite, with low <= 0 <=
-    high elementwise; otherwise a ValueError that names `where`."""
+def check_input_bounds(low, high, where="input_bounds", input_shape=None):
+    """(low, high) as the box rule ZBounds takes them: finite, low <= 0 <= high elementwise,
+    and broadcasting to `input_shape` if given; otherwise a ValueError naming `where`."""
     try:
         box = ZBounds(low, high)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+    for key, bound in zip(("low", "high"), (box.low, box.high)):
+        if input_shape is not None and not broadcasts_to(bound.shape, input_shape):
+            raise ValueError(f"{where}.{key}: shape {bound.shape} does not broadcast to the "
+                             f"input shape {input_shape}")
     return box.low, box.high
 
 
@@ -186,22 +191,18 @@ def load_model_file(path):
         params = [_numbers(_require(doc["expert"], f.name, "expert"), f"expert: '{f.name}'")
                   for f in fields(RbmExpert)]
         expert = _built("expert", RbmExpert, *params)
+        _built(path, expert.require_dim, math.prod(network.input_shape))
     low = high = None
     if "input_bounds" in doc:
-        low, high = (_input_bound(doc["input_bounds"], key, network.input_shape)
-                     for key in ("low", "high"))
-        _built(path, check_input_bounds, low, high)
+        low, high = (_input_bound(doc["input_bounds"], key) for key in ("low", "high"))
+        _built(path, check_input_bounds, low, high, input_shape=network.input_shape)
     return ModelFile(network, expert, low, high)
 
 
-def _input_bound(doc, key, input_shape):
+def _input_bound(doc, key):
     where = f"input_bounds.{key}"
     values = _numbers(_require(doc, key, "input_bounds"), where)
-    bound = _built(where, as_tensor, values, "bound")
-    if not broadcasts_to(bound.shape, input_shape):
-        raise ModelFormatError(f"{where}: shape {bound.shape} does not broadcast to the "
-                               f"input shape {input_shape}")
-    return bound
+    return _built(where, as_tensor, values, "bound")
 
 
 def load_model(path):

@@ -55,6 +55,10 @@ class RbmExpert:
     def dim(self):
         return self.factor_weights.shape[1]
 
+    def require_dim(self, size):
+        if size != self.dim:
+            raise ValueError(f"expert expects dimension {self.dim}, got {size}")
+
 
 def _sigmoid(z):
     # tanh form stays finite for any float input
@@ -64,8 +68,7 @@ def _sigmoid(z):
 def rbm_log_density(expert, x):
     """Log-density (up to the constant) and its gradient at a flat point x."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != expert.dim:
-        raise ValueError(f"expert expects dimension {expert.dim}, got {x.shape[0]}")
+    expert.require_dim(x.shape[0])
     pre = expert.factor_weights @ x + expert.factor_biases
     value = float(np.logaddexp(0.0, pre).sum() - 0.5 * x @ (expert.precision @ x))
     grad = expert.factor_weights.T @ _sigmoid(pre) - expert.precision @ x

@@ -588,14 +588,20 @@ def expert_model_path(model_path, tmp_path_factory):
 
 
 @pytest.mark.parametrize("source", ["model", "expert-flag"])
-def test_prototype_with_the_expert_regularizer(model_path, expert_model_path, tmp_path, source):
-    # the expert comes from the --model file itself or from --expert FILE
+def test_prototype_with_the_expert_regularizer(model_path, expert_model_path, tmp_path, source,
+                                               monkeypatch):
+    # the expert comes from the --model file itself or from --expert FILE, and each
+    # file is read once
     model, extra = ((expert_model_path, []) if source == "model"
                     else (model_path, ["--expert", expert_model_path]))
+    read, load = [], relkit.modelio.load_model_file
+    monkeypatch.setattr(relkit.modelio, "load_model_file",
+                        lambda path: read.append(path) or load(path))
     out = tmp_path / "proto.csv"
     code = main(["prototype", "--model", model, *extra, "--class", "1",
                  "--regularizer", "expert", "--steps", "20", "--out", str(out)])
     assert code == 0
+    assert read == [model, *extra[1:]]
     arr, meta = relkit.modelio.load_tensor_csv(out)
     assert arr.shape == (1, 12, 12) and meta["iterations"] >= 1
 

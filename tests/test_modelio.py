@@ -191,12 +191,15 @@ def test_input_bounds_must_broadcast_to_the_input_shape(tmp_path):
     net = relkit.random_network((1, 6, 6), [("conv", 2, 3, 3, 1, 0), ("relu",),
                                             ("flatten",), ("dense", 2)], seed=107)
     path = tmp_path / "model.json"
-    relkit.save_model(net, path, input_bounds=(np.zeros(5), 1.0))
-    with pytest.raises(ModelFormatError, match=r"input_bounds\.low"):
-        relkit.load_model_file(path)
-    relkit.save_model(net, path, input_bounds=(0.0, np.ones((2, 6, 6))))
-    with pytest.raises(ModelFormatError, match=r"input_bounds\.high"):
-        relkit.load_model_file(path)
+    for bounds, key in [((np.zeros(5), 1.0), "low"), ((0.0, np.ones((2, 6, 6))), "high")]:
+        # save_model refuses these bounds, so the document is written directly
+        path.write_text(json.dumps(_tolist_document(net, input_bounds=bounds)))
+        with pytest.raises(ModelFormatError, match=rf"input_bounds\.{key}") as read:
+            relkit.load_model_file(path)
+        with pytest.raises(ValueError) as saved:
+            relkit.save_model(net, tmp_path / "saved.json", input_bounds=bounds)
+        assert str(read.value) == f"{path}: {saved.value}"
+    assert not (tmp_path / "saved.json").exists()
     relkit.save_model(net, path, input_bounds=(np.zeros((1, 6, 6)), np.ones(6)))
     loaded = relkit.load_model_file(path)
     assert loaded.input_low.shape == (1, 6, 6) and loaded.input_high.shape == (6,)
@@ -556,8 +559,8 @@ FORMAT_CASES = {
     "scalar-bounds": lambda: (_conv_net("maxpool"), None, (0.0, 1.0)),
     "input-shaped-bounds": lambda: (_conv_net("sumpool"), None, (
         -np.random.default_rng(7).random((2, 7, 7)), np.linspace(0.0, 2.0, 98).reshape(2, 7, 7))),
-    "edge-values": lambda: (_edge_net(), None, (-np.array(EDGE_VALUES[:4]).reshape(1, 2, 2),
-                                                np.array(EDGE_VALUES[3:]).reshape(1, 2, 2))),
+    "edge-values": lambda: (_edge_net(), None, (-np.array(EDGE_VALUES[:4]).reshape(1, 1, 4),
+                                                np.array(EDGE_VALUES[3:]).reshape(1, 1, 4))),
 }
 
 

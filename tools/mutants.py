@@ -165,6 +165,18 @@ MUTANTS = (
            "rgb[..., 0] = np.rint(255.0 * t).astype(np.uint8)",
            "rgb[..., 0] = (255.0 * t).astype(np.uint8)",
            ("tests/test_heatmaptools.py",)),
+    Mutant("score-reader-shape-unchecked", "src/relkit/explain.py",
+           "if shape is not None and scores.shape != shape:",
+           "if False:",
+           ("tests/test_shared_checks.py",)),
+    Mutant("saved-bounds-not-checked-against-the-input", "src/relkit/modelio.py",
+           "check_input_bounds(*input_bounds, input_shape=network.input_shape)",
+           "check_input_bounds(*input_bounds)",
+           ("tests/test_shared_checks.py",)),
+    Mutant("expert-size-unchecked", "src/relkit/prototype.py",
+           "if size != self.dim:",
+           "if False:",
+           ("tests/test_shared_checks.py",)),
     Mutant("idx-images-truncated", "src/relkit/modelio.py",
            "arr = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)",
            "arr = (np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)",
