@@ -245,9 +245,14 @@ def _cmd_prototype(args):
             raise ValueError("--regularizer l2mean needs --data for the mean")
         regularizer = prototype.MeanAnchoredL2(args.lam, data_mean)
     elif args.regularizer == "expert":
+        source = args.expert or args.model
         expert = (modelio.load_model_file(args.expert) if args.expert else model_file).expert
         if expert is None:
-            raise ValueError(f"{args.expert or args.model} contains no expert parameters")
+            raise ValueError(f"{source} contains no expert parameters")
+        try:  # an --expert file's expert must fit this network, checked before the search
+            expert.require_dim(int(np.prod(network.input_shape)))
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
         regularizer = prototype.ExpertPrior(expert)
 
     localization = None

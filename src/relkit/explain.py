@@ -13,6 +13,9 @@ linear operator pair (apply, apply_T) from netcore.linear_pair, as the
 four-step scheme z <- apply(rho(w), a); s <- R / z; c <- apply_T(rho(w), s);
 R <- a * c, where rho is the rule's weight transform (W+, W-, W^2 or W
 itself). Dense and Conv2D layers differ only in their operator pair.
+Epsilon and z^B take z from the trace's layer output W a + b (z^B subtracts b, W+ l and
+W- h), and z^B returns the root-point form (a - l) * apply_T(W+, s) + (a - h) *
+apply_T(W-, s): one weight product per epsilon layer, two per z^B layer.
 W+, W-, W^2, the W^2 denominator and the z^B box offsets are computed once per
 layer on first use and live as long as the LayerSpec (and the ZBounds) does.
 The rules, the pool rule and the backward sweep work on (N, ...) batches over
@@ -211,15 +214,19 @@ def _term(owners, key, make):
     return terms[key] if key in terms else terms.setdefault(key, make())
 
 
-def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
+def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None, out=None):
     """Four-step pass z = apply(rho(w), a); s = R / z; c = apply_T(rho(w), s);
     R = a * c of one weighted-layer rule over the layer's operator pair, for
     an (N, ...) batch of layer inputs `a` and upper relevances `r_upper`. The
-    terms that do not depend on `a` are computed at N=1 and cached on `layer`."""
+    terms that do not depend on `a` are computed at N=1 and cached on `layer`.
+    Epsilon and z^B read their z from `out`, the layer output add_bias(apply(w, a),
+    bias) that a forward trace holds, and compute it only when it is not given."""
     apply, apply_T = pair
     in_shape = a.shape[1:]
+    if out is None and isinstance(rule, (Epsilon, ZBounds)):
+        out = add_bias(apply(w, a), bias)
     if isinstance(rule, Epsilon):
-        z = add_bias(apply(w, a), bias)
+        z = out  # epsilon's z includes the bias
         # sign(0) is taken as +1 so a zero denominator stays finite
         denom = np.where(z >= 0, z + rule.epsilon, z - rule.epsilon)
         return a * apply_T(w, r_upper / denom)
@@ -235,9 +242,10 @@ def _redistribute(pair, a, w, bias, r_upper, rule, stabilizer, layer=None):
         offset = _term((rule, layer), in_shape, lambda: (
             apply(w_pos, np.broadcast_to(rule.low, (1,) + in_shape)),
             apply(w_neg, np.broadcast_to(rule.high, (1,) + in_shape))))
-        z = apply(w, a) - offset[0] - offset[1]
+        z = add_bias(out - offset[0] - offset[1], -bias)
         s = safe_divide(r_upper, z, stabilizer)
-        return a * apply_T(w, s) - rule.low * apply_T(w_pos, s) - rule.high * apply_T(w_neg, s)
+        # the root-point form: input i's share of unit j is (a_i - l_i) w+_ij + (a_i - h_i) w-_ij
+        return (a - rule.low) * apply_T(w_pos, s) + (a - rule.high) * apply_T(w_neg, s)
     # AlphaBeta: the positive part, mirrored over the negative part. Units
     # whose positive denominator vanishes absorb their relevance; units with
     # an empty negative branch redistribute with alpha_eff = 1 so the layer
@@ -332,11 +340,12 @@ def _check_box(rule, in_shape, where=""):
                              f"broadcast to the layer's input shape {in_shape}")
 
 
-def _propagate(layer, x, extra, r_upper, rule, stabilizer):
-    """Relevance at the (N, ...) input `x` of one layer under its rule."""
+def _propagate(layer, x, extra, r_upper, rule, stabilizer, out=None):
+    """Relevance at the (N, ...) input `x` of one layer under its rule; a weighted
+    layer reads its output `out` from the trace, when there is one."""
     if layer.kind in WEIGHTED_KINDS:
         return _redistribute(linear_pair(layer, x.shape[1:], row_stable=True), x,
-                             layer.weights, layer.bias, r_upper, rule, stabilizer, layer)
+                             layer.weights, layer.bias, r_upper, rule, stabilizer, layer, out)
     if layer.kind in POOL_KINDS:
         return _pool_rule(layer, x, extra, r_upper, rule, stabilizer)
     return r_upper.reshape(x.shape)  # ReLU and Flatten hand relevance through
@@ -384,7 +393,7 @@ def _backward_sweep(network, batch, class_index, config, mask_at=None, mask=None
 
     def step(idx, r_upper):
         r = _propagate(network.layers[idx], inputs[idx], aux[idx], r_upper,
-                       config.layer_rules[idx], config.stabilizer)
+                       config.layer_rules[idx], config.stabilizer, inputs[idx + 1])
         return r * mask if idx == mask_at else r
 
     seed = r * mask if mask_at == len(network.layers) else r

@@ -606,6 +606,27 @@ def test_prototype_with_the_expert_regularizer(model_path, expert_model_path, tm
     assert arr.shape == (1, 12, 12) and meta["iterations"] >= 1
 
 
+def test_prototype_refuses_an_expert_file_of_another_input_size(model_path, tmp_path, capsys,
+                                                                monkeypatch):
+    # the --expert file's own (1, 3, 3) net loads; its 9-dimension expert does not fit
+    # the (1, 12, 12) --model net, which is refused, naming the file, before the search
+    rng = np.random.default_rng(6)
+    small = relkit.random_network((1, 3, 3), [("flatten",), ("dense", 2)], seed=0)
+    other = tmp_path / "other.json"
+    relkit.save_model(small, other, expert=relkit.RbmExpert(
+        0.1 * rng.standard_normal((2, 9)), np.zeros(2), np.eye(9)))
+    searched, search = [], relkit.prototype.activation_maximize
+    monkeypatch.setattr(relkit.prototype, "activation_maximize",
+                        lambda *args: searched.append(args) or search(*args))
+    out = tmp_path / "proto.csv"
+    code = main(["prototype", "--model", model_path, "--expert", str(other), "--class", "1",
+                 "--regularizer", "expert", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"relkit: error: {other}: expert expects dimension 9, got 144" in captured.err
+    assert searched == [] and captured.out == "" and not out.exists()
+
+
 def test_prototype_expert_regularizer_needs_an_expert(model_path, tmp_path, capsys):
     out = tmp_path / "proto.csv"
     code = main(["prototype", "--model", model_path, "--class", "1",

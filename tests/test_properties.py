@@ -450,6 +450,43 @@ def test_batched_lrp_rows_equal_single_image_lrp_bitwise(arch, rows, chunk, expl
             assert value == want.explained_value
 
 
+@BATCHED
+@given(generated_nets(), st.sampled_from(["scalar", "input-shaped"]))
+def test_trace_z_agrees_with_z_recomputed_from_the_raw_weights(arch, box):
+    # z^B and epsilon take each layer's z from the forward trace, z^B in the root-point
+    # form (a - l) W+^T s + (a - h) W-^T s; every weighted layer has a nonzero bias
+    net, rng, c = _built(arch)
+    shape = net.input_shape
+    low, high = (-0.5, 1.0) if box == "scalar" else (-rng.random(shape), rng.random(shape))
+    trace = relkit.forward(net, rng.uniform(low, high, shape))
+
+    def weighted_steps(config):
+        """(layer, rule, a, upper relevance, apply, apply_T, the sweep's relevance at a)
+        of each weighted layer, first to last, in N=1 batches."""
+        rels = relkit.lrp(net, trace, c, config).relevances
+        for idx, (layer, a) in enumerate(zip(net.layers, trace.inputs)):
+            if layer.weights is not None:
+                yield (layer, config.layer_rules[idx], a[None], rels[idx + 1][None],
+                       *netcore.linear_pair(layer, a.shape, row_stable=True), rels[idx])
+
+    # z^B: the three-term form a W^T s - l W+^T s - h W-^T s, z = W a - W+ l - W- h
+    config = relkit.rule_config(net, "deeptaylor", "pixel", low, high)
+    layer, rule, a, r_upper, apply, apply_T, got = next(weighted_steps(config))
+    w = layer.weights
+    w_pos, w_neg = np.maximum(w, 0.0), np.minimum(w, 0.0)
+    l, h = np.broadcast_to(rule.low, a.shape), np.broadcast_to(rule.high, a.shape)
+    s = explain.safe_divide(r_upper, apply(w, a) - apply(w_pos, l) - apply(w_neg, h),
+                            config.stabilizer)
+    want = a * apply_T(w, s) - l * apply_T(w_pos, s) - h * apply_T(w_neg, s)
+    assert _close(got, want[0])
+    # epsilon: bitwise a * W^T (R / (z + eps sign(z))), z = W a + b
+    for layer, rule, a, r_upper, apply, apply_T, got in weighted_steps(
+            relkit.rule_config(net, "epsilon")):
+        z = netcore.add_bias(apply(layer.weights, a), layer.bias)
+        denom = np.where(z >= 0, z + rule.epsilon, z - rule.epsilon)
+        assert np.array_equal(got, (a * apply_T(layer.weights, r_upper / denom))[0])
+
+
 def _assert_position_indexed(trace, shapes):
     """activations[i] has the shape of position i; the four views are slices of it."""
     acts = trace.activations

@@ -143,3 +143,29 @@ def test_training_and_prototype_ascent_add_no_terms(images):
                                relkit.AmOptions(max_iterations=3))
     assert len(explain._TERMS) == before
     assert not any(layer in explain._TERMS for layer in net.layers + trained.layers)
+
+
+def test_epsilon_and_zb_read_z_from_the_trace(network, images, monkeypatch):
+    # once the z^B offsets are cached, a z^B layer makes its two transposed products and
+    # an epsilon layer its one: neither recomputes the z that the forward trace holds
+    calls, pair = [], explain.linear_pair
+
+    def counted(layer, in_shape, row_stable=False):
+        apply, apply_T = pair(layer, in_shape, row_stable)
+        return (lambda w, a: calls.append((id(layer), "apply")) or apply(w, a),
+                lambda w, s: calls.append((id(layer), "apply_T")) or apply_T(w, s))
+
+    monkeypatch.setattr(explain, "linear_pair", counted)
+    net = fresh_copy(network)
+    trace = relkit.forward(net, images[0])
+    for config, rule, products in [(explain.deep_taylor_config(net, "pixel", 0.0, 1.0),
+                                    explain.ZBounds, (0, 2)),
+                                   (explain.epsilon_config(net), explain.Epsilon, (0, 1))]:
+        explain.lrp(net, trace, 0, config)  # fills the rule cache
+        calls.clear()
+        explain.lrp(net, trace, 0, config)
+        layers = [layer for layer, r in zip(net.layers, config.layer_rules) if isinstance(r, rule)]
+        assert layers
+        for layer in layers:
+            assert (calls.count((id(layer), "apply")),
+                    calls.count((id(layer), "apply_T"))) == products

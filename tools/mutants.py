@@ -62,9 +62,13 @@ MUTANTS = (
            "alpha_eff = rule.alpha",
            ("tests/test_rules.py",)),
     Mutant("zb-without-high-term", "src/relkit/explain.py",
-           "- rule.low * apply_T(w_pos, s) - rule.high * apply_T(w_neg, s)",
-           "- rule.low * apply_T(w_pos, s)",
+           "apply_T(w_pos, s) + (a - rule.high) * apply_T(w_neg, s)",
+           "apply_T(w_pos, s)",
            ("tests/test_rules.py",)),
+    Mutant("zb-denominator-keeps-bias", "src/relkit/explain.py",
+           "z = add_bias(out - offset[0] - offset[1], -bias)",
+           "z = out - offset[0] - offset[1]",
+           ("tests/test_properties.py",)),
     Mutant("maxpool-last-maximum-wins", "src/relkit/netcore.py",
            "arg = cols.argmax(axis=-2)",
            "arg = cols.shape[-2] - 1 - cols[..., ::-1, :].argmax(axis=-2)",
