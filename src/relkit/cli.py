@@ -31,16 +31,23 @@ def _resolve_seed(value):
     return seed
 
 
-def _adapt_sample(image, input_shape):
-    """Reshape one (H, W) dataset image to the network's input shape."""
-    if image.shape == tuple(input_shape):
-        return image
-    if len(input_shape) == 3 and input_shape[0] == 1 and image.shape == tuple(input_shape[1:]):
-        return image[None, :, :]
-    if len(input_shape) == 1 and image.size == input_shape[0]:
-        return image.reshape(input_shape)
-    raise ValueError(f"dataset image of shape {image.shape} does not fit the "
-                     f"network input shape {tuple(input_shape)}")
+def _read_images(path, flag="--data"):
+    """The images of the IDX file `path`, which `flag` refuses when it holds none."""
+    images = modelio.load_idx(path)
+    if not len(images):
+        raise ValueError(f"{flag}: the dataset {path} holds no images")
+    return images
+
+
+def _network_inputs(images, input_shape, whole=False):
+    """(N, H, W) dataset images as the (N,) + input_shape batch of network inputs, or,
+    `whole`, as whole images in the network's layout, which a sliding window reads."""
+    image, shape = images.shape[1:], tuple(input_shape)
+    target = shape[:-2] + image if whole else shape
+    if target in (image, (1,) + image) or len(target) == 1 and np.prod(image) == target[0]:
+        return images.reshape((len(images),) + target)
+    raise ValueError(f"dataset image of shape {image} does not fit the "
+                     f"network input shape {shape}")
 
 
 def _dataset_image(images, flag, index):
@@ -110,7 +117,7 @@ def parse_architecture(text):
 
 def _cmd_train(args):
     bounds = None if args.no_bounds else modelio.check_input_bounds(*args.bounds, "--bounds")
-    images = modelio.load_idx(args.data)
+    images = _read_images(args.data)
     labels = modelio.load_idx(args.labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image and label counts differ")
@@ -125,7 +132,7 @@ def _cmd_train(args):
     else:
         raise ValueError("train needs either --arch or --model to start from")
 
-    data = np.stack([_adapt_sample(img, network.input_shape) for img in images])
+    data = _network_inputs(images, network.input_shape)
     config = netcore.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                                  batch_size=args.batch, seed=args.seed,
                                  nonpositive_bias=args.nonpositive_bias)
@@ -187,16 +194,11 @@ def _cmd_explain(args):
     lrp_task = "--sliding-window" if args.sliding_window else "--filter" if args.filter else None
     if lrp_task and args.method != "lrp":
         raise ValueError(f"{lrp_task} applies to --method lrp")
-    image = _dataset_image(modelio.load_idx(args.data), "--index", args.index)
-
-    class_index = args.class_index
-    if args.sliding_window:
-        if class_index is None:
-            raise ValueError("--sliding-window needs an explicit --class")
-        x = image[None, :, :] if len(network.input_shape) == 3 and image.ndim == 2 else image
-    else:
-        x = _adapt_sample(image, network.input_shape)
-        class_index = _class_of(network, x, class_index)
+    if args.sliding_window and args.class_index is None:
+        raise ValueError("--sliding-window needs an explicit --class")
+    inputs = _network_inputs(_read_images(args.data), network.input_shape, args.sliding_window)
+    x = _dataset_image(inputs, "--index", args.index)
+    class_index = _class_of(network, x, args.class_index)
     config, explainer = _method(args, model_file)
     if args.sliding_window:
         heatmap = heatmaptools.sliding_window_explain(network, x, args.sliding_window, config,
@@ -231,11 +233,10 @@ def _cmd_prototype(args):
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
 
-    data_mean = None
-    images = None
+    data_mean = inputs = None
     if args.data:
-        images = modelio.load_idx(args.data)
-        data_mean = _adapt_sample(images.mean(axis=0), network.input_shape)
+        inputs = _network_inputs(_read_images(args.data), network.input_shape)
+        data_mean = inputs.mean(axis=0)
 
     regularizer = None
     if args.regularizer == "l2":
@@ -257,10 +258,9 @@ def _cmd_prototype(args):
 
     localization = None
     if _non_negative("--eta", args.eta):
-        if images is None or args.x0_index is None:
+        if inputs is None or args.x0_index is None:
             raise ValueError("--eta needs --data and --x0-index for the reference point")
-        reference = _adapt_sample(_dataset_image(images, "--x0-index", args.x0_index),
-                                  network.input_shape)
+        reference = _dataset_image(inputs, "--x0-index", args.x0_index)
         localization = prototype.Localization(args.eta, reference)
 
     objective = prototype.AmObjective(args.class_index, regularizer, localization)
@@ -296,14 +296,12 @@ def _cmd_evaluate(args):
         raise ValueError("--pixel-flip needs --out for its curve or summary")
     model_file = modelio.load_model_file(args.model)
     network = model_file.network
-    images = modelio.load_idx(args.data)
-    count = min(_non_negative("--count", args.count), images.shape[0])
-    if args.count and not count:
-        raise ValueError(f"--count {args.count}: the dataset {args.data} holds no images")
-    indices = range(count) if args.count else [args.index]
+    count = _non_negative("--count", args.count)
+    inputs = _network_inputs(_read_images(args.data, f"--count {count}" if count else "--data"),
+                             network.input_shape)
+    indices = range(min(count, len(inputs))) if count else [args.index]
     # only --index can be out of range
-    probes = [_adapt_sample(_dataset_image(images, "--index", i), network.input_shape)
-              for i in indices]
+    probes = [_dataset_image(inputs, "--index", i) for i in indices]
     classes = [_class_of(network, x, args.class_index) for x in probes]
 
     flip = evalkit.FlipConfig(patch=args.patch, fill=args.fill,

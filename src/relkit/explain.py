@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import (POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias, as_tensor, broadcasts_to,
+from .netcore import (POOL_KINDS, WEIGHTED_KINDS, _CHUNK_BYTES, add_bias, as_tensor,
                       check_explained_output, class_output, dense, layer_output_shape, linear_pair,
                       require_finite, require_int, sample_bytes, window_columns, window_scatter,
                       _as_input, _batch_of_one, _forward_rows, _layer_backward, _require_real,
@@ -131,6 +131,17 @@ class ZBounds:
         high.setflags(write=False)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
+
+    def require_shape(self, shape, where="ZBounds ", noun="the layer's input shape"):
+        """This box, whose bounds must broadcast to exactly `shape`: the one check of a box's
+        shape, refusing in a message that starts with `where` and names `shape` as `noun`."""
+        for name in ("low", "high"):
+            bound = getattr(self, name).shape
+            if len(bound) > len(shape) or any(
+                    b not in (1, s) for b, s in zip(reversed(bound), reversed(shape))):
+                raise ValueError(f"{where}{name} has shape {bound}, which does not "
+                                 f"broadcast to {noun} {tuple(shape)}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -327,17 +338,8 @@ def _check_rules(network, config):
             raise ValueError(f"layer {idx} ({layer.kind}): winner-take-all "
                              "needs a MaxPool layer")
         if isinstance(rule, ZBounds):
-            _check_box(rule, network.activation_shapes[idx], f"layer {idx} ({layer.kind}): ")
-
-
-def _check_box(rule, in_shape, where=""):
-    """Refuse a ZBounds bound that does not broadcast to the layer input shape
-    `in_shape`, in a message that starts with `where`."""
-    for name in ("low", "high"):
-        shape = getattr(rule, name).shape
-        if not broadcasts_to(shape, in_shape):
-            raise ValueError(f"{where}ZBounds {name} has shape {shape}, which does not "
-                             f"broadcast to the layer's input shape {in_shape}")
+            rule.require_shape(network.activation_shapes[idx],
+                               f"layer {idx} ({layer.kind}): ZBounds ")
 
 
 def _propagate(layer, x, extra, r_upper, rule, stabilizer, out=None):
@@ -358,7 +360,7 @@ def _propagate_layer(layer, x, extra, r_upper, rule, stabilizer):
     if r_upper.shape != out:
         raise ValueError(f"r_upper has shape {r_upper.shape}, not the {layer.kind} output's {out}")
     if isinstance(rule, ZBounds):
-        _check_box(rule, x.shape)
+        rule.require_shape(x.shape)
     if layer.kind in POOL_KINDS and not isinstance(rule, _FAMILY_RULES[layer.kind]):
         raise ValueError(f"unknown pool policy {rule!r}")
     if isinstance(rule, PoolWinnerTakeAll):
@@ -494,20 +496,21 @@ def simple_taylor(network, x, class_index, explained_output="logit"):
     return Heatmap.from_scores(scores, value, "simple_taylor", meta)
 
 
-def _first_layer_bound(network, bound, name):
-    # A scalar bound applies as is; one that broadcasts to the input shape is
-    # carried through the shape-only layers to the first weighted layer.
-    bound = np.asarray(bound, dtype=np.float64)
+def _pixel_box(network, low, high):
+    """The z^B box of pixels in [low, high], which must broadcast to the input shape, at
+    the first weighted layer's input: a scalar bound applies as is, and any other is
+    carried through the ReLU and Flatten layers before it; past a pool, which mixes
+    entries, it must broadcast to that layer's input as it is."""
+    box = ZBounds(low, high).require_shape(network.input_shape, "pixel bound ",
+                                           "the input shape")
     idx = _first_weighted_index(network)
-    if bound.ndim == 0 or idx is None:
-        return bound
+    if idx is None:
+        return box
     target = network.activation_shapes[idx]
-    if (np.prod(target) == np.prod(network.input_shape)
-            and broadcasts_to(bound.shape, network.input_shape)):
-        return np.broadcast_to(bound, network.input_shape).reshape(target)
-    raise ValueError(f"pixel bound {name} has shape {bound.shape}, which does not carry "
-                     f"to the first weighted layer's input {target}; expected a scalar "
-                     f"or the input shape {network.input_shape}")
+    if any(layer.kind in POOL_KINDS for layer in network.layers[:idx]):
+        return box.require_shape(target, "pixel bound ", "the first weighted layer's input")
+    return ZBounds(*(np.broadcast_to(bound, network.input_shape).reshape(target)
+                     if bound.ndim else bound for bound in (box.low, box.high)))
 
 
 # Named LRP rule stacks (alpha/beta ones with (alpha, beta)), input domains, gradient explainers
@@ -542,8 +545,7 @@ def _stack(network, hidden_rule, name, stabilizer, explained_output, input_domai
     if input_domain == "pixel":
         if low is None or high is None:
             raise ValueError("pixel input domain requires low/high bounds")
-        input_rule = ZBounds(_first_layer_bound(network, low, "low"),
-                             _first_layer_bound(network, high, "high"))
+        input_rule = _pixel_box(network, low, high)
     elif input_domain == "real":
         input_rule = WSquare()
     elif input_domain not in INPUT_DOMAINS:

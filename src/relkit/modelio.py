@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .explain import Heatmap, ZBounds, _heatmap_scores
-from .netcore import (LAYER_FIELDS, LAYER_KINDS, LayerSpec, Network, as_tensor, broadcasts_to,
-                      require_finite)
+from .netcore import LAYER_FIELDS, LAYER_KINDS, LayerSpec, Network, as_tensor, require_finite
 from .prototype import RbmExpert
 
 FORMAT_VERSION = 1
@@ -89,10 +88,8 @@ def check_input_bounds(low, high, where="input_bounds", input_shape=None):
         box = ZBounds(low, high)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
-    for key, bound in zip(("low", "high"), (box.low, box.high)):
-        if input_shape is not None and not broadcasts_to(bound.shape, input_shape):
-            raise ValueError(f"{where}.{key}: shape {bound.shape} does not broadcast to the "
-                             f"input shape {input_shape}")
+    if input_shape is not None:
+        box.require_shape(input_shape, f"{where}.", "the input shape")
     return box.low, box.high
 
 

@@ -79,12 +79,6 @@ def _frozen_tensor(values, name):
     return arr
 
 
-def broadcasts_to(shape, target):
-    """Whether an array of `shape` broadcasts to exactly the shape `target`."""
-    return len(shape) <= len(target) and all(
-        s in (1, t) for s, t in zip(reversed(shape), reversed(target)))
-
-
 @dataclass(frozen=True, eq=False)
 class LayerSpec:
     """One layer of a feed-forward network.

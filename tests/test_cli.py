@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -806,3 +807,46 @@ def test_evaluate_count_on_an_empty_dataset_is_refused_by_name(model_path, tmp_p
     assert code == 1
     assert f"--count 3: the dataset {empty} holds no images" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("train", ["--labels", "{labels}", "--arch", "flatten/dense:2"]),
+    ("prototype", ["--model", "{model}", "--class", "0"]),
+    ("explain", ["--model", "{model}"]),
+    ("evaluate", ["--model", "{model}", "--pixel-flip"]),
+])
+def test_every_command_refuses_an_empty_dataset_by_name(model_path, tmp_path, capsys, name,
+                                                        flags):
+    # train used to stop in np.stack, prototype on a NaN mean after two RuntimeWarnings
+    empty, labels = tmp_path / "empty.idx", tmp_path / "labels.idx"
+    relkit.save_idx_images(empty, np.zeros((0, 12, 12)))
+    relkit.save_idx_labels(labels, np.zeros(0, dtype=int))
+    flags = [flag.format(labels=labels, model=model_path) for flag in flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([name, "--data", str(empty), *flags, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"--data: the dataset {empty} holds no images" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [empty, labels]
+
+
+def test_a_model_of_two_dimensional_input_reads_each_image_as_it_is(dataset, tmp_path):
+    images, _ = dataset
+    net = relkit.random_network((12, 12), [("flatten",), ("dense", 4), ("relu",), ("dense", 2)],
+                                seed=41)
+    model, heat, flip = tmp_path / "flat2d.json", tmp_path / "heat.csv", tmp_path / "flip.csv"
+    relkit.save_model(net, model)
+    x = relkit.load_idx(images)[3]
+    assert main(["explain", "--model", str(model), "--data", images, "--index", "3",
+                 "--class", "1", "--out", str(heat)]) == 0
+    want = relkit.lrp_heatmap(net, x, 1, relkit.deep_taylor_config(net, "real"))
+    assert np.array_equal(relkit.load_heatmap_csv(heat).scores, want.scores)
+    assert main(["evaluate", "--model", str(model), "--data", images, "--index", "3",
+                 "--class", "1", "--pixel-flip", "--out", str(flip)]) == 0
+    curve = relkit.pixel_flip(net, x, want, relkit.FlipConfig(patch=4))
+    assert flip.read_bytes() == _saved_curve(curve, tmp_path / "want.csv")
+
+
+def _saved_curve(curve, path):
+    relkit.save_curve_csv(path, curve)
+    return path.read_bytes()

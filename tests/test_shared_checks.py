@@ -116,3 +116,52 @@ def test_save_model_writes_exactly_what_load_model_file_reads(low_shape, high_sh
             if expert is not None:
                 assert np.array_equal(loaded.expert.factor_weights, expert.factor_weights)
                 assert np.array_equal(loaded.expert.precision, expert.precision)
+
+
+FIRST_LAYERS = {"flatten": [("flatten",), ("dense", 2)],
+                "conv": [("conv", 2, 2, 2, 1, 0), ("relu",), ("flatten",), ("dense", 2)]}
+
+
+def _pixel_scores(net, x, low, high):
+    config = relkit.rule_config(net, "deeptaylor", "pixel", low, high)
+    return relkit.lrp_heatmap(net, x, 0, config).scores
+
+
+@BOUNDED
+@given(BOUND_SHAPES, BOUND_SHAPES, st.sampled_from(sorted(FIRST_LAYERS)))
+@example((), (), "conv")                 # scalar bounds
+@example((1, 4), (2, 3, 4), "flatten")   # carried through Flatten to the Dense input
+@example((3,), (), "conv")               # a low that does not broadcast
+@example((), (2, 1, 4, 1), "flatten")    # a high of higher rank
+def test_the_pixel_rule_refuses_exactly_the_boxes_save_model_refuses(low_shape, high_shape,
+                                                                     first):
+    # the pixel rule used to check a box in its own words, and by the count of entries
+    net = relkit.random_network((2, 3, 4), FIRST_LAYERS[first], seed=2)
+    rng = np.random.default_rng(3)
+    low, high, x = -rng.random(low_shape), rng.random(high_shape), rng.random((2, 3, 4))
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = _refusal(lambda: relkit.save_model(net, Path(tmp) / "m.json",
+                                                   input_bounds=(low, high)))
+    built = _refusal(lambda: relkit.rule_config(net, "deeptaylor", "pixel", low, high))
+    if saved is None:
+        # a box of any broadcasting shape explains as the same box at the input shape
+        assert built is None
+        full = [np.broadcast_to(bound, net.input_shape) for bound in (low, high)]
+        np.testing.assert_allclose(_pixel_scores(net, x, low, high),
+                                   _pixel_scores(net, x, *full), rtol=1e-12, atol=1e-15)
+    else:
+        assert saved.startswith("input_bounds.") and built.startswith("pixel bound ")
+        assert built.removeprefix("pixel bound ") == saved.removeprefix("input_bounds.")
+
+
+def test_a_pixel_box_past_a_pool_must_be_scalar_or_fit_the_pool_output():
+    net = relkit.random_network((1, 4, 4), [("avgpool", 2, 2, 2, 0), ("conv", 2, 1, 1, 1, 0),
+                                            ("relu",), ("flatten",), ("dense", 2)], seed=4)
+    message = ("pixel bound low has shape (1, 4, 4), which does not broadcast to the first "
+               "weighted layer's input (1, 2, 2)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        relkit.rule_config(net, "deeptaylor", "pixel", np.zeros((1, 4, 4)), 1.0)
+    x = np.linspace(0.0, 1.0, 16).reshape(1, 4, 4)
+    np.testing.assert_allclose(_pixel_scores(net, x, 0.0, 1.0),
+                               _pixel_scores(net, x, np.zeros((1, 1, 1)), np.ones(1)),
+                               rtol=1e-12, atol=1e-15)

@@ -9,9 +9,10 @@ pyproject.toml; the checkout itself is never written to.
 
 First the union of the named test files runs once on an unmutated copy, and the
 tool stops with exit status 1 unless every test passes there, since a test that
-fails in the copy for another reason would count every mutant as killed. Then,
-one mutant at a time, the tool applies the mutant to a copy and runs its named
-test files with `pytest -x`, each run under TIMEOUT seconds. A mutant is killed
+fails in the copy for another reason would count every mutant as killed. Then the
+mutants run on one worker thread per usable CPU: each applies one mutant to its own
+copy and runs its named test files with `pytest -x`, each run under TIMEOUT seconds,
+and the results are printed in list order. A mutant is killed
 when a test fails or errors (the first failing test id is printed), survived
 when every test passes, timeout when the run exceeds TIMEOUT, stale when its old
 text no longer occurs exactly once, and error when pytest cannot run the tests
@@ -28,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -150,9 +152,14 @@ MUTANTS = (
            "if False:",
            ("tests/test_single_layer_entries.py",)),
     Mutant("single-layer-box-unchecked", "src/relkit/explain.py",
-           "        _check_box(rule, x.shape)\n",
+           "        rule.require_shape(x.shape)\n",
            "        pass\n",
            ("tests/test_single_layer_entries.py",)),
+    Mutant("pixel-bounds-unchecked", "src/relkit/explain.py",
+           'box = ZBounds(low, high).require_shape(network.input_shape, "pixel bound ",\n'
+           '                                           "the input shape")',
+           "box = ZBounds(low, high)",
+           ("tests/test_shared_checks.py",)),
     Mutant("continuity-l-infinity", "src/relkit/evalkit.py",
            "ratio = np.abs(r0 - r1).sum() /",
            "ratio = np.abs(r0 - r1).max() /",
@@ -216,6 +223,10 @@ MUTANTS = (
     Mutant("cli-input-domain-auto-always-real", "src/relkit/cli.py",
            'auto = "real" if low is None else "pixel"',
            'auto = "real"',
+           ("tests/test_cli.py",)),
+    Mutant("empty-dataset-accepted", "src/relkit/cli.py",
+           "    if not len(images):\n",
+           "    if False:\n",
            ("tests/test_cli.py",)),
     Mutant("digits-unclipped", "src/relkit/datagen.py",
            "images[i] = np.clip(img, 0.0, 1.0)",
@@ -286,11 +297,11 @@ def main():
         print("the named test files must pass on an unmutated copy; no mutant was run")
         return 1
     outcomes = []
-    for m in MUTANTS:
-        outcome, seconds, detail = run(m)
-        outcomes.append(outcome)
-        print(f"{outcome:8} {seconds:5.1f} s  {m.name}  ({', '.join(m.tests)})  {detail}",
-              flush=True)
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        for m, (outcome, seconds, detail) in zip(MUTANTS, pool.map(run, MUTANTS)):
+            outcomes.append(outcome)
+            print(f"{outcome:8} {seconds:5.1f} s  {m.name}  ({', '.join(m.tests)})  {detail}",
+                  flush=True)
     killed = outcomes.count("killed")
     print(f"{killed} of {len(MUTANTS)} mutants killed")
     return 0 if killed == len(MUTANTS) else 1
